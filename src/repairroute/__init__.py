@@ -50,6 +50,7 @@ from .opt import (
     route_string,
     sequential_pipeline,
     simultaneous_objective,
+    solve,
     sweep_csv,
 )
 from .sim import (

@@ -95,6 +95,9 @@ class ConstraintVector:
     c_tilde: np.ndarray
     c_tilde0: float
     c: np.ndarray
+    dists: np.ndarray
+    m1: float
+    m0: float
 
 
 def c_vector(inputs: BoundInputs) -> ConstraintVector:
@@ -103,8 +106,9 @@ def c_vector(inputs: BoundInputs) -> ConstraintVector:
     The failure rate sigmoid(lam . x) is bounded above by its tangent line at
     -M1*M2, the worst-case margin: slope m1 and intercept m0.  Summing the
     tangent bound against the distance floors turns the budget Cg into the
-    half-space {lam : c . lam <= 1} with c as returned.  Cg must exceed the
-    intercept mass c_tilde0 for the half-space to be well defined.
+    half-space {lam : c . lam <= 1} with c as returned, alongside the
+    distance floors and the tangent.  Cg must exceed the intercept mass
+    c_tilde0 for the half-space to be well defined.
     """
     z = inputs.M1 * inputs.M2
     m1 = float(sigmoid(z) * sigmoid(-z))
@@ -118,7 +122,9 @@ def c_vector(inputs: BoundInputs) -> ConstraintVector:
             f"budget Cg={inputs.Cg:.6g} does not exceed the tangent intercept mass "
             f"{c_tilde0:.6g}; the linearized constraint is void"
         )
-    return ConstraintVector(c_tilde=c_tilde, c_tilde0=c_tilde0, c=c_tilde / denom)
+    return ConstraintVector(
+        c_tilde=c_tilde, c_tilde0=c_tilde0, c=c_tilde / denom, dists=dists, m1=m1, m0=m0
+    )
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -202,15 +208,17 @@ def halfspace_ball_fraction(z: float, R: float, d: int) -> float:
     return 1.0 - 0.5 * reg_inc_beta(x, (d + 1) / 2.0, 0.5)
 
 
+def _cut(inputs: BoundInputs, cn: float) -> tuple[float, float]:
+    # Plane distance 1/|c| and ball radius M1, both padded by eps / (32 M2).
+    pad = inputs.eps / (32.0 * inputs.M2)
+    z_prime = math.inf if cn == 0.0 else 1.0 / cn + pad
+    return z_prime, inputs.M1 + pad
+
+
 def alpha(inputs: BoundInputs, c) -> float:
     """Surviving volume fraction of the coefficient ball under c . lam <= 1."""
     c = np.asarray(c, dtype=float).ravel()
-    cn = float(np.linalg.norm(c))
-    if cn == 0.0:
-        return 1.0
-    pad = inputs.eps / (32.0 * inputs.M2)
-    z_prime = 1.0 / cn + pad
-    r_prime = inputs.M1 + pad
+    z_prime, r_prime = _cut(inputs, float(np.linalg.norm(c)))
     if z_prime >= r_prime:
         return 1.0
     return halfspace_ball_fraction(z_prime, r_prime, inputs.d)
@@ -241,22 +249,16 @@ def generalization_bound(inputs: BoundInputs) -> BoundReport:
     these dimensions and sample size.  constraint_vacuous flags a budget so
     loose (Cg above the distance-floor mass) that it removes nothing.
     """
-    dists = shortest_distances(inputs.D)
     vec = c_vector(inputs)
     cn = float(np.linalg.norm(vec.c))
-    pad = inputs.eps / (32.0 * inputs.M2)
-    z_prime = math.inf if cn == 0.0 else 1.0 / cn + pad
-    r_prime = inputs.M1 + pad
+    z_prime, r_prime = _cut(inputs, cn)
     a = alpha(inputs, vec.c)
-    z = inputs.M1 * inputs.M2
-    m1 = float(sigmoid(z) * sigmoid(-z))
-    m0 = z * m1 + float(sigmoid(-z))
     covering = (32.0 * inputs.M1 * inputs.M2 / inputs.eps + 1.0) ** inputs.d
     exp_factor = math.exp(-inputs.m * inputs.eps**2 / (512.0 * (inputs.M1 * inputs.M2) ** 2))
     return BoundReport(
-        dists=dists,
-        m1=m1,
-        m0=m0,
+        dists=vec.dists,
+        m1=vec.m1,
+        m0=vec.m0,
         c_tilde=vec.c_tilde,
         c_tilde0=vec.c_tilde0,
         c=vec.c,
@@ -267,5 +269,5 @@ def generalization_bound(inputs: BoundInputs) -> BoundReport:
         covering_factor=covering,
         exp_factor=exp_factor,
         bound=4.0 * a * covering * exp_factor,
-        constraint_vacuous=bool(inputs.Cg > float(dists.sum())),
+        constraint_vacuous=bool(inputs.Cg > float(vec.dists.sum())),
     )

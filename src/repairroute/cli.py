@@ -22,25 +22,12 @@ from .dataio import ValidationError
 from .demo import INSTANCES
 from .learn import TrainConfig, auc, fit_logistic
 from .milp import build_milp, export_lp
-from .opt import (
-    METHODS,
-    MltrpConfig,
-    alternating_minimization,
-    c1_sweep,
-    nelder_mead,
-    node_weights,
-    route_string,
-    sequential_pipeline,
-    sweep_csv,
-)
+from .opt import METHODS, MltrpConfig, c1_sweep, node_weights, route_string, solve, sweep_csv
 from .sim import SimConfig, simulate_route_cost
 from .trp import naive_route, solve_weighted_trp_dp
 
-_CLI_COST_MODELS = ("cost1", "cost2")
-
-
-def _internal_cost_model(name: str) -> str:
-    return "cost1" if name == "cost1" else "cost2_surrogate"
+# --cost-model choice -> opt cost model.
+_COST_MODELS = {"cost1": "cost1", "cost2": "cost2_surrogate"}
 
 
 def _require(args, *names):
@@ -52,12 +39,7 @@ def _require(args, *names):
 def _mltrp_config(args, c1=None) -> MltrpConfig:
     if c1 is None:
         c1 = args.c1 if args.c1 is not None else 0.0
-    return MltrpConfig(
-        c2=args.c2,
-        c1=c1,
-        cost_model=_internal_cost_model(args.cost_model),
-        seed=args.seed,
-    )
+    return MltrpConfig(c2=args.c2, c1=c1, cost_model=_COST_MODELS[args.cost_model])
 
 
 def _model_dict(fit, c2: float, data) -> dict:
@@ -99,17 +81,22 @@ def _route_dict(route, lam, nodes, D, cost_model: str) -> dict:
     }
 
 
-def _load_problem(args):
-    data = dataio.load_labeled_csv(args.train)
+def _load_graph(args):
     nodes = dataio.load_nodes_csv(args.nodes)
     D = dataio.load_distances_csv(args.distances)
-    if nodes.shape[1] != data.d:
-        raise ValidationError(
-            f"node features have {nodes.shape[1]} columns, training data has {data.d}"
-        )
     if nodes.shape[0] != D.shape[0]:
         raise ValidationError(
             f"{nodes.shape[0]} node rows do not match a {D.shape[0]}x{D.shape[0]} distance matrix"
+        )
+    return nodes, D
+
+
+def _load_problem(args):
+    data = dataio.load_labeled_csv(args.train)
+    nodes, D = _load_graph(args)
+    if nodes.shape[1] != data.d:
+        raise ValidationError(
+            f"node features have {nodes.shape[1]} columns, training data has {data.d}"
         )
     return data, nodes, D
 
@@ -144,12 +131,7 @@ def cmd_simultaneous(args) -> int:
         )
     cfg = _mltrp_config(args)
     out = Path(args.out_dir)
-    solver = {
-        "sequential": sequential_pipeline,
-        "nm": nelder_mead,
-        "am": alternating_minimization,
-    }[args.method]
-    sol = solver(data, nodes, D, cfg)
+    sol = solve(args.method, data, nodes, D, cfg)
     dataio.write_json(
         out / "solution.json",
         {
@@ -213,9 +195,8 @@ def cmd_demo(args) -> int:
     dist_rows = [",".join(repr(v) for v in row) for row in D.tolist()]
     dataio.write_csv(out / "distances.csv", "\n".join(dist_rows) + "\n")
 
-    seq = sequential_pipeline(data, nodes, D, cfg)
-    solver = {"nm": nelder_mead, "am": alternating_minimization}[args.method if args.method != "sequential" else "am"]
-    sim_sol = solver(data, nodes, D, cfg)
+    seq = solve("sequential", data, nodes, D, cfg)
+    sim_sol = solve(args.method, data, nodes, D, cfg)
 
     def _summary(sol):
         probs = node_weights(sol.lam, nodes, "cost1")
@@ -256,7 +237,7 @@ def cmd_simulate(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args, c1=0.0)
-    sol = sequential_pipeline(data, nodes, D, cfg)
+    sol = solve("sequential", data, nodes, D, cfg)
     sim_cfg = SimConfig(trials=args.trials, seed=args.seed, steps_per_unit=args.steps_per_unit)
     report = simulate_route_cost(
         sol.route, D, sim_cfg, model=args.cost_model, lam=sol.lam, nodes=nodes
@@ -270,12 +251,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     _require(args, "nodes", "distances", "cg", "eps", "out-dir")
-    nodes = dataio.load_nodes_csv(args.nodes)
-    D = dataio.load_distances_csv(args.distances)
-    if nodes.shape[0] != D.shape[0]:
-        raise ValidationError(
-            f"{nodes.shape[0]} node rows do not match a {D.shape[0]}x{D.shape[0]} distance matrix"
-        )
+    nodes, D = _load_graph(args)
     m1 = args.m1
     m = args.m
     norm_cap = float(np.linalg.norm(nodes, axis=1).max())
@@ -346,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c2", type=float, help="squared-norm regularization weight")
         if model:
             p.add_argument(
-                "--cost-model", choices=_CLI_COST_MODELS, default="cost1",
+                "--cost-model", choices=tuple(_COST_MODELS), default="cost1",
                 help="cost1: expected failure counts; cost2: early-failure surrogate",
             )
         p.add_argument("--method", choices=METHODS, default="am")

@@ -152,6 +152,22 @@ def cost1_general(route, w, D, beta: float) -> float:
     return float(w @ (beta * (tour - lat) + lat))
 
 
+def node_scores(lam, nodes, M: int | None = None) -> np.ndarray:
+    """Per-node linear scores lam . x_i, after checking lam against the feature width.
+
+    With M given, the node rows must also number M (one per distance-matrix row).
+    """
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    lam = np.asarray(lam, dtype=float).ravel()
+    if nodes.shape[1] != lam.shape[0]:
+        raise ValueError(
+            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
+        )
+    if M is not None and nodes.shape[0] != M:
+        raise ValueError("node feature count does not match distance matrix")
+    return nodes @ lam
+
+
 def cost2_exact(route, lam, nodes, D) -> float:
     """Probability-of-early-failure cost under a per-step failure process.
 
@@ -160,17 +176,9 @@ def cost2_exact(route, lam, nodes, D) -> float:
     that its first failure lands before its repair visit, i.e.
     1 - (1 + exp(f_i))^(-L_i).  Zero-latency nodes contribute 0.
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.asarray(lam, dtype=float).ravel()
-    if nodes.shape[1] != lam.shape[0]:
-        raise ValueError(
-            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
-        )
     D = as_distance_matrix(D)
-    if nodes.shape[0] != D.shape[0]:
-        raise ValueError("node feature count does not match distance matrix")
+    rate = softplus(node_scores(lam, nodes, D.shape[0]))
     lat = latency(route, D)
-    rate = softplus(nodes @ lam)
     per_node = np.where(lat > 0, -np.expm1(-lat * rate), 0.0)
     return float(per_node.sum())
 
@@ -179,30 +187,16 @@ def cost2_general(route, lam, nodes, D, beta: float) -> float:
     """Interpolated early-failure cost; beta=0 recovers the exact form, beta=1 counts every node."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.asarray(lam, dtype=float).ravel()
-    if nodes.shape[1] != lam.shape[0]:
-        raise ValueError(
-            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
-        )
     D = as_distance_matrix(D)
-    if nodes.shape[0] != D.shape[0]:
-        raise ValueError("node feature count does not match distance matrix")
+    rate = softplus(node_scores(lam, nodes, D.shape[0]))
     lat = latency(route, D)
-    rate = softplus(nodes @ lam)
     survive = np.where(lat > 0, np.exp(-lat * rate), 1.0)
     return float(np.sum(1.0 - (1.0 - beta) * survive))
 
 
 def cost2_surrogate_weights(lam, nodes) -> np.ndarray:
     """Per-node weights log(1 + exp(lam . x_i)) used as a convex stand-in for the early-failure cost."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.asarray(lam, dtype=float).ravel()
-    if nodes.shape[1] != lam.shape[0]:
-        raise ValueError(
-            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
-        )
-    return softplus(nodes @ lam)
+    return softplus(node_scores(lam, nodes))
 
 
 def standard_trp_cost(route, D) -> float:

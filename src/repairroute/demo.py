@@ -62,7 +62,7 @@ def four_node(seed: int = 0) -> DemoInstance:
         train=_clusters(seed),
         nodes=nodes,
         D=_euclidean(points),
-        cfg=MltrpConfig(c2=0.1, c1=0.8, cost_model="cost1", seed=seed),
+        cfg=MltrpConfig(c2=0.1, c1=0.8, cost_model="cost1"),
         odd_node=2,
     )
 
@@ -87,7 +87,7 @@ def six_node(seed: int = 0) -> DemoInstance:
         train=_clusters(seed),
         nodes=nodes,
         D=_euclidean(points),
-        cfg=MltrpConfig(c2=0.1, c1=0.6, cost_model="cost1", seed=seed),
+        cfg=MltrpConfig(c2=0.1, c1=0.6, cost_model="cost1"),
         odd_node=6,
     )
 

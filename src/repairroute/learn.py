@@ -83,7 +83,12 @@ def training_gradient(lam, data: LabeledDataset, C2: float) -> np.ndarray:
 
 
 def minimize_descent(fun, grad, x0, config: TrainConfig) -> FitResult:
-    """Gradient descent with Armijo backtracking on a smooth convex objective.
+    """Gradient descent with Armijo backtracking on a smooth objective.
+
+    Convexity holds only for the plain logistic fit.  The alternating
+    scheme's fixed-route objective under cost1 (sigmoid weights times
+    latencies) is not convex, and there the descent may stop at a local
+    minimum.
 
     Stops when the gradient norm drops to config.grad_tol, the line search
     stalls at the step floor, or max_iters is reached.  The accepted step is

@@ -9,6 +9,8 @@ convex stand-in for the early-failure model.  Three drivers are provided:
 * nelder_mead: direct simplex search on lam with the route re-optimized
   exactly inside every evaluation;
 * alternating_minimization: alternate exact routing with descent on lam.
+
+`solve` dispatches on the method name, one of METHODS.
 """
 
 import math
@@ -21,6 +23,7 @@ from .core import (
     as_distance_matrix,
     cost1,
     latency,
+    node_scores,
     sigmoid,
     softplus,
 )
@@ -34,7 +37,9 @@ from .learn import (
 )
 from .trp import solve_weighted_trp_dp
 
-COST_MODELS = ("cost1", "cost2_surrogate")
+# Routing weight of a node as a function of its score lam . x, per cost model.
+_WEIGHTS = {"cost1": sigmoid, "cost2_surrogate": softplus}
+COST_MODELS = tuple(_WEIGHTS)
 METHODS = ("sequential", "nm", "am")
 
 
@@ -59,7 +64,6 @@ class MltrpConfig:
     nm_contract: float = 0.5
     nm_shrink: float = 0.5
     am_iters: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.c1) and self.c1 >= 0):
@@ -98,14 +102,7 @@ def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
     """Routing weights induced by the model at each node."""
     if cost_model not in COST_MODELS:
         raise ValueError(f"cost_model must be one of {COST_MODELS}")
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.asarray(lam, dtype=float).ravel()
-    if nodes.shape[1] != lam.shape[0]:
-        raise ValueError(
-            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
-        )
-    scores = nodes @ lam
-    return sigmoid(scores) if cost_model == "cost1" else softplus(scores)
+    return _WEIGHTS[cost_model](node_scores(lam, nodes))
 
 
 def obj(lam, route, data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> float:
@@ -269,6 +266,17 @@ def alternating_minimization(
     return _finalize(lam, data, nodes, D, cfg, trace, method="am")
 
 
+def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> MltrpSolution:
+    """Run one of METHODS; lam0 warm-starts nm and am and is unused by sequential."""
+    if method == "sequential":
+        return sequential_pipeline(data, nodes, D, cfg)
+    if method == "nm":
+        return nelder_mead(data, nodes, D, cfg, lam0=lam0)
+    if method == "am":
+        return alternating_minimization(data, nodes, D, cfg, lam0=lam0)
+    raise ValueError(f"method must be one of {METHODS}")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     c1: float
@@ -277,16 +285,6 @@ class SweepRow:
     traversal_cost: float
     train_loss: float
     route: list[int]
-
-
-def _solve(method, data, nodes, D, cfg, lam0):
-    if method == "sequential":
-        return sequential_pipeline(data, nodes, D, cfg)
-    if method == "nm":
-        return nelder_mead(data, nodes, D, cfg, lam0=lam0)
-    if method == "am":
-        return alternating_minimization(data, nodes, D, cfg, lam0=lam0)
-    raise ValueError(f"method must be one of {METHODS}")
 
 
 def c1_sweep(
@@ -313,7 +311,7 @@ def c1_sweep(
     lam0 = fit_logistic(data, cfg.trainer_config()).lam
     rows = []
     for c1 in grid:
-        sol = _solve(method, data, nodes, D, replace(cfg, c1=c1), lam0)
+        sol = solve(method, data, nodes, D, replace(cfg, c1=c1), lam0)
         train_auc = auc(data.features @ sol.lam, data.labels)
         test_auc = (
             auc(test_data.features @ sol.lam, test_data.labels)

@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+import repairroute.bound as bound_mod
 from repairroute.bound import (
     BoundInputs,
     BoundReport,
@@ -354,3 +355,19 @@ class TestGeneralizationBound:
         inputs = make_inputs(8)
         rep = generalization_bound(inputs)
         assert np.array_equal(rep.dists, shortest_distances(inputs.D))
+
+    def test_one_tour_dp_per_call(self, monkeypatch):
+        inputs = make_inputs(9)
+        calls = []
+        real = bound_mod.solve_weighted_trp_dp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bound_mod, "solve_weighted_trp_dp", counting)
+        rep = generalization_bound(inputs)
+        assert len(calls) == 1
+        vec = c_vector(inputs)
+        assert np.array_equal(rep.dists, vec.dists)
+        assert (rep.m1, rep.m0) == (vec.m1, vec.m0)

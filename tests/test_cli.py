@@ -386,6 +386,14 @@ class TestDemo:
         assert summary["sequential"]["route"] != summary["simultaneous"]["route"]
         assert summary["cost1_reduction_pct"] > 0.0
 
+    def test_method_sequential_runs_the_sequential_pipeline(self, tmp_path):
+        assert main(["demo", "--which", "four_node", "--method", "sequential",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "summary.json")["method"] == "sequential"
+        assert (tmp_path / "simultaneous.json").read_bytes() == (
+            tmp_path / "sequential.json"
+        ).read_bytes()
+
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

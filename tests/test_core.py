@@ -11,10 +11,12 @@ from repairroute.core import (
     cost2_general,
     cost2_surrogate_weights,
     latency,
+    node_scores,
     sigmoid,
     softplus,
     standard_trp_cost,
 )
+from repairroute.opt import node_weights
 
 from conftest import random_instance
 
@@ -263,6 +265,37 @@ class TestSurrogateWeights:
             expected = float(mp.log(1 + mp.exp(z)))
             got = cost2_surrogate_weights([z], [[1.0]])[0]
             assert got == pytest.approx(expected, rel=1e-13)
+
+
+_D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+_SCORE_USERS = {
+    "cost2_exact": lambda lam, nodes: cost2_exact([1, 2, 3], lam, nodes, _D3),
+    "cost2_general": lambda lam, nodes: cost2_general([1, 2, 3], lam, nodes, _D3, 0.5),
+    "cost2_surrogate_weights": cost2_surrogate_weights,
+    "node_weights_cost1": lambda lam, nodes: node_weights(lam, nodes, "cost1"),
+    "node_weights_cost2_surrogate": lambda lam, nodes: node_weights(lam, nodes, "cost2_surrogate"),
+}
+
+
+class TestNodeScoreChecks:
+    # Every entry point that scores nodes by lam . x shares one shape check.
+    @pytest.mark.parametrize("name", sorted(_SCORE_USERS))
+    def test_rejects_lambda_width_mismatch(self, name):
+        with pytest.raises(ValueError, match="lambda has 3 coefficients, node features have 2"):
+            _SCORE_USERS[name]([1.0, 2.0, 3.0], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("name", ["cost2_exact", "cost2_general"])
+    def test_rejects_node_count_mismatch(self, name):
+        with pytest.raises(ValueError, match="node feature count does not match distance matrix"):
+            _SCORE_USERS[name]([1.0, 2.0], np.zeros((4, 2)))
+
+    def test_node_scores(self):
+        lam = np.array([0.5, 1.0])
+        nodes = np.array([[1.0, 2.0], [3.0, -1.0]])
+        assert np.array_equal(node_scores(lam, nodes), nodes @ lam)
+        assert np.array_equal(node_scores(lam, nodes, 2), nodes @ lam)
+        with pytest.raises(ValueError, match="node feature count"):
+            node_scores(lam, nodes, 3)
 
 
 class TestStandardTrp:

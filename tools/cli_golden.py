@@ -1,0 +1,111 @@
+"""Write the outputs of a fixed list of CLI invocations into one directory tree.
+
+    python3 tools/cli_golden.py OUT_DIR
+
+Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
+subcommand of ``repairroute.cli.main`` in-process: both cost models, all
+three methods, both demos, and the bound with explicit caps, with --train,
+with a vacuous budget and with a void one.  Each invocation writes into its
+own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records its exit code
+and stderr.  The package is imported from the ``src/`` next to this script,
+so running it from two checkouts and comparing the trees with
+
+    diff -r OUT_A OUT_B
+
+shows whether a change altered any output byte.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _csv(rows) -> str:
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+
+def _labeled(X, y) -> str:
+    header = ",".join(f"f{k + 1}" for k in range(X.shape[1])) + ",label\n"
+    return header + "".join(
+        ",".join(repr(float(v)) for v in row) + f",{int(lab):+d}\n" for row, lab in zip(X, y)
+    )
+
+
+def write_inputs(folder: Path) -> None:
+    """Five nodes, two features plus an intercept, asymmetric integer distances."""
+    rng = np.random.default_rng(20110526)
+    folder.mkdir(parents=True, exist_ok=True)
+    d, M = 2, 5
+    for name, m in (("train.csv", 24), ("test.csv", 16)):
+        y = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        X = np.column_stack([rng.normal(0.0, 1.0, (m, d)) + 1.2 * y[:, None], np.ones(m)])
+        (folder / name).write_text(_labeled(X, y))
+    nodes = np.column_stack([rng.normal(0.0, 0.8, (M, d)), np.ones(M)])
+    header = ",".join(f"f{k + 1}" for k in range(d + 1)) + "\n"
+    (folder / "nodes.csv").write_text(header + _csv(nodes))
+    D = rng.integers(1, 10, (M, M)).astype(float)
+    np.fill_diagonal(D, 0.0)
+    (folder / "dist.csv").write_text(_csv(D))
+
+
+def invocations() -> dict:
+    base = ["--train", "train.csv", "--nodes", "nodes.csv", "--distances", "dist.csv", "--c2", "0.2"]
+    runs = {"train": ["train", *base]}
+    for model in ("cost1", "cost2"):
+        runs[f"route_{model}"] = ["route", *base, "--cost-model", model]
+        runs[f"export_milp_{model}"] = ["export-milp", *base, "--cost-model", model]
+        runs[f"simulate_{model}"] = ["simulate", *base, "--cost-model", model, "--trials", "2000",
+                                     "--seed", "3"]
+        for method in ("sequential", "nm", "am"):
+            runs[f"simultaneous_{method}_{model}"] = [
+                "simultaneous", *base, "--cost-model", model, "--method", method, "--c1", "0.5",
+                "--test", "test.csv",
+            ]
+    runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
+                                  "--test", "test.csv"]
+    for which in ("four_node", "six_node"):
+        for method in ("nm", "am"):
+            runs[f"demo_{which}_{method}"] = ["demo", "--which", which, "--method", method]
+    runs["demo_four_node_sequential"] = ["demo", "--which", "four_node", "--method", "sequential"]
+    graph = ["--nodes", "nodes.csv", "--distances", "dist.csv", "--eps", "0.5"]
+    runs["bound_caps"] = ["bound", *graph, "--cg", "2", "--m1", "2", "--m2", "2", "--m", "64"]
+    runs["bound_train"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2"]
+    runs["bound_vacuous"] = ["bound", *graph, "--cg", "1000", "--m1", "2", "--m2", "2", "--m", "64"]
+    runs["bound_void"] = ["bound", *graph, "--cg", "0.001", "--m1", "2", "--m2", "2", "--m", "64"]
+    return runs
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    inputs = out / "inputs"
+    write_inputs(inputs)
+    sys.path.insert(0, str(SRC))
+    from repairroute.cli import main as cli_main
+
+    log = []
+    cwd = os.getcwd()
+    os.chdir(inputs)
+    try:
+        for name, args in invocations().items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main(args + ["--out-dir", str(Path("..") / name)])
+            log.append(f"{name} {code} {err.getvalue().strip()}")
+    finally:
+        os.chdir(cwd)
+    (out / "exit_codes.txt").write_text("\n".join(log) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
