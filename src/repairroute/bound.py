@@ -18,8 +18,6 @@ import numpy as np
 from .core import as_distance_matrix, sigmoid
 from .trp import solve_weighted_trp_dp
 
-_TSP_MAX_NODES = 18
-
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -69,12 +67,11 @@ def shortest_distances(D) -> np.ndarray:
 
     Entry i (i >= 2) is the shortest directed path length from node 1; no
     metric assumption is made.  Entry 1 is the length of the shortest closed
-    tour through all nodes, the floor for node 1's own latency.
+    tour through all nodes, the floor for node 1's own latency; it comes from
+    the exact DP, so at most 20 nodes are accepted.
     """
     D = as_distance_matrix(D)
     M = D.shape[0]
-    if M > _TSP_MAX_NODES:
-        raise ValueError(f"exact tour length supports at most {_TSP_MAX_NODES} nodes, got {M}")
     dist = np.full(M, np.inf)
     dist[0] = 0.0
     done = np.zeros(M, dtype=bool)

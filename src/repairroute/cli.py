@@ -177,7 +177,7 @@ def cmd_demo(args) -> int:
     _require(args, "out-dir")
     inst = INSTANCES[args.which](seed=args.seed)
     data, nodes, D = inst.train, inst.nodes, inst.D
-    cfg = inst.cfg
+    cfg = replace(inst.cfg, cost_model=_COST_MODELS[args.cost_model])
     if args.c1 is not None:
         cfg = replace(cfg, c1=args.c1)
     if args.c2 is not None:
@@ -219,7 +219,7 @@ def cmd_demo(args) -> int:
             "instance": inst.name,
             "c1": cfg.c1,
             "c2": cfg.c2,
-            "cost_model": cfg.cost_model,
+            "cost_model": args.cost_model,
             "method": sim_sol.method,
             "seed": args.seed,
             "sequential": s_seq,

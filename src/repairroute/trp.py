@@ -17,6 +17,9 @@ TIE_TOL = 1e-12
 
 _DP_MAX_NODES = 20
 _BF_MAX_NODES = 10
+# Visited sets extended per numpy step: caps each step's temporaries at
+# about 1024 * M doubles, so the table stays the DP's only large allocation.
+_FILL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,12 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     An edge (j, k) taken with visited set S (node 1 included) contributes
     d[j, k] * (remaining weight outside S plus node 1's weight), because every
     still-waiting node and the start node itself pay for that leg.  States are
-    keyed by subsets of nodes 2..M; memory is O(2^(M-1) * M).
+    keyed by subsets of nodes 2..M.  The table is filled one subset size at a
+    time, largest first: for each size and each node, numpy steps extend
+    every visited set of that size that lacks the node, up to _FILL_ROWS sets
+    per step.  Each state still takes the minimum over its next nodes in
+    increasing order, so the table equals a per-set loop bit for bit.
+    Memory is O(2^(M-1) * M) for the table plus one step's temporaries.
     """
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
@@ -44,22 +52,30 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     full = (1 << n) - 1
     wtot = float(w.sum())
 
+    # subw[mask] adds the weights of mask's nodes from the highest bit down,
+    # the order of the recurrence subw[mask] = subw[mask - lsb] + w[lsb];
+    # size[mask] counts them.
     subw = np.zeros(full + 1)
-    for mask in range(1, full + 1):
-        lsb = mask & -mask
-        subw[mask] = subw[mask ^ lsb] + w[lsb.bit_length()]
+    size = np.zeros(full + 1, dtype=np.int8)
+    for b in range(n - 1, -1, -1):
+        subw[1 << b :: 2 << b] = subw[:: 2 << b] + w[b + 1]
+        size[1 << b :: 2 << b] = size[:: 2 << b] + 1
     coef = wtot - subw  # per-leg weight multiplier for each visited set
+    del subw
 
     g = np.full((full + 1, M), np.inf)
     g[full, :] = D[:, 0] * w[0]
-    for mask in range(full - 1, -1, -1):
-        best = g[mask]
+    for s in range(n - 1, -1, -1):
+        layer = np.flatnonzero(size == s)
         for k in range(n):
-            if mask >> k & 1:
-                continue
+            free = layer[(layer & (1 << k)) == 0]
             node = k + 1
-            cand = D[:, node] * coef[mask] + g[mask | (1 << k), node]
-            np.minimum(best, cand, out=best)
+            for lo in range(0, free.size, _FILL_ROWS):
+                sub = free[lo : lo + _FILL_ROWS]
+                cand = np.multiply.outer(coef[sub], D[:, node])
+                cand += g[sub | (1 << k), node][:, None]
+                np.minimum(g[sub], cand, out=cand)
+                g[sub] = cand
     c_star = float(g[0, 0])
 
     # Greedy reconstruction: at each step take the smallest next node whose

@@ -120,9 +120,13 @@ class TestShortestDistances:
         assert dist[0] >= dist.max() - 1e-12
 
     def test_too_many_nodes(self):
-        D = np.ones((19, 19)) - np.eye(19)
+        D = np.ones((21, 21)) - np.eye(21)
         with pytest.raises(ValueError, match="at most"):
             shortest_distances(D)
+
+    def test_nineteen_node_unit_tour(self):
+        D = np.ones((19, 19)) - np.eye(19)
+        assert shortest_distances(D)[0] == 19.0
 
 
 class TestRegIncBeta:

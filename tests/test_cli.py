@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from repairroute.dataio import (
     load_nodes_csv,
     write_json,
 )
+from repairroute.demo import INSTANCES
 from repairroute.learn import TrainConfig, fit_logistic
+from repairroute.opt import solve
 from repairroute.trp import solve_weighted_trp_dp
 
 from conftest import blobs, random_instance
@@ -393,6 +396,17 @@ class TestDemo:
         assert (tmp_path / "simultaneous.json").read_bytes() == (
             tmp_path / "sequential.json"
         ).read_bytes()
+
+    def test_cost_model_flag_is_used(self, tmp_path):
+        assert main(["demo", "--which", "six_node", "--cost-model", "cost2",
+                     "--out-dir", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["cost_model"] == "cost2"
+        inst = INSTANCES["six_node"](seed=0)
+        cfg = replace(inst.cfg, cost_model="cost2_surrogate")
+        sol = solve("am", inst.train, inst.nodes, inst.D, cfg)
+        assert summary["simultaneous"]["route"] == list(sol.route)
+        assert summary["simultaneous"]["training_error"] == sol.training_error
 
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a"

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import repairroute.trp as trp_mod
 from repairroute.bound import shortest_distances
 from repairroute.core import cost1, standard_trp_cost
 from repairroute.trp import (
+    TIE_TOL,
     naive_route,
     solve_weighted_trp_bruteforce,
     solve_weighted_trp_dp,
@@ -17,6 +19,57 @@ from conftest import random_instance
 def enumerate_routes(M):
     for tail in itertools.permutations(range(2, M + 1)):
         yield [1] + list(tail)
+
+
+def loop_dp(w, D):
+    """Reference: the subset DP filled one mask at a time, with the same
+    greedy reconstruction.  Returns (route, cost)."""
+    D = np.asarray(D, dtype=float)
+    w = np.asarray(w, dtype=float)
+    M = D.shape[0]
+    n = M - 1
+    full = (1 << n) - 1
+    wtot = float(w.sum())
+    subw = np.zeros(full + 1)
+    for mask in range(1, full + 1):
+        lsb = mask & -mask
+        subw[mask] = subw[mask ^ lsb] + w[lsb.bit_length()]
+    coef = wtot - subw
+    g = np.full((full + 1, M), np.inf)
+    g[full, :] = D[:, 0] * w[0]
+    for mask in range(full - 1, -1, -1):
+        best = g[mask]
+        for k in range(n):
+            if mask >> k & 1:
+                continue
+            node = k + 1
+            cand = D[:, node] * coef[mask] + g[mask | (1 << k), node]
+            np.minimum(best, cand, out=best)
+    c_star = float(g[0, 0])
+    mask, last, acc = 0, 0, 0.0
+    order = [0]
+    for _ in range(n):
+        chosen = None
+        fallback = (np.inf, None)
+        for k in range(n):
+            if mask >> k & 1:
+                continue
+            node = k + 1
+            total = acc + D[last, node] * coef[mask] + g[mask | (1 << k), node]
+            if total <= c_star + TIE_TOL:
+                chosen = (k, node)
+                break
+            if total < fallback[0]:
+                fallback = (total, (k, node))
+        if chosen is None:
+            chosen = fallback[1]
+        k, node = chosen
+        acc += D[last, node] * coef[mask]
+        mask |= 1 << k
+        last = node
+        order.append(node)
+    route = [i + 1 for i in order]
+    return route, cost1(route, w, D)
 
 
 class TestDp:
@@ -96,6 +149,22 @@ class TestDp:
         sol = solve_weighted_trp_dp(w, D)
         floor = float(w @ shortest_distances(D))
         assert sol.cost >= floor - 1e-9
+
+    @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])
+    @pytest.mark.parametrize("kind", ["random", "equal_weights", "zero_weights", "integer_distances"])
+    @pytest.mark.parametrize("M", range(2, 13))
+    def test_matches_per_mask_loop_exactly(self, M, kind, fill_rows, monkeypatch):
+        # fill_rows=3 splits every step of the layered fill into small pieces.
+        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        w, D = random_instance(100 + M, M, integer=kind == "integer_distances")
+        if kind == "equal_weights":
+            w = np.full(M, 0.3)
+        elif kind == "zero_weights":
+            w[1:] = 0.0
+        sol = solve_weighted_trp_dp(w, D)
+        route, cost = loop_dp(w, D)
+        assert sol.route == route
+        assert sol.cost == cost
 
     def test_rejects_oversized(self):
         M = 21

@@ -4,8 +4,11 @@
 
 Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
 subcommand of ``repairroute.cli.main`` in-process: both cost models, all
-three methods, both demos, and the bound with explicit caps, with --train,
-with a vacuous budget and with a void one.  Each invocation writes into its
+three methods, both demos (one also under cost2), and the bound with
+explicit caps, with --train, with a vacuous budget and with a void one.  A
+second, 14-node graph with integer distances and repeated node features,
+whose optimal routes tie, is routed under both cost models and bounded with
+--train, so the comparison also covers a large DP and its tie-breaking.  Each invocation writes into its
 own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records its exit code
 and stderr.  The package is imported from the ``src/`` next to this script,
 so running it from two checkouts and comparing the trees with
@@ -38,7 +41,8 @@ def _labeled(X, y) -> str:
 
 
 def write_inputs(folder: Path) -> None:
-    """Five nodes, two features plus an intercept, asymmetric integer distances."""
+    """Two graphs with two features plus an intercept and asymmetric integer
+    distances: five nodes, and fourteen with tied optimal routes."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -52,6 +56,17 @@ def write_inputs(folder: Path) -> None:
     D = rng.integers(1, 10, (M, M)).astype(float)
     np.fill_diagonal(D, 0.0)
     (folder / "dist.csv").write_text(_csv(D))
+
+    # Nodes repeat three feature rows, so weights repeat and, with distances
+    # 1-3, this seed's optimal routes tie (checked by swapping node pairs).
+    rng = np.random.default_rng(19620105)
+    M = 14
+    proto = rng.normal(0.0, 0.8, (3, d))
+    nodes = np.column_stack([proto[rng.integers(0, 3, M)], np.ones(M)])
+    (folder / "nodes14.csv").write_text(header + _csv(nodes))
+    D = rng.integers(1, 4, (M, M)).astype(float)
+    np.fill_diagonal(D, 0.0)
+    (folder / "dist14.csv").write_text(_csv(D))
 
 
 def invocations() -> dict:
@@ -73,11 +88,18 @@ def invocations() -> dict:
         for method in ("nm", "am"):
             runs[f"demo_{which}_{method}"] = ["demo", "--which", which, "--method", method]
     runs["demo_four_node_sequential"] = ["demo", "--which", "four_node", "--method", "sequential"]
+    runs["demo_six_node_am_cost2"] = ["demo", "--which", "six_node", "--cost-model", "cost2"]
     graph = ["--nodes", "nodes.csv", "--distances", "dist.csv", "--eps", "0.5"]
     runs["bound_caps"] = ["bound", *graph, "--cg", "2", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_train"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2"]
     runs["bound_vacuous"] = ["bound", *graph, "--cg", "1000", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_void"] = ["bound", *graph, "--cg", "0.001", "--m1", "2", "--m2", "2", "--m", "64"]
+    large = ["--nodes", "nodes14.csv", "--distances", "dist14.csv"]
+    for model in ("cost1", "cost2"):
+        runs[f"route14_{model}"] = ["route", "--train", "train.csv", *large, "--c2", "0.2",
+                                    "--cost-model", model]
+    runs["bound14_train"] = ["bound", *large, "--eps", "0.5", "--cg", "5", "--train", "train.csv",
+                             "--c2", "0.2"]
     return runs
 
 
