@@ -16,7 +16,6 @@ from .core import (
     cost1_general,
     cost2_exact,
     cost2_general,
-    cost2_surrogate_weights,
     latency,
     sigmoid,
     softplus,
@@ -53,12 +52,7 @@ from .opt import (
     solve,
     sweep_csv,
 )
-from .sim import (
-    SimConfig,
-    simulate_expected_failures,
-    simulate_first_failure_before,
-    simulate_route_cost,
-)
+from .sim import SimConfig, simulate_route_cost
 from .trp import (
     TrpSolution,
     naive_route,

@@ -22,12 +22,9 @@ from .dataio import ValidationError
 from .demo import INSTANCES
 from .learn import TrainConfig, auc, fit_logistic
 from .milp import build_milp, export_lp
-from .opt import METHODS, MltrpConfig, c1_sweep, node_weights, route_string, solve, sweep_csv
+from .opt import COST_MODELS, METHODS, MltrpConfig, c1_sweep, node_weights, route_string, solve, sweep_csv
 from .sim import SimConfig, simulate_route_cost
 from .trp import naive_route, solve_weighted_trp_dp
-
-# --cost-model choice -> opt cost model.
-_COST_MODELS = {"cost1": "cost1", "cost2": "cost2_surrogate"}
 
 
 def _require(args, *names):
@@ -39,7 +36,7 @@ def _require(args, *names):
 def _mltrp_config(args, c1=None) -> MltrpConfig:
     if c1 is None:
         c1 = args.c1 if args.c1 is not None else 0.0
-    return MltrpConfig(c2=args.c2, c1=c1, cost_model=_COST_MODELS[args.cost_model])
+    return MltrpConfig(c2=args.c2, c1=c1, cost_model=args.cost_model)
 
 
 def _model_dict(fit, c2: float, data) -> dict:
@@ -177,7 +174,7 @@ def cmd_demo(args) -> int:
     _require(args, "out-dir")
     inst = INSTANCES[args.which](seed=args.seed)
     data, nodes, D = inst.train, inst.nodes, inst.D
-    cfg = replace(inst.cfg, cost_model=_COST_MODELS[args.cost_model])
+    cfg = replace(inst.cfg, cost_model=args.cost_model)
     if args.c1 is not None:
         cfg = replace(cfg, c1=args.c1)
     if args.c2 is not None:
@@ -322,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c2", type=float, help="squared-norm regularization weight")
         if model:
             p.add_argument(
-                "--cost-model", choices=tuple(_COST_MODELS), default="cost1",
-                help="cost1: expected failure counts; cost2: early-failure surrogate",
+                "--cost-model", choices=COST_MODELS, default="cost1",
+                help="cost1: expected failure counts; cost2: only the first failure counts",
             )
         p.add_argument("--method", choices=METHODS, default="am")
         p.add_argument("--seed", type=int, default=0)

@@ -194,11 +194,6 @@ def cost2_general(route, lam, nodes, D, beta: float) -> float:
     return float(np.sum(1.0 - (1.0 - beta) * survive))
 
 
-def cost2_surrogate_weights(lam, nodes) -> np.ndarray:
-    """Per-node weights log(1 + exp(lam . x_i)) used as a convex stand-in for the early-failure cost."""
-    return softplus(node_scores(lam, nodes))
-
-
 def standard_trp_cost(route, D) -> float:
     """Unweighted repairman cost: each tour leg is paid once per node still waiting.
 

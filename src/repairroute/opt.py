@@ -2,8 +2,9 @@
 
 The combined objective is TrainingError(lam) + C1 * RouteCost(route, lam),
 where the route cost is the weighted latency sum under node weights induced
-by lam: sigmoid scores for the expected-count model, softplus weights as the
-convex stand-in for the early-failure model.  Three drivers are provided:
+by lam, one weight function per cost model in COST_MODELS: sigmoid scores
+for cost1 (expected failure counts), softplus weights for cost2 (the convex
+stand-in for the early-failure cost).  Three drivers are provided:
 
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
 * nelder_mead: direct simplex search on lam with the route re-optimized
@@ -37,8 +38,13 @@ from .learn import (
 )
 from .trp import solve_weighted_trp_dp
 
-# Routing weight of a node as a function of its score lam . x, per cost model.
-_WEIGHTS = {"cost1": sigmoid, "cost2_surrogate": softplus}
+# Per cost model: a node's routing weight as a function of its score lam . x,
+# and the weight's derivative in the score.  cost2 routes by the softplus
+# surrogate, not by the exact early-failure cost (core.cost2_exact).
+_WEIGHTS = {
+    "cost1": (sigmoid, lambda z: (s := sigmoid(z)) * (1.0 - s)),
+    "cost2": (softplus, sigmoid),
+}
 COST_MODELS = tuple(_WEIGHTS)
 METHODS = ("sequential", "nm", "am")
 
@@ -102,7 +108,7 @@ def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
     """Routing weights induced by the model at each node."""
     if cost_model not in COST_MODELS:
         raise ValueError(f"cost_model must be one of {COST_MODELS}")
-    return _WEIGHTS[cost_model](node_scores(lam, nodes))
+    return _WEIGHTS[cost_model][0](node_scores(lam, nodes))
 
 
 def obj(lam, route, data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> float:
@@ -216,16 +222,16 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
     return _finalize(verts[0], data, nodes, D, cfg, trace, method="nm")
 
 
+def _fixed_route_objective(lam, lats, data, nodes, cfg: MltrpConfig) -> float:
+    # obj at the route whose per-node latencies are lats, bit for bit.
+    w = _WEIGHTS[cfg.cost_model][0](nodes @ lam)
+    return training_error(lam, data, cfg.c2) + cfg.c1 * float(w @ lats)
+
+
 def _fixed_route_gradient(lam, lats, data, nodes, cfg: MltrpConfig) -> np.ndarray:
-    # d/dlam of the route cost at frozen latencies, plus the training gradient.
-    g = training_gradient(lam, data, cfg.c2)
-    scores = nodes @ lam
-    if cfg.cost_model == "cost1":
-        s = sigmoid(scores)
-        wgrad = s * (1.0 - s)
-    else:
-        wgrad = sigmoid(scores)
-    return g + cfg.c1 * (nodes.T @ (lats * wgrad))
+    # d/dlam of _fixed_route_objective.
+    wgrad = _WEIGHTS[cfg.cost_model][1](nodes @ lam)
+    return training_gradient(lam, data, cfg.c2) + cfg.c1 * (nodes.T @ (lats * wgrad))
 
 
 def alternating_minimization(
@@ -255,13 +261,13 @@ def alternating_minimization(
             break
         lats = latency(route, D)
         res = minimize_descent(
-            lambda v: obj(v, route, data, nodes, D, cfg),
+            lambda v: _fixed_route_objective(v, lats, data, nodes, cfg),
             lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
             lam,
             tc,
         )
         lam = res.lam
-        trace.append(obj(lam, route, data, nodes, D, cfg))
+        trace.append(res.loss)
         prev_route = route
     return _finalize(lam, data, nodes, D, cfg, trace, method="am")
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_distance_matrix, as_weights, latency, sigmoid
-
-COST_MODELS = ("cost1", "cost2")
+from .core import as_distance_matrix, as_weights, latency, node_scores, sigmoid
+from .opt import COST_MODELS
 
 
 @dataclass(frozen=True)
@@ -32,12 +31,6 @@ class SimConfig:
             raise ValueError("seed must be a nonnegative 63-bit integer")
 
 
-@dataclass(frozen=True)
-class SimEstimate:
-    value: float
-    std_error: float
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(stream)))))
 
@@ -53,36 +46,6 @@ def _steps(lat: float, k: int) -> int:
     if lat < 0 or not np.isfinite(lat):
         raise ValueError("latency must be finite and nonnegative")
     return int(math.floor(lat * k))
-
-
-def simulate_expected_failures(p: float, L: float, cfg: SimConfig) -> SimEstimate:
-    """Estimate the mean failure count over L time units at per-unit rate p.
-
-    With steps_per_unit = k, each unit is split into k Bernoulli steps of
-    probability p / k, preserving the analytic mean p * floor(L * k) / k.
-    """
-    p = _check_prob(p)
-    steps = _steps(L, cfg.steps_per_unit)
-    counts = _rng(cfg.seed, 0).binomial(steps, p / cfg.steps_per_unit, size=cfg.trials)
-    se = float(counts.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    return SimEstimate(value=float(counts.mean()), std_error=se)
-
-
-def simulate_first_failure_before(p: float, L: float, cfg: SimConfig) -> SimEstimate:
-    """Estimate the probability that the first failure lands within L time units.
-
-    With steps_per_unit = k the per-step probability is 1 - (1-p)^(1/k), so
-    whole-unit first-failure probabilities are preserved exactly.
-    """
-    p = _check_prob(p)
-    steps = _steps(L, cfg.steps_per_unit)
-    p_step = -math.expm1(math.log1p(-p) / cfg.steps_per_unit) if p < 1.0 else 1.0
-    if p_step == 0.0 or steps == 0:
-        hits = np.zeros(cfg.trials)
-    else:
-        hits = (_rng(cfg.seed, 0).geometric(p_step, size=cfg.trials) <= steps).astype(float)
-    se = float(hits.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    return SimEstimate(value=float(hits.mean()), std_error=se)
 
 
 @dataclass(frozen=True)
@@ -142,10 +105,7 @@ def simulate_route_cost(
     else:
         if nodes is None:
             raise ValueError("lam requires node features")
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        if nodes.shape[0] != M:
-            raise ValueError("node feature count does not match distance matrix")
-        p = sigmoid(nodes @ np.asarray(lam, dtype=float).ravel())
+        p = sigmoid(node_scores(lam, nodes, M))
 
     lat = latency(route, D)
     k = cfg.steps_per_unit

@@ -27,7 +27,6 @@ class TrpSolution:
     route: list[int]
     cost: float
     solver: str
-    nodes_expanded: int
 
 
 def solve_weighted_trp_dp(w, D) -> TrpSolution:
@@ -104,12 +103,7 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
         order.append(node)
 
     route = [i + 1 for i in order]
-    return TrpSolution(
-        route=route,
-        cost=cost1(route, w, D),
-        solver="dp",
-        nodes_expanded=(full + 1) * M,
-    )
+    return TrpSolution(route=route, cost=cost1(route, w, D), solver="dp")
 
 
 def _walk_cost(tail, w, D) -> float:
@@ -135,9 +129,7 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
         raise ValueError(f"brute force supports at most {_BF_MAX_NODES} nodes, got {M}")
     tails = range(1, M)
     best = np.inf
-    count = 0
     for tail in itertools.permutations(tails):
-        count += 1
         c = _walk_cost(tail, w, D)
         if c < best:
             best = c
@@ -146,12 +138,7 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
         if _walk_cost(tail, w, D) <= best + TIE_TOL:
             route = [1] + [i + 1 for i in tail]
             break
-    return TrpSolution(
-        route=route,
-        cost=cost1(route, w, D),
-        solver="brute_force",
-        nodes_expanded=count,
-    )
+    return TrpSolution(route=route, cost=cost1(route, w, D), solver="brute_force")
 
 
 def naive_route(w) -> list[int]:

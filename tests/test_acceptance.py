@@ -148,7 +148,7 @@ def test_04_gradient_correctness():
                 assert rel < GRAD_TOL, (cfg_id, rel)
 
             check(lambda v: training_error(v, data, c2), lambda v: training_gradient(v, data, c2))
-            for model in ("cost1", "cost2_surrogate"):
+            for model in ("cost1", "cost2"):
                 mc = MltrpConfig(c2=c2, c1=float(rng.uniform(0.1, 2.0)), cost_model=model)
                 check(
                     lambda v, mc=mc: obj(v, route, data, nodes, D, mc),
@@ -164,7 +164,7 @@ def test_05_am_monotonicity():
             M = 5 + run % 2
             nodes = rng.normal(scale=1.3, size=(M, 2))
             _, D = random_instance(run, M)
-            model = "cost1" if run % 2 == 0 else "cost2_surrogate"
+            model = "cost1" if run % 2 == 0 else "cost2"
             cfg = MltrpConfig(c2=0.15, c1=1.0, cost_model=model, am_iters=10)
             sol = alternating_minimization(data, nodes, D, cfg)
             diffs = np.diff(sol.trace)

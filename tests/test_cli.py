@@ -403,7 +403,7 @@ class TestDemo:
         summary = read_json(tmp_path / "summary.json")
         assert summary["cost_model"] == "cost2"
         inst = INSTANCES["six_node"](seed=0)
-        cfg = replace(inst.cfg, cost_model="cost2_surrogate")
+        cfg = replace(inst.cfg, cost_model="cost2")
         sol = solve("am", inst.train, inst.nodes, inst.D, cfg)
         assert summary["simultaneous"]["route"] == list(sol.route)
         assert summary["simultaneous"]["training_error"] == sol.training_error

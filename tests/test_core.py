@@ -9,7 +9,6 @@ from repairroute.core import (
     cost1_general,
     cost2_exact,
     cost2_general,
-    cost2_surrogate_weights,
     latency,
     node_scores,
     sigmoid,
@@ -17,6 +16,7 @@ from repairroute.core import (
     standard_trp_cost,
 )
 from repairroute.opt import node_weights
+from repairroute.sim import SimConfig, simulate_route_cost
 
 from conftest import random_instance
 
@@ -250,11 +250,11 @@ class TestCost2General:
 
 class TestSurrogateWeights:
     def test_zero_score_gives_log_two(self):
-        w = cost2_surrogate_weights([0.0, 0.0], [[1.0, -1.0]])
+        w = node_weights([0.0, 0.0], [[1.0, -1.0]], "cost2")
         assert w[0] == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_strictly_positive_far_negative(self):
-        w = cost2_surrogate_weights([-40.0], [[1.0]])
+        w = node_weights([-40.0], [[1.0]], "cost2")
         assert w[0] > 0.0
         assert w[0] == pytest.approx(math.exp(-40.0), rel=1e-10)
 
@@ -263,7 +263,7 @@ class TestSurrogateWeights:
         mp.mp.dps = 50
         for z in (-30.0, -3.0, -0.5, 0.0, 0.5, 3.0, 30.0):
             expected = float(mp.log(1 + mp.exp(z)))
-            got = cost2_surrogate_weights([z], [[1.0]])[0]
+            got = node_weights([z], [[1.0]], "cost2")[0]
             assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -271,9 +271,11 @@ _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 _SCORE_USERS = {
     "cost2_exact": lambda lam, nodes: cost2_exact([1, 2, 3], lam, nodes, _D3),
     "cost2_general": lambda lam, nodes: cost2_general([1, 2, 3], lam, nodes, _D3, 0.5),
-    "cost2_surrogate_weights": cost2_surrogate_weights,
     "node_weights_cost1": lambda lam, nodes: node_weights(lam, nodes, "cost1"),
-    "node_weights_cost2_surrogate": lambda lam, nodes: node_weights(lam, nodes, "cost2_surrogate"),
+    "node_weights_cost2_surrogate": lambda lam, nodes: node_weights(lam, nodes, "cost2"),
+    "simulate_route_cost": lambda lam, nodes: simulate_route_cost(
+        [1, 2, 3], _D3, SimConfig(trials=10), lam=lam, nodes=nodes
+    ),
 }
 
 
@@ -284,7 +286,7 @@ class TestNodeScoreChecks:
         with pytest.raises(ValueError, match="lambda has 3 coefficients, node features have 2"):
             _SCORE_USERS[name]([1.0, 2.0, 3.0], np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("name", ["cost2_exact", "cost2_general"])
+    @pytest.mark.parametrize("name", ["cost2_exact", "cost2_general", "simulate_route_cost"])
     def test_rejects_node_count_mismatch(self, name):
         with pytest.raises(ValueError, match="node feature count does not match distance matrix"):
             _SCORE_USERS[name]([1.0, 2.0], np.zeros((4, 2)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repairroute.opt as opt_mod
-from repairroute.core import LabeledDataset, standard_trp_cost
+from repairroute.core import LabeledDataset, latency, standard_trp_cost
 from repairroute.demo import six_node
 from repairroute.learn import TrainConfig, auc, fit_logistic
 from repairroute.opt import (
@@ -21,10 +21,15 @@ from repairroute.opt import (
     simultaneous_objective,
     sweep_csv,
     _fixed_route_gradient,
+    _fixed_route_objective,
 )
 from repairroute.trp import solve_weighted_trp_bruteforce, solve_weighted_trp_dp
 
 from conftest import blobs, random_instance
+
+# Both cost models; cost2 routes by its softplus surrogate weights, which its
+# case id names.
+MODELS = [pytest.param("cost1", id="cost1"), pytest.param("cost2", id="cost2_surrogate")]
 
 
 def walk_cost(route, w, D):
@@ -80,7 +85,7 @@ class TestNodeWeights:
         lam = np.array([0.5, -0.25])
         scores = nodes @ lam
         assert np.allclose(node_weights(lam, nodes, "cost1"), 1.0 / (1.0 + np.exp(-scores)))
-        assert np.allclose(node_weights(lam, nodes, "cost2_surrogate"), np.log1p(np.exp(scores)))
+        assert np.allclose(node_weights(lam, nodes, "cost2"), np.log1p(np.exp(scores)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestObj:
         assert val == pytest.approx(m * math.log(2.0) + 2.0 * 0.5 * plain, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("model", ["cost1", "cost2_surrogate"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_component_sum(self, seed, model):
         data, nodes, D = opt_instance(seed, M=6)
         rng = np.random.default_rng(seed)
@@ -208,7 +213,7 @@ class TestNelderMead:
         assert all(v == pytest.approx(10 * math.log(2.0), rel=1e-12) for v in sol.trace)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("model", ["cost1", "cost2_surrogate"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_never_worse_than_start_and_trace_monotone(self, seed, model):
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
@@ -259,7 +264,7 @@ class TestAlternating:
         assert len(sol.trace) == 1
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("model", ["cost1", "cost2_surrogate"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_trace_monotone_and_beats_sequential(self, seed, model):
         data, nodes, D = opt_instance(seed, M=6)
         cfg = MltrpConfig(c2=0.15, c1=1.2, cost_model=model, am_iters=10)
@@ -304,15 +309,13 @@ class TestSolutionInvariants:
 
 class TestFixedRouteGradient:
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("model", ["cost1", "cost2_surrogate"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_matches_central_differences(self, seed, model):
         data, nodes, D = opt_instance(seed, M=6)
         rng = np.random.default_rng(seed + 77)
         lam = rng.normal(scale=0.8, size=2)
         route = [1] + list(rng.permutation(range(2, 7)))
         cfg = MltrpConfig(c2=0.2, c1=1.4, cost_model=model)
-        from repairroute.core import latency
-
         lats = latency(route, D)
         g = _fixed_route_gradient(lam, lats, data, nodes, cfg)
         num = np.empty_like(g)
@@ -325,6 +328,22 @@ class TestFixedRouteGradient:
                 obj(up, route, data, nodes, D, cfg) - obj(dn, route, data, nodes, D, cfg)
             ) / (2 * h)
         assert np.allclose(g, num, rtol=1e-5, atol=1e-7)
+
+
+class TestFixedRouteObjective:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equals_obj_exactly(self, seed, model):
+        # AM descends on this frozen-latency form; it must be obj bit for bit.
+        data, nodes, D = opt_instance(seed, M=6)
+        rng = np.random.default_rng(seed + 300)
+        route = [1] + list(rng.permutation(range(2, 7)))
+        lats = latency(route, D)
+        cfg = MltrpConfig(c2=0.2, c1=1.4, cost_model=model)
+        for lam in rng.normal(scale=2.0, size=(5, 2)):
+            assert _fixed_route_objective(lam, lats, data, nodes, cfg) == obj(
+                lam, route, data, nodes, D, cfg
+            )
 
 
 class TestSweep:

@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 
 from repairroute.core import cost1, cost2_exact, latency, sigmoid
-from repairroute.sim import (
-    SimConfig,
-    SimEstimate,
-    SimRouteReport,
-    simulate_expected_failures,
-    simulate_first_failure_before,
-    simulate_route_cost,
-)
+from repairroute.sim import SimConfig, SimRouteReport, simulate_route_cost
 
 from conftest import random_instance
 
 BIG = SimConfig(trials=100_000, seed=0)
 
 
-def close_enough(est: SimEstimate, expect: float, sigmas: float = 3.0):
-    assert est.std_error > 0
-    assert abs(est.value - expect) <= sigmas * est.std_error
+def one_wait(p: float, L: float, cfg: SimConfig, model: str = "cost1") -> SimRouteReport:
+    """Simulate route 1-2 where node 2 fails at rate p and waits exactly L.
+
+    Node 1 never fails (probability 0), so the estimate is node 2's alone.
+    """
+    D = np.array([[0.0, L], [0.0, 0.0]])
+    return simulate_route_cost([1, 2], D, cfg, model=model, probs=[0.0, p])
+
+
+def close_enough(rep: SimRouteReport, expect: float, sigmas: float = 3.0):
+    assert rep.std_error > 0
+    assert abs(rep.estimate - expect) <= sigmas * rep.std_error
 
 
 class TestConfig:
@@ -41,72 +43,72 @@ class TestConfig:
 
 class TestExpectedFailures:
     def test_p_zero_is_exactly_zero(self):
-        est = simulate_expected_failures(0.0, 50, SimConfig(trials=2000, seed=3))
-        assert est.value == 0.0
-        assert est.std_error == 0.0
+        rep = one_wait(0.0, 50, SimConfig(trials=2000, seed=3))
+        assert rep.estimate == 0.0
+        assert rep.std_error == 0.0
 
     def test_binomial_mean_one(self):
-        close_enough(simulate_expected_failures(0.1, 10, BIG), 1.0)
+        close_enough(one_wait(0.1, 10, BIG), 1.0)
 
     def test_binomial_mean_generic(self):
-        close_enough(simulate_expected_failures(0.37, 7, BIG), 0.37 * 7)
+        close_enough(one_wait(0.37, 7, BIG), 0.37 * 7)
 
     def test_fractional_latency_floors(self):
         # p = 1 makes every step a failure, so the count is exactly floor(L).
-        est = simulate_expected_failures(1.0, 2.7, SimConfig(trials=100, seed=1))
-        assert est.value == 2.0
-        assert est.std_error == 0.0
+        rep = one_wait(1.0, 2.7, SimConfig(trials=100, seed=1))
+        assert rep.estimate == 2.0
+        assert rep.std_error == 0.0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            simulate_expected_failures(1.5, 3, BIG)
+            one_wait(1.5, 3, BIG)
         with pytest.raises(ValueError):
-            simulate_expected_failures(-0.1, 3, BIG)
+            one_wait(-0.1, 3, BIG)
         with pytest.raises(ValueError):
-            simulate_expected_failures(0.5, -1.0, BIG)
+            one_wait(0.5, -1.0, BIG)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_deterministic(self, seed):
         cfg = SimConfig(trials=5000, seed=seed)
-        a = simulate_expected_failures(0.3, 6, cfg)
-        b = simulate_expected_failures(0.3, 6, cfg)
+        a = one_wait(0.3, 6, cfg)
+        b = one_wait(0.3, 6, cfg)
         assert a == b
-        c = simulate_expected_failures(0.3, 6, SimConfig(trials=5000, seed=seed + 100))
-        assert c != a
+        c = one_wait(0.3, 6, SimConfig(trials=5000, seed=seed + 100))
+        assert c.estimate != a.estimate
 
     def test_doubling_trials_shrinks_std_error(self):
-        half = simulate_expected_failures(0.3, 5, SimConfig(trials=50_000, seed=2))
-        full = simulate_expected_failures(0.3, 5, SimConfig(trials=100_000, seed=2))
+        half = one_wait(0.3, 5, SimConfig(trials=50_000, seed=2))
+        full = one_wait(0.3, 5, SimConfig(trials=100_000, seed=2))
         ratio = full.std_error / half.std_error
         assert abs(ratio - 1.0 / math.sqrt(2.0)) <= 0.1 / math.sqrt(2.0)
 
 
 class TestFirstFailure:
     def test_p_one_is_exactly_one(self):
-        est = simulate_first_failure_before(1.0, 1, SimConfig(trials=500, seed=4))
-        assert est.value == 1.0
-        assert est.std_error == 0.0
+        rep = one_wait(1.0, 1, SimConfig(trials=500, seed=4), model="cost2")
+        assert rep.estimate == 1.0
+        assert rep.std_error == 0.0
 
     def test_p_zero_is_exactly_zero(self):
-        est = simulate_first_failure_before(0.0, 25, SimConfig(trials=500, seed=4))
-        assert est.value == 0.0
+        rep = one_wait(0.0, 25, SimConfig(trials=500, seed=4), model="cost2")
+        assert rep.estimate == 0.0
 
     def test_geometric_tail_ten_steps(self):
-        close_enough(simulate_first_failure_before(0.1, 10, BIG), 1.0 - 0.9**10)
+        close_enough(one_wait(0.1, 10, BIG, model="cost2"), 1.0 - 0.9**10)
 
     def test_geometric_tail_four_steps(self):
-        close_enough(simulate_first_failure_before(0.25, 4, BIG), 1.0 - 0.75**4)
+        close_enough(one_wait(0.25, 4, BIG, model="cost2"), 1.0 - 0.75**4)
 
     def test_zero_horizon(self):
-        est = simulate_first_failure_before(0.5, 0.9, SimConfig(trials=100, seed=5))
-        assert est.value == 0.0
+        rep = one_wait(0.5, 0.9, SimConfig(trials=100, seed=5), model="cost2")
+        assert rep.estimate == 0.0
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_finer_steps_preserve_whole_unit_probability(self, k):
         # The per-step probability is chosen so that whole units keep their
         # first-failure mass: at integer L the target is 1 - (1-p)^L exactly.
         cfg = SimConfig(trials=100_000, seed=6, steps_per_unit=k)
-        close_enough(simulate_first_failure_before(0.2, 5, cfg), 1.0 - 0.8**5)
+        close_enough(one_wait(0.2, 5, cfg, model="cost2"), 1.0 - 0.8**5)
 
 
 def full_horizon_oracle(route, p, D, trials, seed):

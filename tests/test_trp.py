@@ -181,11 +181,6 @@ class TestDp:
 
 
 class TestBruteForce:
-    def test_three_nodes_enumerates_two_routes(self):
-        _, D = random_instance(0, 3)
-        sol = solve_weighted_trp_bruteforce([0.5, 0.4, 0.3], D)
-        assert sol.nodes_expanded == 2
-
     def test_solver_labels(self):
         w, D = random_instance(1, 4)
         assert solve_weighted_trp_dp(w, D).solver == "dp"

@@ -4,8 +4,9 @@
 
 Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
 subcommand of ``repairroute.cli.main`` in-process: both cost models, all
-three methods, both demos (one also under cost2), and the bound with
-explicit caps, with --train, with a vacuous budget and with a void one.  A
+three methods, simulate at one and at four steps per unit, both demos (one
+also under cost2), and the bound with explicit caps, with --train, with a
+vacuous budget and with a void one.  A
 second, 14-node graph with integer distances and repeated node features,
 whose optimal routes tie, is routed under both cost models and bounded with
 --train, so the comparison also covers a large DP and its tie-breaking.  Each invocation writes into its
@@ -77,6 +78,8 @@ def invocations() -> dict:
         runs[f"export_milp_{model}"] = ["export-milp", *base, "--cost-model", model]
         runs[f"simulate_{model}"] = ["simulate", *base, "--cost-model", model, "--trials", "2000",
                                      "--seed", "3"]
+        runs[f"simulate_k4_{model}"] = ["simulate", *base, "--cost-model", model, "--trials", "2000",
+                                        "--seed", "3", "--steps-per-unit", "4"]
         for method in ("sequential", "nm", "am"):
             runs[f"simultaneous_{method}_{model}"] = [
                 "simultaneous", *base, "--cost-model", model, "--method", method, "--c1", "0.5",
