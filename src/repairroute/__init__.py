@@ -29,6 +29,7 @@ from .learn import (
     sigmoid_prob,
     training_error,
     training_gradient,
+    training_hessian,
 )
 from .milp import (
     MilpInstance,

@@ -1,9 +1,9 @@
 """Regularized logistic training and ranking diagnostics.
 
 The trainer is plain batch gradient descent with Armijo backtracking.  The
-same minimizer drives both the stand-alone fit and the coefficient step of
-the alternating scheme in :mod:`repairroute.opt`, which tacks a routing term
-onto the objective.
+same minimizer, given a Hessian, takes damped Newton steps instead; that is
+how the alternating scheme in :mod:`repairroute.opt` runs its coefficient
+step, which tacks a routing term onto the objective.
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,8 @@ from .core import LabeledDataset, sigmoid, softplus
 
 _STEP_FLOOR = 1e-20
 _STEP_CAP = 1e12
+_SHIFT0 = 1e-3  # first nonzero Hessian shift (Nocedal & Wright, Alg. 3.3)
+_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,73 @@ def training_gradient(lam, data: LabeledDataset, C2: float) -> np.ndarray:
     return -(data.features.T @ (data.labels * slack)) + 2.0 * C2 * lam
 
 
-def minimize_descent(fun, grad, x0, config: TrainConfig) -> FitResult:
-    """Gradient descent with Armijo backtracking on a smooth objective.
+def training_hessian(lam, data: LabeledDataset, C2: float) -> np.ndarray:
+    """Hessian of :func:`training_error` at lam: X^T diag(s(1-s)) X + 2 C2 I."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    s = sigmoid(data.labels * (data.features @ lam))
+    X = data.features
+    return X.T @ ((s * (1.0 - s))[:, None] * X) + 2.0 * C2 * np.eye(lam.shape[0])
+
+
+def _newton_direction(H, g) -> np.ndarray:
+    """-(H + tau I)^-1 g for the first tau >= 0 at which Cholesky succeeds.
+
+    tau starts at 0 when H's diagonal is positive and doubles from _SHIFT0
+    otherwise (Nocedal & Wright, Alg. 3.3), so an indefinite H still yields
+    a descent direction.  A non-finite H falls back to -g.
+    """
+    if not np.isfinite(H).all():
+        return -g
+    eye = np.eye(g.shape[0])
+    dmin = float(H.diagonal().min())
+    tau = 0.0 if dmin > 0 else _SHIFT0 - dmin
+    while True:
+        A = H + tau * eye
+        try:
+            np.linalg.cholesky(A)
+            return -np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, _SHIFT0)
+
+
+def _newton_step(fun, grad, H, x, f, g, config: TrainConfig):
+    """Backtrack along the Newton direction from s = 1: (cand, fun(cand)), or None."""
+    p = _newton_direction(H, g)
+    slope = float(g @ p)
+    if not slope < 0:  # lost to rounding: steepest descent instead
+        p, slope = -g, -float(g @ g)
+    s = 1.0
+    while s >= _STEP_FLOOR:
+        cand = x + s * p
+        if np.array_equal(cand, x):  # the step no longer moves x
+            return None
+        fc = fun(cand)
+        if np.isfinite(fc):
+            if fc <= f + config.armijo_c * s * slope:
+                return cand, fc
+            # Near the minimum the predicted decrease falls below what f can
+            # resolve; a full step that stays within rounding of f and lowers
+            # the gradient norm is progress (Hager & Zhang's approximate Wolfe).
+            if s == 1.0 and fc <= f + _ROUNDING * abs(f):
+                if np.linalg.norm(grad(cand)) < np.linalg.norm(g):
+                    return cand, fc
+        s *= config.step_shrink
+    return None
+
+
+def minimize_descent(fun, grad, x0, config: TrainConfig, hess=None) -> FitResult:
+    """Armijo line-search descent on a smooth objective.
+
+    Without hess, each step is a gradient step whose trial length starts at
+    the last accepted one times step_grow (step0 at first), so the search
+    adapts in both directions.  With hess (a callable returning the Hessian),
+    each step is a damped Newton step: the direction solves (H + tau I) p = -g
+    for the smallest tried shift tau >= 0 that makes the matrix positive
+    definite, and the trial length starts at 1; step0 and step_grow are
+    unused.  A full Newton step that fails the Armijo test is still accepted
+    when its loss is within 16 eps |f| of f and its gradient norm is smaller,
+    since there the loss cannot resolve the predicted decrease.  Trial
+    lengths shrink by step_shrink.
 
     Convexity holds only for the plain logistic fit.  The alternating
     scheme's fixed-route objective under cost1 (sigmoid weights times
@@ -91,8 +158,7 @@ def minimize_descent(fun, grad, x0, config: TrainConfig) -> FitResult:
     minimum.
 
     Stops when the gradient norm drops to config.grad_tol, the line search
-    stalls at the step floor, or max_iters is reached.  The accepted step is
-    re-grown after each success so the search adapts in both directions.
+    stalls at the step floor, or max_iters is reached.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f = fun(x)
@@ -109,19 +175,25 @@ def minimize_descent(fun, grad, x0, config: TrainConfig) -> FitResult:
             converged = True
             iterations -= 1
             break
-        s = step
-        accepted = False
-        while s >= _STEP_FLOOR:
-            cand = x - s * g
-            fc = fun(cand)
-            if np.isfinite(fc) and fc <= f - config.armijo_c * s * gnorm * gnorm:
-                accepted = True
+        if hess is None:
+            s = step
+            accepted = False
+            while s >= _STEP_FLOOR:
+                cand = x - s * g
+                fc = fun(cand)
+                if np.isfinite(fc) and fc <= f - config.armijo_c * s * gnorm * gnorm:
+                    accepted = True
+                    break
+                s *= config.step_shrink
+            if not accepted:
                 break
-            s *= config.step_shrink
-        if not accepted:
-            break
+            step = min(s * config.step_grow, _STEP_CAP)
+        else:
+            taken = _newton_step(fun, grad, hess(x), x, f, g, config)
+            if taken is None:
+                break
+            cand, fc = taken
         x, f = cand, fc
-        step = min(s * config.step_grow, _STEP_CAP)
     if not converged:
         g = grad(x)
         gnorm = float(np.linalg.norm(g))

@@ -9,7 +9,8 @@ stand-in for the early-failure cost).  Three drivers are provided:
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
 * nelder_mead: direct simplex search on lam with the route re-optimized
   exactly inside every evaluation;
-* alternating_minimization: alternate exact routing with descent on lam.
+* alternating_minimization: alternate exact routing with damped Newton
+  descent on lam at the frozen route.
 
 `solve` dispatches on the method name, one of METHODS.
 """
@@ -35,15 +36,20 @@ from .learn import (
     minimize_descent,
     training_error,
     training_gradient,
+    training_hessian,
 )
 from .trp import solve_weighted_trp_dp
 
-# Per cost model: a node's routing weight as a function of its score lam . x,
-# and the weight's derivative in the score.  cost2 routes by the softplus
+# Per cost model: a node's routing weight w as a function of its score
+# z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
 # surrogate, not by the exact early-failure cost (core.cost2_exact).
 _WEIGHTS = {
-    "cost1": (sigmoid, lambda z: (s := sigmoid(z)) * (1.0 - s)),
-    "cost2": (softplus, sigmoid),
+    "cost1": (
+        sigmoid,
+        lambda z: (s := sigmoid(z)) * (1.0 - s),
+        lambda z: (s := sigmoid(z)) * (1.0 - s) * (1.0 - 2.0 * s),
+    ),
+    "cost2": (softplus, sigmoid, lambda z: (s := sigmoid(z)) * (1.0 - s)),
 }
 COST_MODELS = tuple(_WEIGHTS)
 METHODS = ("sequential", "nm", "am")
@@ -234,15 +240,24 @@ def _fixed_route_gradient(lam, lats, data, nodes, cfg: MltrpConfig) -> np.ndarra
     return training_gradient(lam, data, cfg.c2) + cfg.c1 * (nodes.T @ (lats * wgrad))
 
 
+def _fixed_route_hessian(lam, lats, data, nodes, cfg: MltrpConfig) -> np.ndarray:
+    # d2/dlam2 of _fixed_route_objective.
+    wcurv = _WEIGHTS[cfg.cost_model][2](nodes @ lam)
+    return training_hessian(lam, data, cfg.c2) + cfg.c1 * (nodes.T @ ((lats * wcurv)[:, None] * nodes))
+
+
 def alternating_minimization(
     data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None
 ) -> MltrpSolution:
     """Alternate exact routing with descent on lam at the frozen route.
 
     Each round first re-solves the route for the current weights, then runs
-    the descent trainer on the combined objective with that route frozen,
-    warm-started at the current lam.  Both half-steps can only lower the
-    objective, so the recorded trace is non-increasing.  The loop stops early
+    damped Newton descent (learn.minimize_descent with the exact Hessian) on
+    the combined objective with that route frozen, warm-started at the
+    current lam.  Both half-steps can only lower the objective, up to
+    16 eps |f| rounding in the descent's last steps, so the recorded trace is
+    non-increasing to that precision.  A descent that stops unconverged is
+    logged as a warning on the "repairroute" logger.  The loop stops early
     once the route repeats: the following lam step would start at its own
     minimizer and move nowhere.
     """
@@ -254,7 +269,7 @@ def alternating_minimization(
     tc = cfg.trainer_config()
     prev_route = None
     trace = []
-    for _ in range(cfg.am_iters):
+    for rnd in range(1, cfg.am_iters + 1):
         w = node_weights(lam, nodes, cfg.cost_model)
         route = solve_weighted_trp_dp(w, D).route
         if route == prev_route:
@@ -265,7 +280,16 @@ def alternating_minimization(
             lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
             lam,
             tc,
+            hess=lambda v: _fixed_route_hessian(v, lats, data, nodes, cfg),
         )
+        if not res.converged:
+            import logging  # here, not at the top: the import adds about 0.45 MiB RSS
+
+            logging.getLogger("repairroute").warning(
+                "AM round %d: fixed-route descent stopped unconverged after %d iterations, "
+                "|grad| = %.3g",
+                rnd, res.iterations, res.grad_norm,
+            )
         lam = res.lam
         trace.append(res.loss)
         prev_route = route

@@ -17,8 +17,9 @@ from repairroute.dataio import (
     write_json,
 )
 from repairroute.demo import INSTANCES
+import repairroute.opt as opt_mod
 from repairroute.learn import TrainConfig, fit_logistic
-from repairroute.opt import solve
+from repairroute.opt import MltrpConfig, solve
 from repairroute.trp import solve_weighted_trp_dp
 
 from conftest import blobs, random_instance
@@ -258,6 +259,25 @@ class TestSimultaneous:
         sol = read_json(sim_dir / "solution.json")
         assert sol["c1"] == 0.0
         assert sol["combined_objective"] == pytest.approx(sol["training_error"], rel=1e-12)
+
+    def test_c1_zero_inner_solve_converges_from_capped_fit(self, tmp_path, monkeypatch):
+        # The instance above: its fit stops at max_iters with |grad| just over
+        # grad_tol, where the loss can no longer resolve a Newton step's
+        # decrease.  AM's inner solve must still converge, and fast.
+        _, data, nodes, D = problem(tmp_path, seed=5)
+        cfg = MltrpConfig(c2=0.2, c1=0.0)
+        assert not fit_logistic(data, cfg.trainer_config()).converged
+        results = []
+        real_descent = opt_mod.minimize_descent
+
+        def recording_descent(*a, **k):
+            results.append(real_descent(*a, **k))
+            return results[-1]
+
+        monkeypatch.setattr(opt_mod, "minimize_descent", recording_descent)
+        solve("am", data, nodes, D, cfg)
+        assert results
+        assert all(r.converged and r.iterations <= 10 for r in results), results
 
     @pytest.mark.parametrize("method", ["sequential", "nm", "am"])
     def test_methods_and_trace(self, tmp_path, method):

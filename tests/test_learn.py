@@ -8,9 +8,11 @@ from repairroute.learn import (
     TrainConfig,
     auc,
     fit_logistic,
+    minimize_descent,
     sigmoid_prob,
     training_error,
     training_gradient,
+    training_hessian,
 )
 
 from conftest import blobs
@@ -102,6 +104,79 @@ class TestTrainingGradient:
             fd[j] = (training_error(lam + e, ds, C2) - training_error(lam - e, ds, C2)) / (2 * h)
         denom = max(1.0, float(np.linalg.norm(fd)))
         assert float(np.linalg.norm(g - fd)) / denom < 1e-5
+
+
+class TestTrainingHessian:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_central_differences_of_gradient(self, seed):
+        rng = np.random.default_rng(seed + 900)
+        d = int(rng.integers(2, 5))
+        ds = blobs(seed, per_side=10, d=d)
+        lam = rng.normal(scale=1.2, size=d)
+        C2 = float(rng.uniform(0, 2))
+        H = training_hessian(lam, ds, C2)
+        num = np.empty((d, d))
+        for i in range(d):
+            h = 1e-6 * max(1.0, abs(lam[i]))
+            up, dn = lam.copy(), lam.copy()
+            up[i] += h
+            dn[i] -= h
+            num[:, i] = (training_gradient(up, ds, C2) - training_gradient(dn, ds, C2)) / (2 * h)
+        assert np.linalg.norm(H - num) / max(1.0, np.linalg.norm(num)) < 1e-5
+
+
+class TestNewtonDescent:
+    def test_quadratic_in_one_step(self):
+        A = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, -2.0])
+        res = minimize_descent(
+            lambda x: 0.5 * x @ A @ x - b @ x, lambda x: A @ x - b, np.zeros(2),
+            TrainConfig(C2=0.0), hess=lambda x: A,
+        )
+        assert res.converged
+        assert res.iterations == 1
+        assert res.lam == pytest.approx(np.linalg.solve(A, b), rel=1e-12)
+
+    def test_indefinite_start_still_descends(self):
+        # x0^4 - x0^2 + x1^2 has negative curvature near x0 = 0; the shifted
+        # Hessian must still give descent steps down to a minimum at x0^2 = 1/2.
+        fun = lambda x: x[0] ** 4 - x[0] ** 2 + x[1] ** 2  # noqa: E731
+        grad = lambda x: np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]])  # noqa: E731
+        hess = lambda x: np.diag([12 * x[0] ** 2 - 2, 2.0])  # noqa: E731
+        res = minimize_descent(fun, grad, [0.1, 1.0], TrainConfig(C2=0.0), hess=hess)
+        assert res.converged
+        assert res.lam == pytest.approx([math.sqrt(0.5), 0.0], abs=1e-8)
+        assert res.loss < fun(np.array([0.1, 1.0]))
+
+    def test_non_finite_hessian_falls_back_to_gradient(self):
+        # Features near 1e160 make X^T X overflow while the gradient is finite.
+        A = np.diag([1.0, 2.0])
+        res = minimize_descent(
+            lambda x: 0.5 * x @ A @ x, lambda x: A @ x, [1.0, -1.0],
+            TrainConfig(C2=0.0), hess=lambda x: np.full((2, 2), np.inf),
+        )
+        assert res.converged
+        assert np.abs(res.lam).max() < 1e-8
+
+    @pytest.mark.parametrize("noise_ulps, converged", [(8, True), (64, False)])
+    def test_rounding_level_acceptance(self, noise_ulps, converged):
+        # Every move off x0 reads noise_ulps eps above the true loss, which is
+        # more than the true decrease (about two ulps of f) but, at 8 ulps,
+        # within the 16 eps |f| the full Newton step may rise.  At 64 ulps
+        # every trial fails until the step no longer moves x0, and the
+        # descent stops there instead of spinning to max_iters.
+        x0 = np.array([3e-8])
+        eps = np.finfo(float).eps
+
+        def fun(x):
+            noise = 0.0 if x[0] == x0[0] else noise_ulps * eps
+            return 1.0 + 0.5 * x[0] ** 2 + noise
+
+        res = minimize_descent(fun, lambda x: x.copy(), x0, TrainConfig(C2=0.0),
+                               hess=lambda x: np.eye(1))
+        assert res.converged is converged
+        assert res.iterations == 1
+        assert res.lam[0] == (0.0 if converged else x0[0])
 
 
 class TestFitLogistic:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from repairroute.opt import (
     sequential_pipeline,
     simultaneous_objective,
     sweep_csv,
+    _WEIGHTS,
     _fixed_route_gradient,
+    _fixed_route_hessian,
     _fixed_route_objective,
 )
 from repairroute.trp import solve_weighted_trp_bruteforce, solve_weighted_trp_dp
@@ -47,6 +50,17 @@ def walk_cost(route, w, D):
 def loss_oracle(lam, data, c2):
     margins = data.labels * (data.features @ lam)
     return float(np.logaddexp(0.0, -margins).sum() + c2 * np.dot(lam, lam))
+
+
+def am_check_instance(run):
+    """Instance `run` of acceptance check 5 (AM monotonicity), with its config."""
+    rng = np.random.default_rng(4000 + run)
+    data = blobs(run, per_side=10, d=2)
+    M = 5 + run % 2
+    nodes = rng.normal(scale=1.3, size=(M, 2))
+    _, D = random_instance(run, M)
+    model = "cost1" if run % 2 == 0 else "cost2"
+    return data, nodes, D, MltrpConfig(c2=0.15, c1=1.0, cost_model=model, am_iters=10)
 
 
 def opt_instance(seed, M=5, d=2):
@@ -275,6 +289,39 @@ class TestAlternating:
         assert sol.combined_objective <= seq.combined_objective + 1e-9
         assert sol.method == "am"
 
+    def test_every_inner_solve_converges(self, monkeypatch):
+        # Gradient steps capped at max_iters on 10 of these 32 descents.
+        results = []
+        real_descent = opt_mod.minimize_descent
+
+        def recording_descent(*a, **k):
+            results.append(real_descent(*a, **k))
+            return results[-1]
+
+        monkeypatch.setattr(opt_mod, "minimize_descent", recording_descent)
+        for run in range(20):
+            data, nodes, D, cfg = am_check_instance(run)
+            alternating_minimization(data, nodes, D, cfg)
+        assert len(results) >= 20
+        assert all(r.converged for r in results), [r.grad_norm for r in results]
+
+    def test_unconverged_inner_solve_is_logged(self, caplog):
+        data, nodes, D = opt_instance(2)
+        cfg = MltrpConfig(c2=0.2, c1=1.0, am_iters=1, train=TrainConfig(C2=0.2, max_iters=1))
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            alternating_minimization(data, nodes, D, cfg)
+        records = [r for r in caplog.records if r.name == "repairroute"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        msg = records[0].getMessage()
+        assert "AM round 1" in msg and "after 1 iterations" in msg and "|grad| = " in msg
+
+    def test_converged_solve_logs_nothing(self, caplog, small_blobs):
+        _, nodes, D = opt_instance(3)
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            alternating_minimization(small_blobs, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+        assert not caplog.records
+
     def test_early_stop_on_route_repeat(self, small_blobs):
         # C1 = 0 freezes lam after round one, so the route repeats at round
         # two and the loop must cut out long before am_iters.
@@ -328,6 +375,43 @@ class TestFixedRouteGradient:
                 obj(up, route, data, nodes, D, cfg) - obj(dn, route, data, nodes, D, cfg)
             ) / (2 * h)
         assert np.allclose(g, num, rtol=1e-5, atol=1e-7)
+
+
+class TestFixedRouteHessian:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_central_differences(self, seed, model):
+        d = 2 + seed % 2
+        data, nodes, D = opt_instance(seed, M=6, d=d)
+        rng = np.random.default_rng(seed + 177)
+        lam = rng.normal(scale=1.2, size=d)
+        route = [1] + list(rng.permutation(range(2, 7)))
+        cfg = MltrpConfig(c2=0.2, c1=1.4, cost_model=model)
+        lats = latency(route, D)
+        H = _fixed_route_hessian(lam, lats, data, nodes, cfg)
+        num = np.empty((d, d))
+        for i in range(d):
+            h = 1e-6 * max(1.0, abs(lam[i]))
+            up, dn = lam.copy(), lam.copy()
+            up[i] += h
+            dn[i] -= h
+            num[:, i] = (
+                _fixed_route_gradient(up, lats, data, nodes, cfg)
+                - _fixed_route_gradient(dn, lats, data, nodes, cfg)
+            ) / (2 * h)
+        assert np.linalg.norm(H - num) / max(1.0, np.linalg.norm(num)) < 1e-5
+
+
+class TestWeightDerivatives:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_match_finite_differences_of_weight(self, model):
+        w, dw, d2w = _WEIGHTS[model]
+        z = np.linspace(-8.0, 8.0, 33)
+        h = 1e-4
+        first = (w(z + h) - w(z - h)) / (2 * h)
+        second = (w(z + h) - 2.0 * w(z) + w(z - h)) / (h * h)
+        assert np.allclose(dw(z), first, rtol=1e-6, atol=1e-9)
+        assert np.allclose(d2w(z), second, rtol=1e-5, atol=1e-6)
 
 
 class TestFixedRouteObjective:
