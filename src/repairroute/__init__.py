@@ -57,7 +57,6 @@ from .sim import SimConfig, simulate_route_cost
 from .trp import (
     TrpSolution,
     naive_route,
-    solve_weighted_trp_bruteforce,
     solve_weighted_trp_dp,
 )
 

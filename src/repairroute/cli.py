@@ -9,6 +9,7 @@ bytes.  Exit codes: 0 on success, 2 for bad input, 1 for internal errors.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,9 +34,7 @@ def _require(args, *names):
             raise ValidationError(f"--{name} is required for this command")
 
 
-def _mltrp_config(args, c1=None) -> MltrpConfig:
-    if c1 is None:
-        c1 = args.c1 if args.c1 is not None else 0.0
+def _mltrp_config(args, c1=0.0) -> MltrpConfig:
     return MltrpConfig(c2=args.c2, c1=c1, cost_model=args.cost_model)
 
 
@@ -109,7 +108,7 @@ def cmd_train(args) -> int:
 def cmd_route(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
     data, nodes, D = _load_problem(args)
-    cfg = _mltrp_config(args, c1=0.0)
+    cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.trainer_config())
     route = solve_weighted_trp_dp(node_weights(fit.lam, nodes, cfg.cost_model), D).route
     out = Path(args.out_dir)
@@ -126,7 +125,7 @@ def cmd_simultaneous(args) -> int:
         raise ValidationError(
             f"test data has {test.d} feature columns, training data has {data.d}"
         )
-    cfg = _mltrp_config(args)
+    cfg = _mltrp_config(args, c1=args.c1 if args.c1 is not None else 0.0)
     out = Path(args.out_dir)
     sol = solve(args.method, data, nodes, D, cfg)
     dataio.write_json(
@@ -161,7 +160,7 @@ def cmd_export_milp(args) -> int:
     if args.lp_out is None and args.out_dir is None:
         raise ValidationError("--lp-out or --out-dir is required for this command")
     data, nodes, D = _load_problem(args)
-    cfg = _mltrp_config(args, c1=0.0)
+    cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.trainer_config())
     w = node_weights(fit.lam, nodes, cfg.cost_model)
     text = export_lp(build_milp(w, D))
@@ -233,7 +232,7 @@ def cmd_demo(args) -> int:
 def cmd_simulate(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
     data, nodes, D = _load_problem(args)
-    cfg = _mltrp_config(args, c1=0.0)
+    cfg = _mltrp_config(args)
     sol = solve("sequential", data, nodes, D, cfg)
     sim_cfg = SimConfig(trials=args.trials, seed=args.seed, steps_per_unit=args.steps_per_unit)
     report = simulate_route_cost(
@@ -303,73 +302,81 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# Every flag the CLI knows, with its argparse settings; each subcommand takes
+# only the flags it reads (_COMMANDS), so an irrelevant flag is rejected.
+_FLAGS = {
+    "train": dict(help="training CSV (features + label column)"),
+    "test": dict(help="held-out CSV with the same columns"),
+    "nodes": dict(help="node feature CSV"),
+    "distances": dict(help="square travel-cost CSV, no header"),
+    "c1": dict(type=float, help="routing-cost weight (default 0)"),
+    "c2": dict(type=float, help="squared-norm regularization weight"),
+    "cost-model": dict(
+        choices=COST_MODELS, default="cost1",
+        help="cost1: expected failure counts; cost2: only the first failure counts",
+    ),
+    "method": dict(choices=METHODS, default="am"),
+    "seed": dict(type=int, default=0),
+    "out-dir": dict(help="directory for output files"),
+    "c1-grid": dict(help="comma-separated C1 values for a sweep CSV"),
+    "trials": dict(type=int, default=100_000),
+    "lp-out": dict(help="output path for LP text"),
+    "which": dict(choices=sorted(INSTANCES), default="six_node"),
+    "steps-per-unit": dict(type=int, default=1),
+    "cg": dict(type=float, help="budget on the weighted failure-rate sum"),
+    "eps": dict(type=float, help="deviation size"),
+    "m1": dict(type=float, help="coefficient norm cap"),
+    "m2": dict(type=float, help="feature norm cap"),
+    "m": dict(type=int, help="training sample size"),
+}
+
+# route, export-milp and simulate fix C1 at 0, so they take no --c1.
+_PROBLEM = ("train", "nodes", "distances", "c2", "cost-model")
+_COMMANDS = {
+    "train": (cmd_train, "fit the regularized logistic model", ("train", "c2")),
+    "route": (cmd_route, "fit, then route the fitted weights", _PROBLEM),
+    "simultaneous": (
+        cmd_simultaneous, "joint fit and route", _PROBLEM + ("c1", "test", "method", "c1-grid"),
+    ),
+    "export-milp": (cmd_export_milp, "write the routing MILP as LP text", _PROBLEM + ("lp-out",)),
+    "demo": (
+        cmd_demo, "run a bundled synthetic showcase",
+        ("which", "method", "cost-model", "c1", "c2", "seed"),
+    ),
+    "simulate": (
+        cmd_simulate, "Monte Carlo check of the analytic costs",
+        _PROBLEM + ("trials", "seed", "steps-per-unit"),
+    ),
+    "bound": (
+        cmd_bound, "evaluate the deviation bound",
+        ("train", "nodes", "distances", "c2", "cg", "eps", "m1", "m2", "m"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repairroute",
         description="Failure-probability estimation coupled with minimum-latency routing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, model=True):
-        p.add_argument("--train", help="training CSV (features + label column)")
-        p.add_argument("--test", help="held-out CSV with the same columns")
-        p.add_argument("--nodes", help="node feature CSV")
-        p.add_argument("--distances", help="square travel-cost CSV, no header")
-        p.add_argument("--c1", type=float, help="routing-cost weight (default 0)")
-        p.add_argument("--c2", type=float, help="squared-norm regularization weight")
-        if model:
-            p.add_argument(
-                "--cost-model", choices=COST_MODELS, default="cost1",
-                help="cost1: expected failure counts; cost2: only the first failure counts",
-            )
-        p.add_argument("--method", choices=METHODS, default="am")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", help="directory for output files")
-        p.add_argument("--c1-grid", help="comma-separated C1 values for a sweep CSV")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--lp-out", help="output path for LP text")
-
-    p = sub.add_parser("train", help="fit the regularized logistic model")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("route", help="fit, then route the fitted weights")
-    common(p)
-    p.set_defaults(func=cmd_route)
-
-    p = sub.add_parser("simultaneous", help="joint fit and route")
-    common(p)
-    p.set_defaults(func=cmd_simultaneous)
-
-    p = sub.add_parser("export-milp", help="write the routing MILP as LP text")
-    common(p)
-    p.set_defaults(func=cmd_export_milp)
-
-    p = sub.add_parser("demo", help="run a bundled synthetic showcase")
-    common(p)
-    p.add_argument("--which", choices=sorted(INSTANCES), default="six_node")
-    p.set_defaults(func=cmd_demo)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check of the analytic costs")
-    common(p)
-    p.add_argument("--steps-per-unit", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bound", help="evaluate the deviation bound")
-    common(p, model=False)
-    p.add_argument("--cg", type=float, help="budget on the weighted failure-rate sum")
-    p.add_argument("--eps", type=float, help="deviation size")
-    p.add_argument("--m1", type=float, help="coefficient norm cap")
-    p.add_argument("--m2", type=float, help="feature norm cap")
-    p.add_argument("--m", type=int, help="training sample size")
-    p.set_defaults(func=cmd_bound)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags + ("out-dir",):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building one on every main() call grows the
+    # resident set of a process that calls main() many times.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ValueError, FileNotFoundError) as exc:

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from repairroute.core import LabeledDataset
+from repairroute.core import LabeledDataset, as_distance_matrix, as_weights, cost1
+from repairroute.trp import TIE_TOL, TrpSolution
+
+_BF_MAX_NODES = 10
 
 
 def random_instance(seed, M, low=1.0, high=10.0, wlow=0.05, whigh=1.0, integer=False):
@@ -14,6 +19,42 @@ def random_instance(seed, M, low=1.0, high=10.0, wlow=0.05, whigh=1.0, integer=F
     np.fill_diagonal(D, 0.0)
     w = rng.uniform(wlow, whigh, size=M)
     return w, D
+
+
+def _walk_cost(tail, w, D) -> float:
+    # Prefix-sum accumulation over one route; independent of the DP's
+    # per-edge-contribution arithmetic.
+    t = 0.0
+    c = 0.0
+    prev = 0
+    for node in tail:
+        t += D[prev, node]
+        c += w[node] * t
+        prev = node
+    t += D[prev, 0]
+    return c + w[0] * t
+
+
+def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
+    """Reference solver: enumerate all (M-1)! routes; exact optimum with the
+    same tie-breaking as the DP."""
+    D = as_distance_matrix(D)
+    w = as_weights(w, D.shape[0])
+    M = D.shape[0]
+    if M > _BF_MAX_NODES:
+        raise ValueError(f"brute force supports at most {_BF_MAX_NODES} nodes, got {M}")
+    tails = range(1, M)
+    best = np.inf
+    for tail in itertools.permutations(tails):
+        c = _walk_cost(tail, w, D)
+        if c < best:
+            best = c
+    route = None
+    for tail in itertools.permutations(tails):  # lexicographic order
+        if _walk_cost(tail, w, D) <= best + TIE_TOL:
+            route = [1] + [i + 1 for i in tail]
+            break
+    return TrpSolution(route=route, cost=cost1(route, w, D), solver="brute_force")
 
 
 def blobs(seed, per_side=20, d=2, sep=1.5, scale=1.0):

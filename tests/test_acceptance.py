@@ -35,9 +35,9 @@ from repairroute.opt import (
     sequential_pipeline,
 )
 from repairroute.sim import SimConfig, simulate_route_cost
-from repairroute.trp import solve_weighted_trp_bruteforce, solve_weighted_trp_dp
+from repairroute.trp import solve_weighted_trp_dp
 
-from conftest import blobs, random_instance
+from conftest import blobs, random_instance, solve_weighted_trp_bruteforce
 from test_bound import alpha_hypergeometric, make_inputs, tangent_line
 from repairroute.bound import generalization_bound, BoundInputs
 
@@ -328,15 +328,15 @@ def test_11_cli_determinism(tmp_path):
             "\n".join(",".join(repr(v) for v in r) for r in D.tolist()) + "\n"
         )
         base = ["--train", "train.csv", "--nodes", "nodes.csv", "--distances", "dist.csv",
-                "--c2", "0.2", "--seed", "7"]
+                "--c2", "0.2"]
         commands = {
-            "train": ["train", *base],
+            "train": ["train", "--train", "train.csv", "--c2", "0.2"],
             "route": ["route", *base],
             "simultaneous": ["simultaneous", *base, "--c1", "0.5", "--method", "am",
                              "--c1-grid", "0,0.5"],
             "export-milp": ["export-milp", *base],
             "demo": ["demo", "--which", "six_node", "--seed", "0"],
-            "simulate": ["simulate", *base, "--trials", "2000"],
+            "simulate": ["simulate", *base, "--seed", "7", "--trials", "2000"],
             "bound": ["bound", "--nodes", "nodes.csv", "--distances", "dist.csv",
                       "--cg", "40", "--eps", "0.5", "--m1", "2.0", "--m2", "2.0",
                       "--m", "64"],

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repairroute.cli as cli_mod
 from repairroute.cli import main
 from repairroute.core import cost1, cost2_exact, latency, sigmoid, softplus, standard_trp_cost
 from repairroute.dataio import (
@@ -546,3 +548,59 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--lp-out", "x.lp"],
+            ["train", "--trials", "3"],
+            ["train", "--method", "nm"],
+            ["train", "--nodes", "n.csv"],
+            ["train", "--cost-model", "cost2"],
+            ["route", "--c1", "0.5"],
+            ["route", "--seed", "1"],
+            ["route", "--test", "t.csv"],
+            ["export-milp", "--method", "nm"],
+            ["export-milp", "--trials", "3"],
+            ["simulate", "--c1-grid", "0,1"],
+            ["simulate", "--lp-out", "x.lp"],
+            ["simultaneous", "--seed", "1"],
+            ["simultaneous", "--steps-per-unit", "2"],
+            ["demo", "--train", "t.csv"],
+            ["demo", "--trials", "5"],
+            ["bound", "--cost-model", "cost2"],
+            ["bound", "--method", "nm"],
+            ["bound", "--c1", "1"],
+        ],
+    )
+    def test_rejects_flags_the_command_does_not_read(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_golden_invocations_parse(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "cli_golden.py"
+        spec = importlib.util.spec_from_file_location("cli_golden", path)
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        parser = cli_mod.build_parser()
+        for name, argv in golden.invocations().items():
+            args = parser.parse_args(argv + ["--out-dir", "out"])
+            assert args.command == argv[0], name
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        build = cli_mod.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting)
+        cli_mod._parser.cache_clear()
+        for _ in range(3):
+            assert main(["train", "--train", str(tmp_path / "none.csv"), "--c2", "0.1",
+                         "--out-dir", str(tmp_path)]) == 2
+        assert len(built) == 1

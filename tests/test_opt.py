@@ -26,9 +26,9 @@ from repairroute.opt import (
     _fixed_route_hessian,
     _fixed_route_objective,
 )
-from repairroute.trp import solve_weighted_trp_bruteforce, solve_weighted_trp_dp
+from repairroute.trp import solve_weighted_trp_dp
 
-from conftest import blobs, random_instance
+from conftest import blobs, random_instance, solve_weighted_trp_bruteforce
 
 # Both cost models; cost2 routes by its softplus surrogate weights, which its
 # case id names.

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,12 @@ import pytest
 import repairroute.trp as trp_mod
 from repairroute.bound import shortest_distances
 from repairroute.core import cost1, standard_trp_cost
-from repairroute.trp import (
-    TIE_TOL,
-    naive_route,
-    solve_weighted_trp_bruteforce,
-    solve_weighted_trp_dp,
-)
+from repairroute.trp import TIE_TOL, naive_route, solve_weighted_trp_dp
 
-from conftest import random_instance
+from conftest import random_instance, solve_weighted_trp_bruteforce
+
+
+BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
 
 def enumerate_routes(M):
@@ -165,6 +164,45 @@ class TestDp:
         route, cost = loop_dp(w, D)
         assert sol.route == route
         assert sol.cost == cost
+
+    def test_pair_index_cache_across_node_counts(self):
+        # The (set, free bit) index is cached for the most recent node count
+        # only; switching M back and forth must rebuild it, never reuse it.
+        for M in (10, 12, 10, 20, 5):
+            if M == 20:
+                # Stops on a line, depot at one end: visiting them by distance
+                # gives every stop its least possible latency, so that is the
+                # unique optimum.
+                rng = np.random.default_rng(M)
+                x = np.concatenate(([0.0], rng.permutation(np.arange(1.0, M))))
+                D = np.abs(x[:, None] - x[None, :])
+                w = rng.uniform(0.1, 1.0, M)
+                route = [1] + [int(i) + 1 for i in np.argsort(x)[1:]]
+                assert solve_weighted_trp_dp(w, D).route == route
+            else:
+                w, D = random_instance(200 + M, M)
+                sol = solve_weighted_trp_dp(w, D)
+                assert (sol.route, sol.cost) == loop_dp(w, D)
+            assert trp_mod._layers.cache_info().currsize == 1
+            self.check_pair_index(M - 1)
+
+    @staticmethod
+    def check_pair_index(n):
+        layers = trp_mod._layers(n)
+        assert len(layers) == n
+        for s, (sets, bits) in enumerate(layers):
+            assert sets.dtype == np.int32 and bits.dtype == np.uint8
+            # every set of s bits, each once, in ascending order
+            assert sets.size == math.comb(n, s)
+            assert np.all(np.diff(sets) > 0)
+            popcount = sum(BYTE_POPCOUNT[(sets >> shift) & 0xFF] for shift in (0, 8, 16))
+            assert np.all(popcount == s)
+            # each row: n - s distinct bits, ascending, exactly the set's complement
+            assert bits.shape == (sets.size, n - s)
+            assert np.all(np.diff(bits.astype(int), axis=1) > 0)
+            covered = np.bitwise_or.reduce(1 << bits.astype(np.int64), axis=1)
+            assert not np.any(sets & covered)
+            assert np.all((sets | covered) == (1 << n) - 1)
 
     def test_rejects_oversized(self):
         M = 21

@@ -72,7 +72,7 @@ def write_inputs(folder: Path) -> None:
 
 def invocations() -> dict:
     base = ["--train", "train.csv", "--nodes", "nodes.csv", "--distances", "dist.csv", "--c2", "0.2"]
-    runs = {"train": ["train", *base]}
+    runs = {"train": ["train", "--train", "train.csv", "--c2", "0.2"]}
     for model in ("cost1", "cost2"):
         runs[f"route_{model}"] = ["route", *base, "--cost-model", model]
         runs[f"export_milp_{model}"] = ["export-milp", *base, "--cost-model", model]
