@@ -26,7 +26,6 @@ from .learn import (
     TrainConfig,
     auc,
     fit_logistic,
-    sigmoid_prob,
     training_error,
     training_gradient,
     training_hessian,
@@ -37,7 +36,6 @@ from .milp import (
     check_feasible,
     export_lp,
     flow_caps,
-    route_to_flow,
 )
 from .opt import (
     MltrpConfig,

@@ -121,7 +121,11 @@ def latency(route, D) -> np.ndarray:
     waits for the entire closed tour.
     """
     D = as_distance_matrix(D)
-    order = check_route(route, D.shape[0])
+    return _latency(check_route(route, D.shape[0]), D)
+
+
+def _latency(order, D) -> np.ndarray:
+    """:func:`latency` for a checked zero-based order over a checked D."""
     legs = D[order[:-1], order[1:]]
     arrive = np.concatenate(([0.0], np.cumsum(legs)))
     lat = np.empty(D.shape[0])

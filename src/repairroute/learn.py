@@ -1,9 +1,9 @@
 """Regularized logistic training and ranking diagnostics.
 
-The trainer is plain batch gradient descent with Armijo backtracking.  The
-same minimizer, given a Hessian, takes damped Newton steps instead; that is
-how the alternating scheme in :mod:`repairroute.opt` runs its coefficient
-step, which tacks a routing term onto the objective.
+The trainer minimizes the regularized logistic loss by damped Newton steps
+with Armijo backtracking.  The alternating scheme in :mod:`repairroute.opt`
+runs its coefficient step through the same minimizer, with a routing term
+added to the objective and its Hessian.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ import numpy as np
 from .core import LabeledDataset, sigmoid, softplus
 
 _STEP_FLOOR = 1e-20
-_STEP_CAP = 1e12
 _SHIFT0 = 1e-3  # first nonzero Hessian shift (Nocedal & Wright, Alg. 3.3)
 _ROUNDING = 16.0 * np.finfo(float).eps
 
@@ -29,9 +28,7 @@ class TrainConfig:
     C2: float
     max_iters: int = 10000
     grad_tol: float = 1e-8
-    step0: float = 1.0
     step_shrink: float = 0.5
-    step_grow: float = 2.0
     armijo_c: float = 1e-4
 
     def __post_init__(self):
@@ -43,12 +40,8 @@ class TrainConfig:
             raise ValueError("grad_tol must be positive")
         if not 0 < self.step_shrink < 1:
             raise ValueError("step_shrink must be in (0, 1)")
-        if self.step_grow < 1:
-            raise ValueError("step_grow must be >= 1")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must be in (0, 1)")
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,15 +51,6 @@ class FitResult:
     grad_norm: float
     iterations: int
     converged: bool
-
-
-def sigmoid_prob(lam, x) -> float:
-    """Failure probability sigmoid(lam . x) for a single feature vector."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if lam.shape != x.shape:
-        raise ValueError(f"lambda has {lam.shape[0]} coefficients, x has {x.shape[0]}")
-    return float(sigmoid(lam @ x))
 
 
 def training_error(lam, data: LabeledDataset, C2: float) -> float:
@@ -138,33 +122,28 @@ def _newton_step(fun, grad, H, x, f, g, config: TrainConfig):
     return None
 
 
-def minimize_descent(fun, grad, x0, config: TrainConfig, hess=None) -> FitResult:
-    """Armijo line-search descent on a smooth objective.
+def minimize_descent(fun, grad, x0, config: TrainConfig, hess) -> FitResult:
+    """Damped Newton descent with Armijo backtracking on a smooth objective.
 
-    Without hess, each step is a gradient step whose trial length starts at
-    the last accepted one times step_grow (step0 at first), so the search
-    adapts in both directions.  With hess (a callable returning the Hessian),
-    each step is a damped Newton step: the direction solves (H + tau I) p = -g
-    for the smallest tried shift tau >= 0 that makes the matrix positive
-    definite, and the trial length starts at 1; step0 and step_grow are
-    unused.  A full Newton step that fails the Armijo test is still accepted
-    when its loss is within 16 eps |f| of f and its gradient norm is smaller,
-    since there the loss cannot resolve the predicted decrease.  Trial
-    lengths shrink by step_shrink.
+    hess is a callable returning the Hessian.  Each step's direction solves
+    (H + tau I) p = -g for the smallest tried shift tau >= 0 that makes the
+    matrix positive definite, and its trial length starts at 1 and shrinks
+    by step_shrink.  A full step that fails the Armijo test is still
+    accepted when its loss is within 16 eps |f| of f and its gradient norm
+    is smaller, since there the loss cannot resolve the predicted decrease.
 
     Convexity holds only for the plain logistic fit.  The alternating
     scheme's fixed-route objective under cost1 (sigmoid weights times
     latencies) is not convex, and there the descent may stop at a local
     minimum.
 
-    Stops when the gradient norm drops to config.grad_tol, the line search
-    stalls at the step floor, or max_iters is reached.
+    Stops when the gradient norm drops to config.grad_tol, a step no longer
+    moves x or stalls at the step floor, or max_iters is reached.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f = fun(x)
     if not np.isfinite(f):
         raise ValueError("non-finite loss at the starting point; check data scaling")
-    step = config.step0
     gnorm = np.inf
     iterations = 0
     converged = False
@@ -175,25 +154,10 @@ def minimize_descent(fun, grad, x0, config: TrainConfig, hess=None) -> FitResult
             converged = True
             iterations -= 1
             break
-        if hess is None:
-            s = step
-            accepted = False
-            while s >= _STEP_FLOOR:
-                cand = x - s * g
-                fc = fun(cand)
-                if np.isfinite(fc) and fc <= f - config.armijo_c * s * gnorm * gnorm:
-                    accepted = True
-                    break
-                s *= config.step_shrink
-            if not accepted:
-                break
-            step = min(s * config.step_grow, _STEP_CAP)
-        else:
-            taken = _newton_step(fun, grad, hess(x), x, f, g, config)
-            if taken is None:
-                break
-            cand, fc = taken
-        x, f = cand, fc
+        taken = _newton_step(fun, grad, hess(x), x, f, g, config)
+        if taken is None:
+            break
+        x, f = taken
     if not converged:
         g = grad(x)
         gnorm = float(np.linalg.norm(g))
@@ -208,6 +172,7 @@ def fit_logistic(data: LabeledDataset, config: TrainConfig) -> FitResult:
         lambda lam: training_gradient(lam, data, config.C2),
         np.zeros(data.d),
         config,
+        hess=lambda lam: training_hessian(lam, data, config.C2),
     )
 
 

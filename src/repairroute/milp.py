@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_distance_matrix, as_weights, check_route
+from .core import as_distance_matrix, as_weights
 
 EQ_TOL = 1e-9
 
@@ -119,29 +119,6 @@ def build_milp(w, D) -> MilpInstance:
     return MilpInstance(M=M, w=w, D=D, r=r, constraints=tuple(cons))
 
 
-def route_to_flow(route, w, D):
-    """Edge indicators and carried-weight flows induced by a route.
-
-    Returns (Y, Z) as M x M arrays.  The leg leaving the t-th visited node
-    carries the total weight minus everything dropped at positions 2..t; the
-    closing leg therefore carries exactly node 1's weight.
-    """
-    D = as_distance_matrix(D)
-    w = as_weights(w, D.shape[0])
-    M = D.shape[0]
-    order = check_route(route, M)
-    Y = np.zeros((M, M))
-    Z = np.zeros((M, M))
-    carry = float(w.sum())
-    for t in range(M):
-        if t > 0:
-            carry -= w[order[t]]
-        nxt = order[(t + 1) % M]
-        Y[order[t], nxt] = 1.0
-        Z[order[t], nxt] = carry
-    return Y, Z
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
@@ -210,12 +187,6 @@ def check_feasible(instance: MilpInstance, Y, Z, tol: float = EQ_TOL) -> Feasibi
         violations=tuple(violations),
         residuals=residuals,
     )
-
-
-def objective_value(instance: MilpInstance, Z) -> float:
-    """sum d_ij * z_ij."""
-    Z = np.asarray(Z, dtype=float)
-    return float(np.sum(instance.D * Z))
 
 
 def _fmt(x: float) -> str:

@@ -60,8 +60,9 @@ class MltrpConfig:
     """Knobs for the combined objective and its optimizers.
 
     C2 is required, mirroring the stand-alone trainer.  The `train` field is
-    an optional step-control template for inner fits; its C2 is always
-    overridden by this config's c2.
+    an optional template for inner fits and descents (iteration cap,
+    gradient tolerance, backtracking factor, Armijo constant); its C2 is
+    always overridden by this config's c2.
     """
 
     c2: float

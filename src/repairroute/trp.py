@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_distance_matrix, as_weights, cost1
+from .core import _latency, as_distance_matrix, as_weights
 
 TIE_TOL = 1e-12
 
@@ -123,8 +123,8 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
         order.append(last)
         free = free[free != k]
 
-    route = [i + 1 for i in order]
-    return TrpSolution(route=route, cost=cost1(route, w, D), solver="dp")
+    cost = float(w @ _latency(np.array(order), D))  # cost1 without re-checking its inputs
+    return TrpSolution(route=[i + 1 for i in order], cost=cost, solver="dp")
 
 
 def naive_route(w) -> list[int]:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repairroute.core import LabeledDataset, as_distance_matrix, as_weights, cost1
+from repairroute.core import LabeledDataset, as_distance_matrix, as_weights, check_route, cost1
+from repairroute.milp import MilpInstance
 from repairroute.trp import TIE_TOL, TrpSolution
 
 _BF_MAX_NODES = 10
@@ -55,6 +56,35 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
             route = [1] + [i + 1 for i in tail]
             break
     return TrpSolution(route=route, cost=cost1(route, w, D), solver="brute_force")
+
+
+def route_to_flow(route, w, D):
+    """Edge indicators and carried-weight flows induced by a route.
+
+    Returns (Y, Z) as M x M arrays.  The leg leaving the t-th visited node
+    carries the total weight minus everything dropped at positions 2..t; the
+    closing leg therefore carries exactly node 1's weight.
+    """
+    D = as_distance_matrix(D)
+    w = as_weights(w, D.shape[0])
+    M = D.shape[0]
+    order = check_route(route, M)
+    Y = np.zeros((M, M))
+    Z = np.zeros((M, M))
+    carry = float(w.sum())
+    for t in range(M):
+        if t > 0:
+            carry -= w[order[t]]
+        nxt = order[(t + 1) % M]
+        Y[order[t], nxt] = 1.0
+        Z[order[t], nxt] = carry
+    return Y, Z
+
+
+def objective_value(instance: MilpInstance, Z) -> float:
+    """sum d_ij * z_ij."""
+    Z = np.asarray(Z, dtype=float)
+    return float(np.sum(instance.D * Z))
 
 
 def blobs(seed, per_side=20, d=2, sep=1.5, scale=1.0):

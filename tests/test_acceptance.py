@@ -24,7 +24,7 @@ from repairroute.bound import halfspace_ball_fraction, shortest_distances
 from repairroute.core import cost1, cost2_exact, latency, sigmoid, standard_trp_cost
 from repairroute.demo import six_node
 from repairroute.learn import TrainConfig, training_error, training_gradient
-from repairroute.milp import build_milp, check_feasible, objective_value, route_to_flow
+from repairroute.milp import build_milp, check_feasible
 from repairroute.opt import (
     MltrpConfig,
     _fixed_route_gradient,
@@ -37,7 +37,7 @@ from repairroute.opt import (
 from repairroute.sim import SimConfig, simulate_route_cost
 from repairroute.trp import solve_weighted_trp_dp
 
-from conftest import blobs, random_instance, solve_weighted_trp_bruteforce
+from conftest import blobs, objective_value, random_instance, route_to_flow, solve_weighted_trp_bruteforce
 from test_bound import alpha_hypergeometric, make_inputs, tangent_line
 from repairroute.bound import generalization_bound, BoundInputs
 

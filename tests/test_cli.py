@@ -20,7 +20,7 @@ from repairroute.dataio import (
 )
 from repairroute.demo import INSTANCES
 import repairroute.opt as opt_mod
-from repairroute.learn import TrainConfig, fit_logistic
+from repairroute.learn import TrainConfig, fit_logistic, training_gradient
 from repairroute.opt import MltrpConfig, solve
 from repairroute.trp import solve_weighted_trp_dp
 
@@ -263,12 +263,15 @@ class TestSimultaneous:
         assert sol["combined_objective"] == pytest.approx(sol["training_error"], rel=1e-12)
 
     def test_c1_zero_inner_solve_converges_from_capped_fit(self, tmp_path, monkeypatch):
-        # The instance above: its fit stops at max_iters with |grad| just over
-        # grad_tol, where the loss can no longer resolve a Newton step's
-        # decrease.  AM's inner solve must still converge, and fast.
+        # The instance above, started from a fit capped at max_iters: lam0 has
+        # |grad| 1.7e-8, just over grad_tol, where the loss can no longer
+        # resolve a Newton step's decrease.  AM's inner solve must still
+        # converge, and fast.
         _, data, nodes, D = problem(tmp_path, seed=5)
         cfg = MltrpConfig(c2=0.2, c1=0.0)
-        assert not fit_logistic(data, cfg.trainer_config()).converged
+        lam0 = np.array([1.7640446768697184, 0.9925920874813046])
+        gnorm = np.linalg.norm(training_gradient(lam0, data, cfg.c2))
+        assert cfg.trainer_config().grad_tol < gnorm < 2e-8
         results = []
         real_descent = opt_mod.minimize_descent
 
@@ -277,7 +280,7 @@ class TestSimultaneous:
             return results[-1]
 
         monkeypatch.setattr(opt_mod, "minimize_descent", recording_descent)
-        solve("am", data, nodes, D, cfg)
+        solve("am", data, nodes, D, cfg, lam0=lam0)
         assert results
         assert all(r.converged and r.iterations <= 10 for r in results), results
 

@@ -3,31 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from repairroute.core import LabeledDataset
+from repairroute.core import LabeledDataset, sigmoid
 from repairroute.learn import (
     TrainConfig,
     auc,
     fit_logistic,
     minimize_descent,
-    sigmoid_prob,
     training_error,
     training_gradient,
     training_hessian,
 )
 
 from conftest import blobs
-
-
-class TestSigmoidProb:
-    def test_zero_score(self):
-        assert sigmoid_prob([0.0, 0.0], [1.0, 2.0]) == 0.5
-
-    def test_unit_score(self):
-        assert sigmoid_prob([1.0], [1.0]) == pytest.approx(0.731059, abs=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sigmoid_prob([1.0, 2.0], [1.0])
 
 
 class TestTrainingError:
@@ -185,7 +172,7 @@ class TestFitLogistic:
         res = fit_logistic(ds, TrainConfig(C2=0.1))
         assert res.converged
         assert res.lam[0] > 0.0
-        assert sigmoid_prob(res.lam, [1.0]) > 0.5 > sigmoid_prob(res.lam, [-1.0])
+        assert sigmoid(res.lam[0]) > 0.5 > sigmoid(-res.lam[0])
 
     def test_heavy_regularization_shrinks_to_zero(self, small_blobs):
         res = fit_logistic(small_blobs, TrainConfig(C2=1e6))
@@ -216,6 +203,33 @@ class TestFitLogistic:
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
         )
         assert res.loss == pytest.approx(ref.fun, abs=1e-6)
+
+    def test_blobs_seed5_in_few_newton_steps(self):
+        # Near this fit's optimum, steps along -g round back to x while |g|
+        # is still above grad_tol; Newton steps reach grad_tol in a few.
+        res = fit_logistic(blobs(5, per_side=10), TrainConfig(C2=0.2))
+        assert res.converged
+        assert res.iterations <= 10
+
+    def test_badly_scaled_feature_converges(self):
+        # Curvature near 1e12 along the only coordinate: a step along -g must
+        # be about 1e-12 long, while the Newton step is scaled by the curvature.
+        ds = LabeledDataset(features=[[1e6], [-1e6], [3e5]], labels=[1.0, -1.0, -1.0])
+        res = fit_logistic(ds, TrainConfig(C2=0.1))
+        assert res.converged
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_equal_columns_singular_hessian_converges(self, scale):
+        # Two equal columns and no penalty make every Hessian singular, so
+        # each Newton direction comes from a shifted matrix; scale 1e4 also
+        # makes the loss badly conditioned along the columns' sum.
+        x = np.random.default_rng(3).normal(size=12) * scale
+        y = np.where(np.arange(12) % 3 == 0, 1.0, -1.0)
+        res = fit_logistic(LabeledDataset(features=np.column_stack([x, x]), labels=y),
+                           TrainConfig(C2=0.0))
+        one = fit_logistic(LabeledDataset(features=x[:, None], labels=y), TrainConfig(C2=0.0))
+        assert res.converged
+        assert res.loss == pytest.approx(one.loss, rel=1e-12)
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError):

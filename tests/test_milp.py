@@ -10,14 +10,12 @@ from repairroute.milp import (
     check_feasible,
     export_lp,
     flow_caps,
-    objective_value,
-    route_to_flow,
     yvar,
     zvar,
 )
 from repairroute.trp import solve_weighted_trp_dp
 
-from conftest import random_instance
+from conftest import objective_value, random_instance, route_to_flow
 
 GOLDEN = Path(__file__).parent / "data" / "milp_m2_unit.lp"
 UNIT3_W = np.array([1.0, 1.0, 1.0])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import repairroute.core as core_mod
 import repairroute.trp as trp_mod
 from repairroute.bound import shortest_distances
 from repairroute.core import cost1, standard_trp_cost
@@ -118,6 +119,22 @@ class TestDp:
         w, D = random_instance(seed, 7)
         sol = solve_weighted_trp_dp(w, D)
         assert sol.cost == pytest.approx(cost1(sol.route, w, D), rel=1e-9)
+
+    @pytest.mark.parametrize("M", [5, 10])
+    def test_validates_distances_once(self, M, monkeypatch):
+        # The route's cost is summed without re-checking D and the route.
+        calls = []
+        real = core_mod.as_distance_matrix
+
+        def counting(D):
+            calls.append(1)
+            return real(D)
+
+        monkeypatch.setattr(core_mod, "as_distance_matrix", counting)
+        monkeypatch.setattr(trp_mod, "as_distance_matrix", counting)
+        w, D = random_instance(M, M)
+        solve_weighted_trp_dp(w, D)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_weight_and_distance_scaling(self, seed):
