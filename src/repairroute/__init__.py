@@ -23,7 +23,6 @@ from .core import (
 )
 from .learn import (
     FitResult,
-    TrainConfig,
     auc,
     fit_logistic,
     training_error,

@@ -21,7 +21,7 @@ from .bound import BoundInputs, generalization_bound
 from .core import cost1, cost2_exact, latency, standard_trp_cost
 from .dataio import ValidationError
 from .demo import INSTANCES
-from .learn import TrainConfig, auc, fit_logistic
+from .learn import auc, fit_logistic
 from .milp import build_milp, export_lp
 from .opt import COST_MODELS, METHODS, MltrpConfig, c1_sweep, node_weights, route_string, solve, sweep_csv
 from .sim import SimConfig, simulate_route_cost
@@ -100,7 +100,7 @@ def _load_problem(args):
 def cmd_train(args) -> int:
     _require(args, "train", "c2", "out-dir")
     data = dataio.load_labeled_csv(args.train)
-    fit = fit_logistic(data, TrainConfig(C2=args.c2))
+    fit = fit_logistic(data, args.c2)
     dataio.write_json(Path(args.out_dir) / "model.json", _model_dict(fit, args.c2, data))
     return 0
 
@@ -109,7 +109,7 @@ def cmd_route(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
-    fit = fit_logistic(data, cfg.trainer_config())
+    fit = fit_logistic(data, cfg.c2)
     route = solve_weighted_trp_dp(node_weights(fit.lam, nodes, cfg.cost_model), D).route
     out = Path(args.out_dir)
     dataio.write_json(out / "model.json", _model_dict(fit, args.c2, data))
@@ -161,7 +161,7 @@ def cmd_export_milp(args) -> int:
         raise ValidationError("--lp-out or --out-dir is required for this command")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
-    fit = fit_logistic(data, cfg.trainer_config())
+    fit = fit_logistic(data, cfg.c2)
     w = node_weights(fit.lam, nodes, cfg.cost_model)
     text = export_lp(build_milp(w, D))
     target = Path(args.lp_out) if args.lp_out else Path(args.out_dir) / "model.lp"
@@ -247,6 +247,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     _require(args, "nodes", "distances", "cg", "eps", "out-dir")
+    if args.c2 is not None and not args.train:
+        raise ValidationError("--c2 is only used with --train")
     nodes, D = _load_graph(args)
     m1 = args.m1
     m = args.m
@@ -259,7 +261,7 @@ def cmd_bound(args) -> int:
             )
         if args.c2 is None:
             raise ValidationError("--c2 is required when --train is used")
-        fit = fit_logistic(data, TrainConfig(C2=args.c2))
+        fit = fit_logistic(data, args.c2)
         lam_norm = float(np.linalg.norm(fit.lam))
         m1 = max(m1, lam_norm) if m1 is not None else lam_norm
         m = m if m is not None else data.m

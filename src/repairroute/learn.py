@@ -12,36 +12,13 @@ import numpy as np
 
 from .core import LabeledDataset, sigmoid, softplus
 
+_MAX_ITERS = 10000
+_GRAD_TOL = 1e-8
+_SHRINK = 0.5  # backtracking factor
+_ARMIJO_C = 1e-4
 _STEP_FLOOR = 1e-20
 _SHIFT0 = 1e-3  # first nonzero Hessian shift (Nocedal & Wright, Alg. 3.3)
 _ROUNDING = 16.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Settings for the logistic trainer.
-
-    C2 is the coefficient of the squared-norm penalty and must be chosen by
-    the caller; there is no hidden default regularization.
-    """
-
-    C2: float
-    max_iters: int = 10000
-    grad_tol: float = 1e-8
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
-
-    def __post_init__(self):
-        if not (np.isfinite(self.C2) and self.C2 >= 0):
-            raise ValueError("C2 must be finite and >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must be in (0, 1)")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,7 +74,7 @@ def _newton_direction(H, g) -> np.ndarray:
             tau = max(2.0 * tau, _SHIFT0)
 
 
-def _newton_step(fun, grad, H, x, f, g, config: TrainConfig):
+def _newton_step(fun, grad, H, x, f, g):
     """Backtrack along the Newton direction from s = 1: (cand, fun(cand)), or None."""
     p = _newton_direction(H, g)
     slope = float(g @ p)
@@ -110,7 +87,7 @@ def _newton_step(fun, grad, H, x, f, g, config: TrainConfig):
             return None
         fc = fun(cand)
         if np.isfinite(fc):
-            if fc <= f + config.armijo_c * s * slope:
+            if fc <= f + _ARMIJO_C * s * slope:
                 return cand, fc
             # Near the minimum the predicted decrease falls below what f can
             # resolve; a full step that stays within rounding of f and lowers
@@ -118,17 +95,17 @@ def _newton_step(fun, grad, H, x, f, g, config: TrainConfig):
             if s == 1.0 and fc <= f + _ROUNDING * abs(f):
                 if np.linalg.norm(grad(cand)) < np.linalg.norm(g):
                     return cand, fc
-        s *= config.step_shrink
+        s *= _SHRINK
     return None
 
 
-def minimize_descent(fun, grad, x0, config: TrainConfig, hess) -> FitResult:
+def minimize_descent(fun, grad, x0, hess) -> FitResult:
     """Damped Newton descent with Armijo backtracking on a smooth objective.
 
     hess is a callable returning the Hessian.  Each step's direction solves
     (H + tau I) p = -g for the smallest tried shift tau >= 0 that makes the
     matrix positive definite, and its trial length starts at 1 and shrinks
-    by step_shrink.  A full step that fails the Armijo test is still
+    by _SHRINK.  A full step that fails the Armijo test is still
     accepted when its loss is within 16 eps |f| of f and its gradient norm
     is smaller, since there the loss cannot resolve the predicted decrease.
 
@@ -137,8 +114,8 @@ def minimize_descent(fun, grad, x0, config: TrainConfig, hess) -> FitResult:
     latencies) is not convex, and there the descent may stop at a local
     minimum.
 
-    Stops when the gradient norm drops to config.grad_tol, a step no longer
-    moves x or stalls at the step floor, or max_iters is reached.
+    Stops when the gradient norm drops to _GRAD_TOL, a step no longer moves
+    x or stalls at the step floor, or _MAX_ITERS is reached.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f = fun(x)
@@ -147,32 +124,37 @@ def minimize_descent(fun, grad, x0, config: TrainConfig, hess) -> FitResult:
     gnorm = np.inf
     iterations = 0
     converged = False
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         g = grad(x)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.grad_tol:
+        if gnorm <= _GRAD_TOL:
             converged = True
             iterations -= 1
             break
-        taken = _newton_step(fun, grad, hess(x), x, f, g, config)
+        taken = _newton_step(fun, grad, hess(x), x, f, g)
         if taken is None:
             break
         x, f = taken
     if not converged:
         g = grad(x)
         gnorm = float(np.linalg.norm(g))
-        converged = gnorm <= config.grad_tol
+        converged = gnorm <= _GRAD_TOL
     return FitResult(lam=x, loss=float(f), grad_norm=gnorm, iterations=iterations, converged=converged)
 
 
-def fit_logistic(data: LabeledDataset, config: TrainConfig) -> FitResult:
-    """Minimize the regularized logistic loss from a zero start."""
+def fit_logistic(data: LabeledDataset, C2: float) -> FitResult:
+    """Minimize the regularized logistic loss from a zero start.
+
+    C2 is the coefficient of the squared-norm penalty and must be chosen by
+    the caller; there is no hidden default regularization.
+    """
+    if not (np.isfinite(C2) and C2 >= 0):
+        raise ValueError("C2 must be finite and >= 0")
     return minimize_descent(
-        lambda lam: training_error(lam, data, config.C2),
-        lambda lam: training_gradient(lam, data, config.C2),
+        lambda lam: training_error(lam, data, C2),
+        lambda lam: training_gradient(lam, data, C2),
         np.zeros(data.d),
-        config,
-        hess=lambda lam: training_hessian(lam, data, config.C2),
+        hess=lambda lam: training_hessian(lam, data, C2),
     )
 
 

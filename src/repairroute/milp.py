@@ -122,15 +122,10 @@ def build_milp(w, D) -> MilpInstance:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    max_equality_residual: float
-    max_inequality_violation: float
-    max_bound_violation: float
-    max_integrality_gap: float
     violations: tuple  # (row or bound name, amount) pairs above EQ_TOL
-    residuals: dict  # constraint name -> signed residual lhs - rhs
 
 
-def check_feasible(instance: MilpInstance, Y, Z, tol: float = EQ_TOL) -> FeasibilityReport:
+def check_feasible(instance: MilpInstance, Y, Z) -> FeasibilityReport:
     """Evaluate every row, bound, and integrality condition of the model at (Y, Z)."""
     M = instance.M
     Y = np.asarray(Y, dtype=float)
@@ -144,49 +139,28 @@ def check_feasible(instance: MilpInstance, Y, Z, tol: float = EQ_TOL) -> Feasibi
             vals[zvar(i, j)] = float(Z[i - 1, j - 1])
 
     violations = []
-    residuals = {}
-    max_eq = 0.0
-    max_ineq = 0.0
     for con in instance.constraints:
-        lhs = sum(c * vals[v] for v, c in con.coeffs.items())
-        res = lhs - con.rhs
-        residuals[con.name] = res
+        res = sum(c * vals[v] for v, c in con.coeffs.items()) - con.rhs
         if con.sense == "==":
-            max_eq = max(max_eq, abs(res))
-            if abs(res) > tol:
+            if abs(res) > EQ_TOL:
                 violations.append((con.name, abs(res)))
-        else:
-            max_ineq = max(max_ineq, max(0.0, res))
-            if res > tol:
-                violations.append((con.name, res))
+        elif res > EQ_TOL:
+            violations.append((con.name, res))
 
-    max_bound = 0.0
-    max_gap = 0.0
     for i in range(1, M + 1):
         for j in range(1, M + 1):
             z = float(Z[i - 1, j - 1])
             y = float(Y[i - 1, j - 1])
             cap = float(instance.r[i - 1, j - 1]) if i != j else 0.0
             zb = max(0.0, -z, z - cap)
-            max_bound = max(max_bound, zb)
-            if zb > tol:
+            if zb > EQ_TOL:
                 violations.append((f"bound_{zvar(i, j)}", zb))
             nearest = 0.0 if y < 0.5 else 1.0
             ybad = abs(y) if i == j else abs(y - nearest)
-            max_gap = max(max_gap, ybad)
-            if ybad > tol:
+            if ybad > EQ_TOL:
                 violations.append((f"binary_{yvar(i, j)}", ybad))
 
-    feasible = not violations
-    return FeasibilityReport(
-        feasible=feasible,
-        max_equality_residual=max_eq,
-        max_inequality_violation=max_ineq,
-        max_bound_violation=max_bound,
-        max_integrality_gap=max_gap,
-        violations=tuple(violations),
-        residuals=residuals,
-    )
+    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
 def _fmt(x: float) -> str:

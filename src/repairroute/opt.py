@@ -30,7 +30,6 @@ from .core import (
     softplus,
 )
 from .learn import (
-    TrainConfig,
     auc,
     fit_logistic,
     minimize_descent,
@@ -54,29 +53,33 @@ _WEIGHTS = {
 COST_MODELS = tuple(_WEIGHTS)
 METHODS = ("sequential", "nm", "am")
 
+# Nelder-Mead: evaluation budget, simplex-diameter stop, start-simplex size
+# relative to max(1, ||lam0||_inf), and the standard coefficients of Nelder
+# & Mead (1965).
+_NM_MAX_EVALS = 2000
+_NM_DIAM_TOL = 1e-8
+_NM_SCALE = 0.1
+_NM_REFLECT = 1.0
+_NM_EXPAND = 2.0
+_NM_CONTRACT = 0.5
+_NM_SHRINK = 0.5
+_AM_ROUNDS = 10  # cap on alternating-minimization rounds
+
 
 @dataclass(frozen=True)
 class MltrpConfig:
-    """Knobs for the combined objective and its optimizers.
+    """Parameters of the combined objective.
 
-    C2 is required, mirroring the stand-alone trainer.  The `train` field is
-    an optional template for inner fits and descents (iteration cap,
-    gradient tolerance, backtracking factor, Armijo constant); its C2 is
-    always overridden by this config's c2.
+    c2 weights the squared-norm penalty and is required, as in
+    learn.fit_logistic; c1 weights the route cost; cost_model picks the
+    failure-cost model.  Solver settings are module constants: the _NM_*
+    values for nelder_mead, _AM_ROUNDS for alternating_minimization, and
+    learn's _MAX_ITERS, _GRAD_TOL, _SHRINK and _ARMIJO_C for every descent.
     """
 
     c2: float
     c1: float = 0.0
     cost_model: str = "cost1"
-    train: TrainConfig | None = None
-    nm_max_evals: int = 2000
-    nm_diam_tol: float = 1e-8
-    nm_scale: float = 0.1
-    nm_reflect: float = 1.0
-    nm_expand: float = 2.0
-    nm_contract: float = 0.5
-    nm_shrink: float = 0.5
-    am_iters: int = 10
 
     def __post_init__(self):
         if not (np.isfinite(self.c1) and self.c1 >= 0):
@@ -85,19 +88,6 @@ class MltrpConfig:
             raise ValueError("c2 must be finite and >= 0")
         if self.cost_model not in COST_MODELS:
             raise ValueError(f"cost_model must be one of {COST_MODELS}")
-        if self.nm_max_evals < 1 or self.am_iters < 1:
-            raise ValueError("nm_max_evals and am_iters must be >= 1")
-        if not (self.nm_diam_tol > 0 and self.nm_scale > 0):
-            raise ValueError("nm_diam_tol and nm_scale must be positive")
-        if not (self.nm_reflect > 0 and self.nm_expand > 1):
-            raise ValueError("nm_reflect must be > 0 and nm_expand > 1")
-        if not (0 < self.nm_contract < 1 and 0 < self.nm_shrink < 1):
-            raise ValueError("nm_contract and nm_shrink must be in (0, 1)")
-
-    def trainer_config(self) -> TrainConfig:
-        if self.train is None:
-            return TrainConfig(C2=self.c2)
-        return replace(self.train, C2=self.c2)
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def _finalize(lam, data, nodes, D, cfg, trace, method) -> MltrpSolution:
 
 def sequential_pipeline(data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> MltrpSolution:
     """Fit first, route second; lam never sees the distances."""
-    fit = fit_logistic(data, cfg.trainer_config())
+    fit = fit_logistic(data, cfg.c2)
     sol = _finalize(fit.lam, data, nodes, D, cfg, trace=(), method="sequential")
     return replace(sol, trace=(sol.combined_objective,))
 
@@ -159,12 +149,13 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
 
     The starting simplex sits at lam0 (the plain logistic fit when omitted)
     plus one axis perturbation per coordinate, scaled by
-    nm_scale * max(1, ||lam0||_inf).  The best vertex never worsens; the
-    search stops when the simplex diameter falls under nm_diam_tol or the
-    evaluation budget runs out.
+    _NM_SCALE * max(1, ||lam0||_inf).  Steps use the _NM_REFLECT,
+    _NM_EXPAND, _NM_CONTRACT and _NM_SHRINK coefficients.  The best vertex
+    never worsens; the search stops when the simplex diameter falls under
+    _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent.
     """
     if lam0 is None:
-        lam0 = fit_logistic(data, cfg.trainer_config()).lam
+        lam0 = fit_logistic(data, cfg.c2).lam
     lam0 = np.asarray(lam0, dtype=float).ravel()
     d = lam0.shape[0]
 
@@ -174,7 +165,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
         return val
 
-    scale = cfg.nm_scale * max(1.0, float(np.abs(lam0).max()))
+    scale = _NM_SCALE * max(1.0, float(np.abs(lam0).max()))
     verts = [lam0.copy()]
     for j in range(d):
         v = lam0.copy()
@@ -189,15 +180,15 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
         fvals = [fvals[i] for i in idx]
         trace.append(fvals[0])
         diam = max(float(np.abs(v - verts[0]).max()) for v in verts[1:])
-        if diam < cfg.nm_diam_tol or evals >= cfg.nm_max_evals:
+        if diam < _NM_DIAM_TOL or evals >= _NM_MAX_EVALS:
             break
         centroid = np.mean(verts[:-1], axis=0)
         worst = verts[-1]
-        xr = centroid + cfg.nm_reflect * (centroid - worst)
+        xr = centroid + _NM_REFLECT * (centroid - worst)
         fr = f(xr)
         evals += 1
         if fr < fvals[0]:
-            xe = centroid + cfg.nm_expand * (centroid - worst)
+            xe = centroid + _NM_EXPAND * (centroid - worst)
             fe = f(xe)
             evals += 1
             verts[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
@@ -206,7 +197,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
         else:
             shrink = False
             if fr < fvals[-1]:
-                xc = centroid + cfg.nm_contract * (centroid - worst)
+                xc = centroid + _NM_CONTRACT * (centroid - worst)
                 fc = f(xc)
                 evals += 1
                 if fc <= fr:
@@ -214,7 +205,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
                 else:
                     shrink = True
             else:
-                xc = centroid - cfg.nm_contract * (centroid - worst)
+                xc = centroid - _NM_CONTRACT * (centroid - worst)
                 fc = f(xc)
                 evals += 1
                 if fc < fvals[-1]:
@@ -223,7 +214,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
                     shrink = True
             if shrink:
                 for i in range(1, d + 1):
-                    verts[i] = verts[0] + cfg.nm_shrink * (verts[i] - verts[0])
+                    verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
                     fvals[i] = f(verts[i])
                 evals += d
     return _finalize(verts[0], data, nodes, D, cfg, trace, method="nm")
@@ -260,17 +251,16 @@ def alternating_minimization(
     non-increasing to that precision.  A descent that stops unconverged is
     logged as a warning on the "repairroute" logger.  The loop stops early
     once the route repeats: the following lam step would start at its own
-    minimizer and move nowhere.
+    minimizer and move nowhere; otherwise _AM_ROUNDS rounds run.
     """
     if lam0 is None:
-        lam0 = fit_logistic(data, cfg.trainer_config()).lam
+        lam0 = fit_logistic(data, cfg.c2).lam
     lam = np.asarray(lam0, dtype=float).ravel()
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     D = as_distance_matrix(D)
-    tc = cfg.trainer_config()
     prev_route = None
     trace = []
-    for rnd in range(1, cfg.am_iters + 1):
+    for rnd in range(1, _AM_ROUNDS + 1):
         w = node_weights(lam, nodes, cfg.cost_model)
         route = solve_weighted_trp_dp(w, D).route
         if route == prev_route:
@@ -280,7 +270,6 @@ def alternating_minimization(
             lambda v: _fixed_route_objective(v, lats, data, nodes, cfg),
             lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
             lam,
-            tc,
             hess=lambda v: _fixed_route_hessian(v, lats, data, nodes, cfg),
         )
         if not res.converged:
@@ -339,7 +328,7 @@ def c1_sweep(
         raise ValueError("c1_grid must be non-empty")
     if any(not (math.isfinite(c) and c >= 0) for c in grid):
         raise ValueError("c1 values must be finite and >= 0")
-    lam0 = fit_logistic(data, cfg.trainer_config()).lam
+    lam0 = fit_logistic(data, cfg.c2).lam
     rows = []
     for c1 in grid:
         sol = solve(method, data, nodes, D, replace(cfg, c1=c1), lam0)

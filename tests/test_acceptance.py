@@ -23,7 +23,7 @@ import repairroute
 from repairroute.bound import halfspace_ball_fraction, shortest_distances
 from repairroute.core import cost1, cost2_exact, latency, sigmoid, standard_trp_cost
 from repairroute.demo import six_node
-from repairroute.learn import TrainConfig, training_error, training_gradient
+from repairroute.learn import training_error, training_gradient
 from repairroute.milp import build_milp, check_feasible
 from repairroute.opt import (
     MltrpConfig,
@@ -165,7 +165,7 @@ def test_05_am_monotonicity():
             nodes = rng.normal(scale=1.3, size=(M, 2))
             _, D = random_instance(run, M)
             model = "cost1" if run % 2 == 0 else "cost2"
-            cfg = MltrpConfig(c2=0.15, c1=1.0, cost_model=model, am_iters=10)
+            cfg = MltrpConfig(c2=0.15, c1=1.0, cost_model=model)
             sol = alternating_minimization(data, nodes, D, cfg)
             diffs = np.diff(sol.trace)
             assert (diffs <= AM_TOL).all(), (run, sol.trace)

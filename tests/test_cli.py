@@ -20,7 +20,8 @@ from repairroute.dataio import (
 )
 from repairroute.demo import INSTANCES
 import repairroute.opt as opt_mod
-from repairroute.learn import TrainConfig, fit_logistic, training_gradient
+import repairroute.learn as learn_mod
+from repairroute.learn import fit_logistic, training_gradient
 from repairroute.opt import MltrpConfig, solve
 from repairroute.trp import solve_weighted_trp_dp
 
@@ -61,6 +62,15 @@ def problem(tmp_path, seed=0, M=5, d=2):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def load_golden_tool():
+    """Import tools/cli_golden.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_golden.py"
+    spec = importlib.util.spec_from_file_location("cli_golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
 
 
 class TestLoaders:
@@ -167,7 +177,7 @@ class TestTrain:
         (tp, _, _), data, _, _ = problem(tmp_path, seed=4)
         assert main(["train", "--train", tp, "--c2", "0.3", "--out-dir", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "model.json")
-        fit = fit_logistic(data, TrainConfig(C2=0.3))
+        fit = fit_logistic(data, 0.3)
         assert doc["loss"] == pytest.approx(fit.loss, abs=1e-12)
         assert np.allclose(doc["lambda"], fit.lam, atol=1e-12)
         assert doc["converged"] is True
@@ -182,6 +192,13 @@ class TestTrain:
         (tmp_path / "t.csv").write_text("f1,label\n1,+1\n")
         assert main(["train", "--train", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path)]) == 2
         assert "--c2 is required" in capsys.readouterr().err
+
+    def test_negative_c2_exits_two(self, tmp_path, capsys):
+        (tp, _, _), *_ = problem(tmp_path, seed=4)
+        out = tmp_path / "out"
+        assert main(["train", "--train", tp, "--c2", "-1", "--out-dir", str(out)]) == 2
+        assert "error: C2 must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRoute:
@@ -225,7 +242,7 @@ class TestRoute:
                      "--c2", "0.4", "--out-dir", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "route.json")
         route = doc["route"]
-        fit = fit_logistic(data, TrainConfig(C2=0.4))
+        fit = fit_logistic(data, 0.4)
         assert np.allclose(doc["latencies_by_node"], latency(route, D), rtol=1e-12)
         assert doc["cost1"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), D), rel=1e-10)
         assert doc["cost2_exact"] == pytest.approx(cost2_exact(route, fit.lam, nodes, D), rel=1e-10)
@@ -263,15 +280,15 @@ class TestSimultaneous:
         assert sol["combined_objective"] == pytest.approx(sol["training_error"], rel=1e-12)
 
     def test_c1_zero_inner_solve_converges_from_capped_fit(self, tmp_path, monkeypatch):
-        # The instance above, started from a fit capped at max_iters: lam0 has
-        # |grad| 1.7e-8, just over grad_tol, where the loss can no longer
-        # resolve a Newton step's decrease.  AM's inner solve must still
-        # converge, and fast.
+        # The instance above, started from a fit capped at 10000 iterations:
+        # lam0 has |grad| 1.7e-8, just over _GRAD_TOL, where the loss can no
+        # longer resolve a Newton step's decrease.  AM's inner solve must
+        # still converge, and fast.
         _, data, nodes, D = problem(tmp_path, seed=5)
         cfg = MltrpConfig(c2=0.2, c1=0.0)
         lam0 = np.array([1.7640446768697184, 0.9925920874813046])
         gnorm = np.linalg.norm(training_gradient(lam0, data, cfg.c2))
-        assert cfg.trainer_config().grad_tol < gnorm < 2e-8
+        assert learn_mod._GRAD_TOL < gnorm < 2e-8
         results = []
         real_descent = opt_mod.minimize_descent
 
@@ -466,7 +483,7 @@ class TestSimulate:
         assert doc["model"] == "cost1"
         assert doc["trials"] == 20000
         assert doc["seed"] == 11
-        fit = fit_logistic(data, TrainConfig(C2=0.2))
+        fit = fit_logistic(data, 0.2)
         route = solve_weighted_trp_dp(sigmoid(nodes @ fit.lam), di).route
         assert doc["route"] == route
         assert doc["analytic"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), di), rel=1e-10)
@@ -514,7 +531,7 @@ class TestBound:
                      "--distances", dp, "--cg", "60", "--eps", "0.5",
                      "--out-dir", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "bound.json")
-        fit = fit_logistic(data, TrainConfig(C2=0.3))
+        fit = fit_logistic(data, 0.3)
         assert doc["M1"] == pytest.approx(float(np.linalg.norm(fit.lam)), rel=1e-12)
         assert doc["m"] == data.m
         feat_cap = max(
@@ -522,6 +539,26 @@ class TestBound:
             float(np.linalg.norm(data.features, axis=1).max()),
         )
         assert doc["M2"] == pytest.approx(feat_cap, rel=1e-12)
+
+    def test_train_with_nan_c2_exits_two(self, tmp_path, capsys):
+        np_, dp, *_ = self.make_files(tmp_path, seed=1)
+        tp, _, _ = write_problem(tmp_path, blobs(1, per_side=10, d=2), np.zeros((1, 2)),
+                                 np.zeros((1, 1)), name="_t")
+        out = tmp_path / "out"
+        assert main(["bound", "--train", tp, "--c2", "nan", "--nodes", np_, "--distances", dp,
+                     "--cg", "60", "--eps", "0.5", "--out-dir", str(out)]) == 2
+        assert "error: C2 must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_c2_without_train_exits_two(self, tmp_path, capsys):
+        # Without --train nothing is fitted, so a --c2 would be ignored.
+        np_, dp, *_ = self.make_files(tmp_path, seed=2)
+        out = tmp_path / "out"
+        assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "2", "--eps", "0.5",
+                     "--m1", "2", "--m2", "2", "--m", "64", "--c2", "0.3",
+                     "--out-dir", str(out)]) == 2
+        assert "error: --c2 is only used with --train" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_caps_exit_two(self, tmp_path, capsys):
         np_, dp, *_ = self.make_files(tmp_path, seed=2)
@@ -584,10 +621,7 @@ class TestParser:
         assert not any(tmp_path.iterdir())
 
     def test_golden_invocations_parse(self):
-        path = Path(__file__).resolve().parent.parent / "tools" / "cli_golden.py"
-        spec = importlib.util.spec_from_file_location("cli_golden", path)
-        golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(golden)
+        golden = load_golden_tool()
         parser = cli_mod.build_parser()
         for name, argv in golden.invocations().items():
             args = parser.parse_args(argv + ["--out-dir", "out"])
@@ -607,3 +641,27 @@ class TestParser:
             assert main(["train", "--train", str(tmp_path / "none.csv"), "--c2", "0.1",
                          "--out-dir", str(tmp_path)]) == 2
         assert len(built) == 1
+
+
+class TestGoldenTool:
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage_and_writes_nothing(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert load_golden_tool().main([flag]) == 0
+        assert "python3 tools/cli_golden.py OUT_DIR" in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["-x"], ["--out"], [], ["a", "b"]])
+    def test_other_flags_and_arg_counts_exit_two(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert load_golden_tool().main(argv) == 2
+        assert "OUT_DIR" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_non_empty_out_dir_exits_two_untouched(self, tmp_path, capsys):
+        (tmp_path / "stale").mkdir()
+        (tmp_path / "stale" / "route.json").write_text("old\n")
+        assert load_golden_tool().main([str(tmp_path)]) == 2
+        assert "not a new or empty directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["route.json", "stale"]
+        assert (tmp_path / "stale" / "route.json").read_text() == "old\n"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repairroute.core import LabeledDataset, sigmoid
+import repairroute.learn as learn_mod
 from repairroute.learn import (
-    TrainConfig,
     auc,
     fit_logistic,
     minimize_descent,
@@ -118,7 +118,7 @@ class TestNewtonDescent:
         b = np.array([1.0, -2.0])
         res = minimize_descent(
             lambda x: 0.5 * x @ A @ x - b @ x, lambda x: A @ x - b, np.zeros(2),
-            TrainConfig(C2=0.0), hess=lambda x: A,
+            hess=lambda x: A,
         )
         assert res.converged
         assert res.iterations == 1
@@ -130,7 +130,7 @@ class TestNewtonDescent:
         fun = lambda x: x[0] ** 4 - x[0] ** 2 + x[1] ** 2  # noqa: E731
         grad = lambda x: np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]])  # noqa: E731
         hess = lambda x: np.diag([12 * x[0] ** 2 - 2, 2.0])  # noqa: E731
-        res = minimize_descent(fun, grad, [0.1, 1.0], TrainConfig(C2=0.0), hess=hess)
+        res = minimize_descent(fun, grad, [0.1, 1.0], hess=hess)
         assert res.converged
         assert res.lam == pytest.approx([math.sqrt(0.5), 0.0], abs=1e-8)
         assert res.loss < fun(np.array([0.1, 1.0]))
@@ -140,7 +140,7 @@ class TestNewtonDescent:
         A = np.diag([1.0, 2.0])
         res = minimize_descent(
             lambda x: 0.5 * x @ A @ x, lambda x: A @ x, [1.0, -1.0],
-            TrainConfig(C2=0.0), hess=lambda x: np.full((2, 2), np.inf),
+            hess=lambda x: np.full((2, 2), np.inf),
         )
         assert res.converged
         assert np.abs(res.lam).max() < 1e-8
@@ -151,7 +151,7 @@ class TestNewtonDescent:
         # more than the true decrease (about two ulps of f) but, at 8 ulps,
         # within the 16 eps |f| the full Newton step may rise.  At 64 ulps
         # every trial fails until the step no longer moves x0, and the
-        # descent stops there instead of spinning to max_iters.
+        # descent stops there instead of spinning to _MAX_ITERS.
         x0 = np.array([3e-8])
         eps = np.finfo(float).eps
 
@@ -159,7 +159,7 @@ class TestNewtonDescent:
             noise = 0.0 if x[0] == x0[0] else noise_ulps * eps
             return 1.0 + 0.5 * x[0] ** 2 + noise
 
-        res = minimize_descent(fun, lambda x: x.copy(), x0, TrainConfig(C2=0.0),
+        res = minimize_descent(fun, lambda x: x.copy(), x0,
                                hess=lambda x: np.eye(1))
         assert res.converged is converged
         assert res.iterations == 1
@@ -169,28 +169,28 @@ class TestNewtonDescent:
 class TestFitLogistic:
     def test_separable_two_points(self):
         ds = LabeledDataset(features=[[1.0], [-1.0]], labels=[1.0, -1.0])
-        res = fit_logistic(ds, TrainConfig(C2=0.1))
+        res = fit_logistic(ds, 0.1)
         assert res.converged
         assert res.lam[0] > 0.0
         assert sigmoid(res.lam[0]) > 0.5 > sigmoid(-res.lam[0])
 
     def test_heavy_regularization_shrinks_to_zero(self, small_blobs):
-        res = fit_logistic(small_blobs, TrainConfig(C2=1e6))
+        res = fit_logistic(small_blobs, 1e6)
         assert float(np.linalg.norm(res.lam)) < 1e-3
 
-    def test_descent_never_increases_loss(self, small_blobs):
+    def test_descent_never_increases_loss(self, monkeypatch, small_blobs):
         # Spot-check by re-running with progressively more iterations.
-        losses = [
-            fit_logistic(small_blobs, TrainConfig(C2=0.2, max_iters=k)).loss
-            for k in (1, 3, 10, 50, 200)
-        ]
+        losses = []
+        for k in (1, 3, 10, 50, 200):
+            monkeypatch.setattr(learn_mod, "_MAX_ITERS", k)
+            losses.append(fit_logistic(small_blobs, 0.2).loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_matches_second_order_reference(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
         ds = blobs(31, per_side=25, d=3)
         C2 = 0.15
-        res = fit_logistic(ds, TrainConfig(C2=C2))
+        res = fit_logistic(ds, C2)
 
         # Independent loss: logaddexp form, no shared code with the package.
         X, y = ds.features, ds.labels
@@ -206,8 +206,8 @@ class TestFitLogistic:
 
     def test_blobs_seed5_in_few_newton_steps(self):
         # Near this fit's optimum, steps along -g round back to x while |g|
-        # is still above grad_tol; Newton steps reach grad_tol in a few.
-        res = fit_logistic(blobs(5, per_side=10), TrainConfig(C2=0.2))
+        # is still above _GRAD_TOL; Newton steps reach it in a few.
+        res = fit_logistic(blobs(5, per_side=10), 0.2)
         assert res.converged
         assert res.iterations <= 10
 
@@ -215,7 +215,7 @@ class TestFitLogistic:
         # Curvature near 1e12 along the only coordinate: a step along -g must
         # be about 1e-12 long, while the Newton step is scaled by the curvature.
         ds = LabeledDataset(features=[[1e6], [-1e6], [3e5]], labels=[1.0, -1.0, -1.0])
-        res = fit_logistic(ds, TrainConfig(C2=0.1))
+        res = fit_logistic(ds, 0.1)
         assert res.converged
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -225,11 +225,15 @@ class TestFitLogistic:
         # makes the loss badly conditioned along the columns' sum.
         x = np.random.default_rng(3).normal(size=12) * scale
         y = np.where(np.arange(12) % 3 == 0, 1.0, -1.0)
-        res = fit_logistic(LabeledDataset(features=np.column_stack([x, x]), labels=y),
-                           TrainConfig(C2=0.0))
-        one = fit_logistic(LabeledDataset(features=x[:, None], labels=y), TrainConfig(C2=0.0))
+        res = fit_logistic(LabeledDataset(features=np.column_stack([x, x]), labels=y), 0.0)
+        one = fit_logistic(LabeledDataset(features=x[:, None], labels=y), 0.0)
         assert res.converged
         assert res.loss == pytest.approx(one.loss, rel=1e-12)
+
+    @pytest.mark.parametrize("C2", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_c2(self, small_blobs, C2):
+        with pytest.raises(ValueError, match=r"^C2 must be finite and >= 0$"):
+            fit_logistic(small_blobs, C2)
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError):

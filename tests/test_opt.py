@@ -8,7 +8,8 @@ import pytest
 import repairroute.opt as opt_mod
 from repairroute.core import LabeledDataset, latency, standard_trp_cost
 from repairroute.demo import six_node
-from repairroute.learn import TrainConfig, auc, fit_logistic
+import repairroute.learn as learn_mod
+from repairroute.learn import auc, fit_logistic
 from repairroute.opt import (
     MltrpConfig,
     MltrpSolution,
@@ -60,7 +61,7 @@ def am_check_instance(run):
     nodes = rng.normal(scale=1.3, size=(M, 2))
     _, D = random_instance(run, M)
     model = "cost1" if run % 2 == 0 else "cost2"
-    return data, nodes, D, MltrpConfig(c2=0.15, c1=1.0, cost_model=model, am_iters=10)
+    return data, nodes, D, MltrpConfig(c2=0.15, c1=1.0, cost_model=model)
 
 
 def opt_instance(seed, M=5, d=2):
@@ -80,17 +81,6 @@ class TestConfig:
             MltrpConfig(c2=-0.1)
         with pytest.raises(ValueError):
             MltrpConfig(c2=0.1, cost_model="cost3")
-        with pytest.raises(ValueError):
-            MltrpConfig(c2=0.1, am_iters=0)
-        with pytest.raises(ValueError):
-            MltrpConfig(c2=0.1, nm_expand=1.0)
-
-    def test_trainer_config_overrides_c2(self):
-        cfg = MltrpConfig(c2=0.7, train=TrainConfig(C2=9.0, max_iters=55))
-        tc = cfg.trainer_config()
-        assert tc.C2 == 0.7
-        assert tc.max_iters == 55
-        assert MltrpConfig(c2=0.3).trainer_config().C2 == 0.3
 
 
 class TestNodeWeights:
@@ -210,7 +200,7 @@ class TestNelderMead:
     def test_c1_zero_matches_logistic_fit(self, seed):
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.3, c1=0.0)
-        ref = fit_logistic(data, cfg.trainer_config())
+        ref = fit_logistic(data, cfg.c2)
         sol = nelder_mead(data, nodes, D, cfg)
         assert abs(sol.training_error - ref.loss) < 1e-4
         assert sol.route == sequential_pipeline(data, nodes, D, cfg).route
@@ -231,7 +221,7 @@ class TestNelderMead:
     def test_never_worse_than_start_and_trace_monotone(self, seed, model):
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
-        lam0 = fit_logistic(data, cfg.trainer_config()).lam
+        lam0 = fit_logistic(data, cfg.c2).lam
         sol = nelder_mead(data, nodes, D, cfg, lam0=lam0)
         start = simultaneous_objective(lam0, data, nodes, D, cfg)
         assert sol.combined_objective <= start + 1e-12
@@ -247,10 +237,11 @@ class TestNelderMead:
 
 
 class TestAlternating:
-    def test_c1_zero_one_round_recovers_sequential(self, small_blobs):
+    def test_c1_zero_one_round_recovers_sequential(self, monkeypatch, small_blobs):
         _, nodes, D = opt_instance(1)
-        cfg = MltrpConfig(c2=0.25, c1=0.0, am_iters=1)
-        ref = fit_logistic(small_blobs, cfg.trainer_config())
+        monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
+        cfg = MltrpConfig(c2=0.25, c1=0.0)
+        ref = fit_logistic(small_blobs, cfg.c2)
         sol = alternating_minimization(small_blobs, nodes, D, cfg)
         assert np.array_equal(sol.lam, ref.lam)
         assert sol.route == sequential_pipeline(small_blobs, nodes, D, cfg).route
@@ -271,7 +262,8 @@ class TestAlternating:
 
         monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
         monkeypatch.setattr(opt_mod, "minimize_descent", counting_descent)
-        cfg = MltrpConfig(c2=0.2, c1=0.6, am_iters=1)
+        monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
+        cfg = MltrpConfig(c2=0.2, c1=0.6)
         sol = alternating_minimization(small_blobs, nodes, D, cfg)
         assert len(descent_calls) == 1
         assert len(dp_calls) == 2  # the single round plus the final certificate
@@ -281,7 +273,7 @@ class TestAlternating:
     @pytest.mark.parametrize("model", MODELS)
     def test_trace_monotone_and_beats_sequential(self, seed, model):
         data, nodes, D = opt_instance(seed, M=6)
-        cfg = MltrpConfig(c2=0.15, c1=1.2, cost_model=model, am_iters=10)
+        cfg = MltrpConfig(c2=0.15, c1=1.2, cost_model=model)
         sol = alternating_minimization(data, nodes, D, cfg)
         seq = sequential_pipeline(data, nodes, D, cfg)
         diffs = np.diff(sol.trace)
@@ -290,7 +282,7 @@ class TestAlternating:
         assert sol.method == "am"
 
     def test_every_inner_solve_converges(self, monkeypatch):
-        # Gradient steps capped at max_iters on 10 of these 32 descents.
+        # Gradient steps capped at 10000 iterations on 10 of these 32 descents.
         results = []
         real_descent = opt_mod.minimize_descent
 
@@ -305,9 +297,11 @@ class TestAlternating:
         assert len(results) >= 20
         assert all(r.converged for r in results), [r.grad_norm for r in results]
 
-    def test_unconverged_inner_solve_is_logged(self, caplog):
+    def test_unconverged_inner_solve_is_logged(self, caplog, monkeypatch):
         data, nodes, D = opt_instance(2)
-        cfg = MltrpConfig(c2=0.2, c1=1.0, am_iters=1, train=TrainConfig(C2=0.2, max_iters=1))
+        monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
+        monkeypatch.setattr(learn_mod, "_MAX_ITERS", 1)
+        cfg = MltrpConfig(c2=0.2, c1=1.0)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
             alternating_minimization(data, nodes, D, cfg)
         records = [r for r in caplog.records if r.name == "repairroute"]
@@ -322,11 +316,12 @@ class TestAlternating:
             alternating_minimization(small_blobs, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
         assert not caplog.records
 
-    def test_early_stop_on_route_repeat(self, small_blobs):
+    def test_early_stop_on_route_repeat(self, monkeypatch, small_blobs):
         # C1 = 0 freezes lam after round one, so the route repeats at round
-        # two and the loop must cut out long before am_iters.
+        # two and the loop must cut out long before _AM_ROUNDS.
         _, nodes, D = opt_instance(7)
-        cfg = MltrpConfig(c2=0.3, c1=0.0, am_iters=50)
+        monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 50)
+        cfg = MltrpConfig(c2=0.3, c1=0.0)
         sol = alternating_minimization(small_blobs, nodes, D, cfg)
         assert len(sol.trace) < 50
 

@@ -6,13 +6,15 @@ Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
 subcommand of ``repairroute.cli.main`` in-process: both cost models, all
 three methods, simulate at one and at four steps per unit, both demos (one
 also under cost2), and the bound with explicit caps, with --train, with a
-vacuous budget and with a void one.  A
-second, 14-node graph with integer distances and repeated node features,
-whose optimal routes tie, is routed under both cost models and bounded with
---train, so the comparison also covers a large DP and its tie-breaking.  Each invocation writes into its
+vacuous budget and with a void one.  A second, 14-node graph with integer
+distances and repeated node features, whose optimal routes tie, is routed
+under both cost models and bounded with --train, so the comparison also
+covers a large DP and its tie-breaking.  Each invocation writes into its
 own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records its exit code
-and stderr.  The package is imported from the ``src/`` next to this script,
-so running it from two checkouts and comparing the trees with
+and stderr.  OUT_DIR must be new or empty, so no stale folder survives
+into a comparison; -h or --help prints this text.  The package is
+imported from the ``src/`` next to this script, so running it from two
+checkouts and comparing the trees with
 
     diff -r OUT_A OUT_B
 
@@ -108,10 +110,16 @@ def invocations() -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if argv in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"error: {out} is not a new or empty directory", file=sys.stderr)
+        return 2
     inputs = out / "inputs"
     write_inputs(inputs)
     sys.path.insert(0, str(SRC))
