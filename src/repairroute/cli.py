@@ -23,7 +23,10 @@ from .dataio import ValidationError
 from .demo import INSTANCES
 from .learn import auc, fit_logistic
 from .milp import build_milp, export_lp
-from .opt import COST_MODELS, METHODS, MltrpConfig, c1_sweep, node_weights, route_string, solve, sweep_csv
+from .opt import (
+    COST_MODELS, METHODS, MltrpConfig, c1_sweep, check_c1_grid, node_weights, route_string, solve,
+    sweep_csv,
+)
 from .sim import SimConfig, simulate_route_cost
 from .trp import naive_route, solve_weighted_trp_dp
 
@@ -120,12 +123,21 @@ def cmd_route(args) -> int:
 def cmd_simultaneous(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
     data, nodes, D = _load_problem(args)
-    test = dataio.load_labeled_csv(args.test) if args.test else None
+    test = dataio.load_labeled_csv(args.test) if args.test is not None else None
     if test is not None and test.d != data.d:
         raise ValidationError(
             f"test data has {test.d} feature columns, training data has {data.d}"
         )
     cfg = _mltrp_config(args, c1=args.c1 if args.c1 is not None else 0.0)
+    grid = None
+    if args.c1_grid is not None:
+        # Checked before solving, so a rejected grid leaves no output behind.
+        try:
+            grid = check_c1_grid(float(tok) for tok in args.c1_grid.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ValidationError(
+                f"--c1-grid must be comma-separated numbers, got {args.c1_grid!r}: {exc}"
+            ) from None
     out = Path(args.out_dir)
     sol = solve(args.method, data, nodes, D, cfg)
     dataio.write_json(
@@ -145,11 +157,7 @@ def cmd_simultaneous(args) -> int:
         },
     )
     dataio.write_json(out / "route.json", _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model))
-    if args.c1_grid:
-        try:
-            grid = [float(tok) for tok in args.c1_grid.split(",") if tok.strip()]
-        except ValueError:
-            raise ValidationError(f"--c1-grid must be comma-separated numbers, got {args.c1_grid!r}") from None
+    if grid is not None:
         rows = c1_sweep(data, nodes, D, cfg, grid, method=args.method, test_data=test)
         dataio.write_csv(out / "sweep.csv", sweep_csv(rows))
     return 0
@@ -164,7 +172,7 @@ def cmd_export_milp(args) -> int:
     fit = fit_logistic(data, cfg.c2)
     w = node_weights(fit.lam, nodes, cfg.cost_model)
     text = export_lp(build_milp(w, D))
-    target = Path(args.lp_out) if args.lp_out else Path(args.out_dir) / "model.lp"
+    target = Path(args.lp_out) if args.lp_out is not None else Path(args.out_dir) / "model.lp"
     dataio.write_text(target, text)
     return 0
 
@@ -247,13 +255,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     _require(args, "nodes", "distances", "cg", "eps", "out-dir")
-    if args.c2 is not None and not args.train:
+    if args.c2 is not None and args.train is None:
         raise ValidationError("--c2 is only used with --train")
     nodes, D = _load_graph(args)
     m1 = args.m1
     m = args.m
     norm_cap = float(np.linalg.norm(nodes, axis=1).max())
-    if args.train:
+    if args.train is not None:
         data = dataio.load_labeled_csv(args.train)
         if data.d != nodes.shape[1]:
             raise ValidationError(
@@ -304,13 +312,21 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _text(value: str) -> str:
+    """argparse type of the path and list flags: an empty value is an error,
+    never the same as leaving the flag out."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 # Every flag the CLI knows, with its argparse settings; each subcommand takes
 # only the flags it reads (_COMMANDS), so an irrelevant flag is rejected.
 _FLAGS = {
-    "train": dict(help="training CSV (features + label column)"),
-    "test": dict(help="held-out CSV with the same columns"),
-    "nodes": dict(help="node feature CSV"),
-    "distances": dict(help="square travel-cost CSV, no header"),
+    "train": dict(type=_text, help="training CSV (features + label column)"),
+    "test": dict(type=_text, help="held-out CSV with the same columns"),
+    "nodes": dict(type=_text, help="node feature CSV"),
+    "distances": dict(type=_text, help="square travel-cost CSV, no header"),
     "c1": dict(type=float, help="routing-cost weight (default 0)"),
     "c2": dict(type=float, help="squared-norm regularization weight"),
     "cost-model": dict(
@@ -319,10 +335,10 @@ _FLAGS = {
     ),
     "method": dict(choices=METHODS, default="am"),
     "seed": dict(type=int, default=0),
-    "out-dir": dict(help="directory for output files"),
-    "c1-grid": dict(help="comma-separated C1 values for a sweep CSV"),
+    "out-dir": dict(type=_text, help="directory for output files"),
+    "c1-grid": dict(type=_text, help="comma-separated C1 values for a sweep CSV"),
     "trials": dict(type=int, default=100_000),
-    "lp-out": dict(help="output path for LP text"),
+    "lp-out": dict(type=_text, help="output path for LP text"),
     "which": dict(choices=sorted(INSTANCES), default="six_node"),
     "steps-per-unit": dict(type=int, default=1),
     "cg": dict(type=float, help="budget on the weighted failure-rate sum"),

@@ -307,6 +307,17 @@ class SweepRow:
     route: list[int]
 
 
+def check_c1_grid(c1_grid) -> list[float]:
+    """The C1 grid as floats; ValueError unless it is non-empty and every
+    value is finite and >= 0."""
+    grid = [float(c) for c in c1_grid]
+    if not grid:
+        raise ValueError("c1_grid must be non-empty")
+    if any(not (math.isfinite(c) and c >= 0) for c in grid):
+        raise ValueError("c1 values must be finite and >= 0")
+    return grid
+
+
 def c1_sweep(
     data: LabeledDataset,
     nodes,
@@ -323,11 +334,7 @@ def c1_sweep(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    grid = [float(c) for c in c1_grid]
-    if not grid:
-        raise ValueError("c1_grid must be non-empty")
-    if any(not (math.isfinite(c) and c >= 0) for c in grid):
-        raise ValueError("c1 values must be finite and >= 0")
+    grid = check_c1_grid(c1_grid)
     lam0 = fit_logistic(data, cfg.c2).lam
     rows = []
     for c1 in grid:

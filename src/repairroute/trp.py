@@ -5,6 +5,12 @@ start at node 1, visit every node once, and close back at node 1.  Ties
 within an absolute tolerance of 1e-12 are broken toward the
 lexicographically smallest route, so any exact solver with the same rule
 returns the same order.
+
+The tables are layer-major: one contiguous (C(M-1, s), M) table per subset
+size s.  The index that links the layers (`_layers`: the sets, their free
+nodes, each mask's row `pos` and each successor entry's flat position
+`nxt` in the next layer) depends only on M and is cached for the most
+recent M.
 """
 
 import functools
@@ -18,8 +24,8 @@ TIE_TOL = 1e-12
 
 _DP_MAX_NODES = 20
 # (Visited set, next node) pairs extended per numpy step: caps each step's
-# temporaries at about 1024 * M doubles, so the table and the cached pair
-# index stay the DP's only large allocations.
+# temporaries at about 1024 * M doubles, so the tables and the cached index
+# stay the DP's only large allocations.
 _FILL_ROWS = 1024
 
 
@@ -32,9 +38,19 @@ class TrpSolution:
 
 @functools.lru_cache(maxsize=1)
 def _layers(n):
-    """Per subset size s < n: the sets of n bits with s bits set (int32,
-    ascending) and, row by row, each set's n - s free bits in ascending order
-    (uint8).  Depends on n alone, so the most recent node count is kept."""
+    """Index of the subset DP over n bits, kept for the most recent n.
+
+    Returns (pos, layers).  pos (int32, length 2^n) gives each mask's row
+    within its layer: the sets of one size, ascending.  layers[s], for each
+    size s < n, is (sets, free, nxt):
+      sets  int32 (C(n, s),): the masks with s bits set, ascending;
+      free  uint8 (n - s, C(n, s)): column r lists sets[r]'s free bits in
+            ascending order;
+      nxt   int32 (n - s, C(n, s)): for free bit k = free[j, r], the flat
+            index of g[sets[r] | 1 << k, k + 1] in layer s + 1's
+            (C(n, s + 1), n + 1) table.
+    The free-bit rows are the leading axis, so one fill step gathers and
+    reduces whole contiguous rows."""
     # Masks are filled by their lowest set bit, highest bit first, so each
     # reads an entry written at an earlier bit.
     size = np.zeros(1 << n, dtype=np.int8)
@@ -42,17 +58,22 @@ def _layers(n):
     for b in range(n - 1, -1, -1):
         size[1 << b :: 2 << b] = size[:: 2 << b] + 1
         low[1 << b :: 2 << b] = b
+    by_size = [np.flatnonzero(size == s).astype(np.int32) for s in range(n + 1)]
+    pos = np.empty(1 << n, dtype=np.int32)
+    for sets in by_size:
+        pos[sets] = np.arange(sets.size, dtype=np.int32)
     layers = []
-    for s in range(n):
-        sets = np.flatnonzero(size == s).astype(np.int32)
-        bits = np.empty((sets.size, n - s), dtype=np.uint8)
+    for s, sets in enumerate(by_size[:n]):
+        free = np.empty((n - s, sets.size), dtype=np.uint8)
         rest = ((1 << n) - 1) ^ sets
         for j in range(n - s):
-            bits[:, j] = low[rest]
+            free[j] = low[rest]
             rest &= rest - 1
-        sets.flags.writeable = bits.flags.writeable = False
-        layers.append((sets, bits))
-    return tuple(layers)
+        nxt = pos[sets | np.left_shift(1, free, dtype=np.int32)] * (n + 1) + free + 1
+        sets.flags.writeable = free.flags.writeable = nxt.flags.writeable = False
+        layers.append((sets, free, nxt))
+    pos.flags.writeable = False
+    return pos, tuple(layers)
 
 
 def solve_weighted_trp_dp(w, D) -> TrpSolution:
@@ -61,14 +82,19 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     An edge (j, k) taken with visited set S (node 1 included) contributes
     d[j, k] * (remaining weight outside S plus node 1's weight), because every
     still-waiting node and the start node itself pay for that leg.  States are
-    keyed by subsets of nodes 2..M.  The table is filled one subset size at a
-    time, largest first: one gathered numpy step extends up to _FILL_ROWS
-    (visited set, free node) pairs of that size and takes each set's minimum
-    over its free nodes.  A float minimum does not depend on the order of its
-    terms, so the table equals a per-set loop bit for bit.  The pair index
-    depends only on M and is cached for the most recent M (int32 sets, uint8
-    node bits: about (M + 7) * 2^(M-2) bytes).  Memory is O(2^(M-1) * M) for
-    the table plus the index and one step's temporaries.
+    keyed by subsets of nodes 2..M, one (C(M-1, s), M) table per subset size
+    s, filled largest size first.  One numpy step extends up to _FILL_ROWS
+    (visited set, free node) pairs of a size: it gathers the legs into each
+    free node with `take`, adds the successor entries that the cached `nxt`
+    index locates in the next size's table, and reduces over the free nodes,
+    the leading axis.  A float minimum does not depend on the order of its
+    terms, so the tables equal a per-set loop bit for bit.  The route is then
+    rebuilt in Python floats, looking rows up through the cached `pos`.
+
+    Memory: the tables hold 2^(M-1) * M doubles in all (4 MiB at 16 nodes,
+    80 MiB at 20), plus one step's temporaries.  The index depends only on
+    M and is cached for the most recent M (int32 sets, pos and nxt, uint8
+    free bits: about 1.4 MiB at 16 nodes and 28 MiB at 20).
     """
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
@@ -88,40 +114,46 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     del subw
 
     into = np.ascontiguousarray(D[:, 1:].T)  # into[k] = D[:, k+1]: legs into node k+2
-    bit = 1 << np.arange(n)
-    g = np.full((full + 1, M), np.inf)
-    g[full, :] = D[:, 0] * w[0]
-    g_next = g[:, 1:]  # g_next[S, k] = g[S, k+1]
-    layers = _layers(n)
+    pos, layers = _layers(n)
+    tables = [None] * n + [(D[:, 0] * w[0])[None, :]]  # tables[s][pos[S], j] = g[S, j]
     for s in range(n - 1, -1, -1):
-        sets, bits = layers[s]
+        sets, free, nxt = layers[s]
+        prev, t = tables[s + 1], np.empty((sets.size, M))
         rows = max(1, _FILL_ROWS // (n - s))
         for lo in range(0, sets.size, rows):
-            S, F = sets[lo : lo + rows], bits[lo : lo + rows]
-            cand = into[F]
-            cand *= coef[S][:, None, None]
-            cand += g_next[S[:, None] | bit[F], F][:, :, None]
-            g[S] = cand.min(axis=1)
-    c_star = float(g[0, 0])
+            hi = lo + rows
+            cand = into.take(free[:, lo:hi], axis=0)
+            cand *= coef.take(sets[lo:hi])[None, :, None]
+            cand += prev.take(nxt[:, lo:hi])[:, :, None]
+            np.minimum.reduce(cand, axis=0, out=t[lo:hi])
+        tables[s] = t
+    c_star = tables[0].item(0, 0)
 
     # Greedy reconstruction: at each step take the smallest next node whose
-    # completion stays within TIE_TOL of the optimum.
-    free = np.arange(n)
+    # completion stays within TIE_TOL of the optimum; if accumulated roundoff
+    # leaves none within it, the first node of least completion.
+    limit = c_star + TIE_TOL
+    Dl = D.tolist()
+    free_nodes = list(range(n))
     mask, last, acc = 0, 0, 0.0
     order = [0]
-    for _ in range(n):
-        leg = D[last, free + 1] * coef[mask]
-        total = acc + leg + g_next[mask | bit[free], free]
-        hit = total <= c_star + TIE_TOL
-        i = hit.argmax()  # the first hit
-        if not hit[i]:  # accumulated roundoff exceeded the tolerance
-            i = total.argmin()
-        k = int(free[i])
-        acc += leg[i]
+    for s in range(1, n + 1):
+        t, c, row = tables[s], coef.item(mask), Dl[last]
+        best = None  # (total, k, leg)
+        for k in free_nodes:
+            leg = row[k + 1] * c
+            total = acc + leg + t.item(pos.item(mask | 1 << k), k + 1)
+            if total <= limit:
+                best = (total, k, leg)
+                break
+            if best is None or total < best[0]:
+                best = (total, k, leg)
+        _, k, leg = best
+        acc += leg
         mask |= 1 << k
         last = k + 1
         order.append(last)
-        free = free[free != k]
+        free_nodes.remove(k)
 
     cost = float(w @ _latency(np.array(order), D))  # cost1 without re-checking its inputs
     return TrpSolution(route=[i + 1 for i in order], cost=cost, solver="dp")

@@ -351,6 +351,16 @@ class TestSimultaneous:
                      "--c2", "0.2", "--c1-grid", "0.1,zz", "--out-dir", str(tmp_path)]) == 2
         assert "comma-separated numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [",", " , ", "0,-1", "0,nan", "0.1,zz"])
+    def test_rejected_grid_writes_nothing(self, grid, tmp_path, capsys):
+        (tp, np_, dp), *_ = problem(tmp_path, seed=8)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simultaneous", "--train", tp, "--nodes", np_, "--distances", dp,
+                     "--c2", "0.2", "--c1-grid", grid, "--out-dir", str(out)]) == 2
+        assert "error: --c1-grid" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_mismatched_test_columns_exit_two(self, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=8, d=2)
         bad_test, _, _ = write_problem(tmp_path, blobs(81, per_side=5, d=3),
@@ -618,6 +628,35 @@ class TestParser:
             main(argv + ["--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bound", "--train", "", "--nodes", "n.csv", "--distances", "d.csv", "--eps", "0.5",
+              "--cg", "2", "--m1", "2", "--m2", "2", "--m", "64"], "train"),
+            (["simultaneous", "--train", "t.csv", "--nodes", "n.csv", "--distances", "d.csv",
+              "--c2", "0.2", "--test", ""], "test"),
+            (["simultaneous", "--train", "t.csv", "--nodes", "n.csv", "--distances", "d.csv",
+              "--c2", "0.2", "--c1-grid", ""], "c1-grid"),
+            (["route", "--train", "t.csv", "--nodes", "", "--distances", "d.csv",
+              "--c2", "0.2"], "nodes"),
+            (["route", "--train", "t.csv", "--nodes", "n.csv", "--distances", "",
+              "--c2", "0.2"], "distances"),
+            (["export-milp", "--train", "t.csv", "--nodes", "n.csv", "--distances", "d.csv",
+              "--c2", "0.2", "--lp-out", ""], "lp-out"),
+            (["train", "--train", "t.csv", "--c2", "0.2", "--out-dir", ""], "out-dir"),
+        ],
+    )
+    def test_empty_values_exit_two_naming_the_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+        # An empty path or list is an error, not the same as leaving the flag out.
+        monkeypatch.chdir(tmp_path)
+        if "--out-dir" not in argv:
+            argv = argv + ["--out-dir", "out"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --{flag}: must not be empty" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_golden_invocations_parse(self):

@@ -182,6 +182,34 @@ class TestDp:
         assert sol.route == route
         assert sol.cost == cost
 
+    @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("scale", [1e9, 1e15])
+    @pytest.mark.parametrize("M", [2, 6, 9, 12])
+    def test_matches_per_mask_loop_past_tie_tolerance(self, M, scale, kind, seed, fill_rows,
+                                                       monkeypatch):
+        # At these scales the rebuilt route's running sum can miss c* by more
+        # than TIE_TOL, so the reconstruction falls back to the least
+        # completion (M = 6, 9 and 12 reach that branch for some of these
+        # seeds).  Equal weights on integer distances make those completions
+        # tie, which checks that the first of them is taken.
+        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        w, D = random_instance(300 + seed, M, integer=kind == "tied")
+        if kind == "tied":
+            w = np.full(M, 0.3)
+        D *= scale
+        sol = solve_weighted_trp_dp(w, D)
+        route, cost = loop_dp(w, D)
+        assert sol.route == route
+        assert sol.cost == cost
+
+    @pytest.mark.parametrize("M", [13, 14])
+    def test_matches_per_mask_loop_larger(self, M):
+        w, D = random_instance(100 + M, M)
+        sol = solve_weighted_trp_dp(w, D)
+        assert (sol.route, sol.cost) == loop_dp(w, D)
+
     def test_pair_index_cache_across_node_counts(self):
         # The (set, free bit) index is cached for the most recent node count
         # only; switching M back and forth must rebuild it, never reuse it.
@@ -205,21 +233,32 @@ class TestDp:
 
     @staticmethod
     def check_pair_index(n):
-        layers = trp_mod._layers(n)
+        pos, layers = trp_mod._layers(n)
         assert len(layers) == n
-        for s, (sets, bits) in enumerate(layers):
-            assert sets.dtype == np.int32 and bits.dtype == np.uint8
+        assert pos.dtype == np.int32 and pos.shape == (1 << n,)
+        assert pos[(1 << n) - 1] == 0  # the full set is alone in its layer
+        for s, (sets, free, nxt) in enumerate(layers):
+            assert sets.dtype == np.int32 and free.dtype == np.uint8 and nxt.dtype == np.int32
             # every set of s bits, each once, in ascending order
             assert sets.size == math.comb(n, s)
             assert np.all(np.diff(sets) > 0)
             popcount = sum(BYTE_POPCOUNT[(sets >> shift) & 0xFF] for shift in (0, 8, 16))
             assert np.all(popcount == s)
-            # each row: n - s distinct bits, ascending, exactly the set's complement
-            assert bits.shape == (sets.size, n - s)
-            assert np.all(np.diff(bits.astype(int), axis=1) > 0)
-            covered = np.bitwise_or.reduce(1 << bits.astype(np.int64), axis=1)
+            # pos numbers the layer's sets 0..|sets|-1 in order
+            assert np.array_equal(pos[sets], np.arange(sets.size))
+            # each column: n - s distinct bits, ascending, exactly the set's complement
+            assert free.shape == nxt.shape == (n - s, sets.size)
+            assert np.all(np.diff(free.astype(int), axis=0) > 0)
+            k = free.astype(np.int64)
+            covered = np.bitwise_or.reduce(1 << k, axis=0)
             assert not np.any(sets & covered)
             assert np.all((sets | covered) == (1 << n) - 1)
+            # nxt[j, r] is the flat index of g[sets[r] | 1 << k, k + 1] in
+            # layer s + 1's (C(n, s + 1), n + 1) table, k = free[j, r]
+            row, col = np.divmod(nxt, n + 1)
+            assert np.array_equal(row, pos[sets | (1 << k)])
+            assert np.array_equal(col, k + 1)
+            assert row.max() < math.comb(n, s + 1)
 
     def test_rejects_oversized(self):
         M = 21
