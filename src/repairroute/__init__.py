@@ -43,7 +43,6 @@ from .opt import (
     c1_sweep,
     nelder_mead,
     node_weights,
-    obj,
     route_string,
     sequential_pipeline,
     simultaneous_objective,

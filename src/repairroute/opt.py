@@ -8,7 +8,8 @@ stand-in for the early-failure cost).  Three drivers are provided:
 
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
 * nelder_mead: direct simplex search on lam with the route re-optimized
-  exactly inside every evaluation;
+  exactly inside every evaluation (or certified unchanged by the margin of
+  the last exact solve);
 * alternating_minimization: alternate exact routing with damped Newton
   descent on lam at the frozen route.
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .core import (
     LabeledDataset,
+    _latency,
     as_distance_matrix,
-    cost1,
     latency,
     node_scores,
     sigmoid,
@@ -37,7 +38,7 @@ from .learn import (
     training_gradient,
     training_hessian,
 )
-from .trp import solve_weighted_trp_dp
+from .trp import TIE_TOL, solve_weighted_trp_dp
 
 # Per cost model: a node's routing weight w as a function of its score
 # z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
@@ -108,18 +109,58 @@ def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
     return _WEIGHTS[cost_model][0](node_scores(lam, nodes))
 
 
-def obj(lam, route, data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> float:
-    """Combined objective at a fixed route."""
-    te = training_error(lam, data, cfg.c2)
-    w = node_weights(lam, nodes, cfg.cost_model)
-    return te + cfg.c1 * cost1(route, w, D)
+class _RouteAnchor:
+    """The route of the most recent DP call, reused while it provably stays
+    the route the DP would return.
+
+    Every latency of every route lies in [0, T], T = sum_j max_k D[j, k]: a
+    tour leaves each node once, by a leg no longer than that node's longest.
+    Say the DP returned route p with margin m at weights w0.  At weights w,
+    any other route q has
+        cost(q, w) - cost(p, w) = cost(q, w0) - cost(p, w0)
+                                  + (w - w0) . (lat(q) - lat(p))
+                                >= m - T ||w - w0||_1.
+    So while m - T ||w - w0||_1 exceeds TIE_TOL plus a rounding allowance
+    of 1e-9 (1 + cost(p, w0) + T ||w - w0||_1), every other route stays out
+    of the DP's tie band and the DP would return p again, at cost
+    w @ lat(p): its own expression, so the value agrees bit for bit.  Ties
+    (m <= TIE_TOL) never qualify, nor do non-finite weights, which the DP
+    rejects.
+    """
+
+    def __init__(self, D):
+        D = as_distance_matrix(D)
+        self._D = D
+        self._reach = float(D.max(axis=1).sum())
+        self._w0 = None
+
+    def cost(self, w, D) -> float:
+        """The DP's optimal cost at weights w: reused when certified, else solved."""
+        if self._w0 is not None:
+            r = self._reach * float(np.abs(w - self._w0).sum())
+            if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
+                return float(w @ self._lats)
+        sol = solve_weighted_trp_dp(w, D)
+        self._w0, self._cost0, self._margin = w, sol.cost, sol.margin
+        self._lats = _latency(np.array(sol.route) - 1, self._D)
+        return sol.cost
 
 
-def simultaneous_objective(lam, data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> float:
-    """Combined objective with the route re-optimized exactly for this lam."""
+def simultaneous_objective(
+    lam, data: LabeledDataset, nodes, D, cfg: MltrpConfig, *, anchor: _RouteAnchor | None = None
+) -> float:
+    """Combined objective with the route re-optimized exactly for this lam.
+
+    With an anchor (nelder_mead passes its own), the exact DP is skipped
+    wherever the anchor's margin certifies that the DP would return the
+    anchor's route again (see _RouteAnchor); the value is the same bit for
+    bit.  Otherwise the DP runs and becomes the new anchor.
+    """
     te = training_error(lam, data, cfg.c2)
     w = node_weights(lam, nodes, cfg.cost_model)
-    return te + cfg.c1 * solve_weighted_trp_dp(w, D).cost
+    if anchor is None:
+        return te + cfg.c1 * solve_weighted_trp_dp(w, D).cost
+    return te + cfg.c1 * anchor.cost(w, D)
 
 
 def _finalize(lam, data, nodes, D, cfg, trace, method) -> MltrpSolution:
@@ -152,15 +193,25 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
     _NM_SCALE * max(1, ||lam0||_inf).  Steps use the _NM_REFLECT,
     _NM_EXPAND, _NM_CONTRACT and _NM_SHRINK coefficients.  The best vertex
     never worsens; the search stops when the simplex diameter falls under
-    _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent.
+    _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent, and the latter,
+    with the simplex still wider, is logged as a warning on the
+    "repairroute" logger.
+
+    Every evaluation is simultaneous_objective with one shared anchor: the
+    most recent evaluation that ran the exact DP.  The DP is skipped where
+    the anchor's margin exceeds T ||w - w0||_1 plus TIE_TOL and a rounding
+    allowance (T bounds every latency; see _RouteAnchor), since no other
+    route can then come within the DP's tie band.  Values, the trace and
+    the result are those of re-solving at every evaluation, bit for bit.
     """
     if lam0 is None:
         lam0 = fit_logistic(data, cfg.c2).lam
     lam0 = np.asarray(lam0, dtype=float).ravel()
     d = lam0.shape[0]
+    anchor = _RouteAnchor(D)
 
     def f(v):
-        val = simultaneous_objective(v, data, nodes, D, cfg)
+        val = simultaneous_objective(v, data, nodes, D, cfg, anchor=anchor)
         if not np.isfinite(val):
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
         return val
@@ -217,11 +268,18 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
                     verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
                     fvals[i] = f(verts[i])
                 evals += d
+    if diam >= _NM_DIAM_TOL:
+        import logging  # here, not at the top: the import adds about 0.45 MiB RSS
+
+        logging.getLogger("repairroute").warning(
+            "Nelder-Mead stopped after %d evaluations (budget %d) with simplex diameter %.3g",
+            evals, _NM_MAX_EVALS, diam,
+        )
     return _finalize(verts[0], data, nodes, D, cfg, trace, method="nm")
 
 
 def _fixed_route_objective(lam, lats, data, nodes, cfg: MltrpConfig) -> float:
-    # obj at the route whose per-node latencies are lats, bit for bit.
+    # The combined objective at the route whose per-node latencies are lats.
     w = _WEIGHTS[cfg.cost_model][0](nodes @ lam)
     return training_error(lam, data, cfg.c2) + cfg.c1 * float(w @ lats)
 

@@ -4,7 +4,8 @@ solve_weighted_trp_dp minimizes cost1(route, w, D) over all routes that
 start at node 1, visit every node once, and close back at node 1.  Ties
 within an absolute tolerance of 1e-12 are broken toward the
 lexicographically smallest route, so any exact solver with the same rule
-returns the same order.
+returns the same order.  The solution also reports its margin: the least
+cost of any other route minus the optimum, so a tie has margin <= TIE_TOL.
 
 The tables are layer-major: one contiguous (C(M-1, s), M) table per subset
 size s.  The index that links the layers (`_layers`: the sets, their free
@@ -14,6 +15,7 @@ recent M.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,7 @@ class TrpSolution:
     route: list[int]
     cost: float
     solver: str
+    margin: float  # runner-up cost minus the optimum; inf when only one route exists
 
 
 @functools.lru_cache(maxsize=1)
@@ -91,6 +94,13 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     terms, so the tables equal a per-set loop bit for bit.  The route is then
     rebuilt in Python floats, looking rows up through the cached `pos`.
 
+    The rebuild evaluates the completion total acc + leg + g of every free
+    node at every step.  Any route other than the one returned first leaves
+    it at some step, onto a node not taken there, so the least such total is
+    the runner-up cost (Lawler, Management Science 1972) and `margin` is it
+    minus c* = g[{}, 1], both in the tables' own arithmetic.  With M = 2 only
+    one route exists and the margin is inf.
+
     Memory: the tables hold 2^(M-1) * M doubles in all (4 MiB at 16 nodes,
     80 MiB at 20), plus one step's temporaries.  The index depends only on
     M and is cached for the most recent M (int32 sets, pos and nxt, uint8
@@ -131,23 +141,27 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
 
     # Greedy reconstruction: at each step take the smallest next node whose
     # completion stays within TIE_TOL of the optimum; if accumulated roundoff
-    # leaves none within it, the first node of least completion.
+    # leaves none within it, the first node of least completion.  Every free
+    # node is evaluated, so the least completion not taken is the runner-up.
     limit = c_star + TIE_TOL
+    runner_up = math.inf
     Dl = D.tolist()
     free_nodes = list(range(n))
     mask, last, acc = 0, 0, 0.0
     order = [0]
     for s in range(1, n + 1):
         t, c, row = tables[s], coef.item(mask), Dl[last]
-        best = None  # (total, k, leg)
+        best = None  # (total, k, leg) of the node taken
         for k in free_nodes:
             leg = row[k + 1] * c
             total = acc + leg + t.item(pos.item(mask | 1 << k), k + 1)
-            if total <= limit:
+            if best is None:
                 best = (total, k, leg)
-                break
-            if best is None or total < best[0]:
-                best = (total, k, leg)
+                continue
+            if best[0] > limit and total < best[0]:
+                best, total = (total, k, leg), best[0]  # the displaced node competes below
+            if total < runner_up:
+                runner_up = total
         _, k, leg = best
         acc += leg
         mask |= 1 << k
@@ -156,7 +170,9 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
         free_nodes.remove(k)
 
     cost = float(w @ _latency(np.array(order), D))  # cost1 without re-checking its inputs
-    return TrpSolution(route=[i + 1 for i in order], cost=cost, solver="dp")
+    return TrpSolution(
+        route=[i + 1 for i in order], cost=cost, solver="dp", margin=runner_up - c_star
+    )
 
 
 def naive_route(w) -> list[int]:

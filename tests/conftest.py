@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,24 +39,26 @@ def _walk_cost(tail, w, D) -> float:
 
 def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     """Reference solver: enumerate all (M-1)! routes; exact optimum with the
-    same tie-breaking as the DP."""
+    same tie-breaking as the DP, and its margin: the least cost of any other
+    route minus the optimum (inf when M = 2)."""
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
     M = D.shape[0]
     if M > _BF_MAX_NODES:
         raise ValueError(f"brute force supports at most {_BF_MAX_NODES} nodes, got {M}")
     tails = range(1, M)
-    best = np.inf
-    for tail in itertools.permutations(tails):
-        c = _walk_cost(tail, w, D)
-        if c < best:
-            best = c
-    route = None
+    best = min(_walk_cost(tail, w, D) for tail in itertools.permutations(tails))
+    chosen, runner_up = None, math.inf
     for tail in itertools.permutations(tails):  # lexicographic order
-        if _walk_cost(tail, w, D) <= best + TIE_TOL:
-            route = [1] + [i + 1 for i in tail]
-            break
-    return TrpSolution(route=route, cost=cost1(route, w, D), solver="brute_force")
+        c = _walk_cost(tail, w, D)
+        if chosen is None and c <= best + TIE_TOL:
+            chosen = tail
+        elif c < runner_up:
+            runner_up = c
+    route = [1] + [i + 1 for i in chosen]
+    return TrpSolution(
+        route=route, cost=cost1(route, w, D), solver="brute_force", margin=runner_up - best
+    )
 
 
 def route_to_flow(route, w, D):

@@ -31,7 +31,6 @@ from repairroute.opt import (
     alternating_minimization,
     nelder_mead,
     node_weights,
-    obj,
     sequential_pipeline,
 )
 from repairroute.sim import SimConfig, simulate_route_cost
@@ -151,7 +150,8 @@ def test_04_gradient_correctness():
             for model in ("cost1", "cost2"):
                 mc = MltrpConfig(c2=c2, c1=float(rng.uniform(0.1, 2.0)), cost_model=model)
                 check(
-                    lambda v, mc=mc: obj(v, route, data, nodes, D, mc),
+                    lambda v, mc=mc: training_error(v, data, c2)
+                    + mc.c1 * cost1(route, node_weights(v, nodes, mc.cost_model), D),
                     lambda v, mc=mc: _fixed_route_gradient(v, lats, data, nodes, mc),
                 )
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import repairroute.opt as opt_mod
-from repairroute.core import LabeledDataset, latency, standard_trp_cost
+from repairroute.core import LabeledDataset, cost1, latency, standard_trp_cost
 from repairroute.demo import six_node
 import repairroute.learn as learn_mod
-from repairroute.learn import auc, fit_logistic
+from repairroute.learn import auc, fit_logistic, training_error
 from repairroute.opt import (
     MltrpConfig,
     MltrpSolution,
@@ -17,7 +17,6 @@ from repairroute.opt import (
     c1_sweep,
     nelder_mead,
     node_weights,
-    obj,
     route_string,
     sequential_pipeline,
     simultaneous_objective,
@@ -27,7 +26,7 @@ from repairroute.opt import (
     _fixed_route_hessian,
     _fixed_route_objective,
 )
-from repairroute.trp import solve_weighted_trp_dp
+from repairroute.trp import TIE_TOL, solve_weighted_trp_dp
 
 from conftest import blobs, random_instance, solve_weighted_trp_bruteforce
 
@@ -103,7 +102,8 @@ class TestObj:
         _, nodes, D = opt_instance(3)
         lam = np.array([0.4, -0.6])
         cfg = MltrpConfig(c2=0.2, c1=0.0)
-        assert obj(lam, [1, 2, 3, 4, 5], small_blobs, nodes, D, cfg) == pytest.approx(
+        lats = latency([1, 2, 3, 4, 5], D)
+        assert _fixed_route_objective(lam, lats, small_blobs, nodes, cfg) == pytest.approx(
             loss_oracle(lam, small_blobs, 0.2), rel=1e-12
         )
 
@@ -113,7 +113,7 @@ class TestObj:
         _, nodes, D = opt_instance(4)
         route = [1, 3, 2, 5, 4]
         cfg = MltrpConfig(c2=0.5, c1=2.0)
-        val = obj(np.zeros(2), route, small_blobs, nodes, D, cfg)
+        val = _fixed_route_objective(np.zeros(2), latency(route, D), small_blobs, nodes, cfg)
         m = small_blobs.m
         plain = walk_cost(route, np.ones(5), D)
         assert val == pytest.approx(m * math.log(2.0) + 2.0 * 0.5 * plain, rel=1e-12)
@@ -128,7 +128,8 @@ class TestObj:
         cfg = MltrpConfig(c2=0.3, c1=1.7, cost_model=model)
         w = node_weights(lam, nodes, model)
         expect = loss_oracle(lam, data, 0.3) + 1.7 * walk_cost(route, w, D)
-        assert obj(lam, route, data, nodes, D, cfg) == pytest.approx(expect, rel=1e-12)
+        lats = latency(route, D)
+        assert _fixed_route_objective(lam, lats, data, nodes, cfg) == pytest.approx(expect, rel=1e-12)
 
 
 class TestSimultaneousObjective:
@@ -234,6 +235,133 @@ class TestNelderMead:
             nelder_mead(
                 small_blobs, nodes, D, MltrpConfig(c2=0.5, c1=1.0), lam0=[1e200, 1e200]
             )
+
+
+    def test_budget_stop_is_logged(self, caplog, monkeypatch):
+        data, nodes, D = opt_instance(2)
+        evals = []
+        real_eval = opt_mod.simultaneous_objective
+
+        def counting_eval(*a, **k):
+            evals.append(1)
+            return real_eval(*a, **k)
+
+        monkeypatch.setattr(opt_mod, "simultaneous_objective", counting_eval)
+        monkeypatch.setattr(opt_mod, "_NM_MAX_EVALS", 10)
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            nelder_mead(data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+        records = [r for r in caplog.records if r.name == "repairroute"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        msg = records[0].getMessage()
+        assert f"stopped after {len(evals)} evaluations (budget 10)" in msg
+        assert "simplex diameter " in msg
+        assert len(evals) >= 10
+
+    def test_converged_search_logs_nothing(self, caplog):
+        data, nodes, D = opt_instance(2)
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            nelder_mead(data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+        assert not caplog.records
+
+
+def tied_instance(seed, M):
+    """Nodes that repeat three feature rows, integer distances 1-3, and node
+    M the twin of node M-1 (same features, row and column), so that
+    swapping the two ties every route at every lam."""
+    data = blobs(seed, per_side=12, d=2)
+    rng = np.random.default_rng(seed)
+    proto = rng.normal(0.0, 0.8, (3, 2))
+    nodes = proto[rng.integers(0, 3, M)]
+    nodes[-1] = nodes[-2]
+    D = rng.integers(1, 4, (M, M)).astype(float)
+    D[-1, :-2] = D[-2, :-2]
+    D[:-2, -1] = D[:-2, -2]
+    D[-1, -2] = D[-2, -1]
+    np.fill_diagonal(D, 0.0)
+    return data, nodes, D
+
+
+def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
+    """Run nelder_mead, recording every DP solution and, per evaluation,
+    (lam, value, the anchor's solution if the DP was skipped else None)."""
+    solved, evals = [], []
+    real_dp, real_eval = opt_mod.solve_weighted_trp_dp, opt_mod.simultaneous_objective
+
+    def spy_dp(w, D):
+        solved.append(real_dp(w, D))
+        return solved[-1]
+
+    def spy_eval(lam, *a, **k):
+        before = len(solved)
+        val = real_eval(lam, *a, **k)
+        evals.append((lam.copy(), val, solved[-1] if len(solved) == before else None))
+        return val
+
+    monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", spy_dp)
+    monkeypatch.setattr(opt_mod, "simultaneous_objective", spy_eval)
+    nelder_mead(data, nodes, D, cfg)
+    monkeypatch.undo()
+    return solved, evals
+
+
+class TestMarginCertificate:
+    @pytest.mark.parametrize("M", range(6, 10))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_skipped_evaluations_equal_the_dp(self, M, model, monkeypatch):
+        data, nodes, D = opt_instance(40 + M, M=M)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        skipped = [(lam, anchor) for lam, _, anchor in evals if anchor is not None]
+        for lam, val, _ in evals:
+            assert val == simultaneous_objective(lam, data, nodes, D, cfg)
+        for lam, anchor in skipped:
+            w = node_weights(lam, nodes, model)
+            fresh = solve_weighted_trp_dp(w, D)
+            assert fresh.route == anchor.route
+            assert fresh.cost == float(w @ latency(anchor.route, D))
+        # every DP call but the final certificate was an evaluation
+        assert len(solved) - 1 == len(evals) - len(skipped) < len(evals)
+
+    def test_anchor_matches_the_dp_along_weight_rays(self, monkeypatch):
+        # Anchored at w0, query weights that move one node's weight down to
+        # zero and up by one: the rays cross route changes, and every answer
+        # must equal the DP's, whether reused or solved.
+        calls = []
+        real_dp = opt_mod.solve_weighted_trp_dp
+
+        def counting_dp(w, D):
+            calls.append(1)
+            return real_dp(w, D)
+
+        monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
+        reused = changed = 0
+        for seed in range(12):
+            M = 4 + seed % 3
+            w0, D = random_instance(seed, M)
+            route0 = solve_weighted_trp_dp(w0, D).route
+            for j in range(M):
+                for step in np.linspace(-w0[j], 1.0, 21):
+                    w = w0.copy()
+                    w[j] += step
+                    anchor = opt_mod._RouteAnchor(D)
+                    anchor.cost(w0, D)
+                    before = len(calls)
+                    got = anchor.cost(w, D)
+                    reused += len(calls) == before
+                    fresh = solve_weighted_trp_dp(w, D)
+                    changed += fresh.route != route0
+                    assert got == fresh.cost, (seed, j, step)
+        assert reused > 50 and changed > 100
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_tied_routes_never_skip(self, model, monkeypatch):
+        data, nodes, D = tied_instance(11, 8)
+        cfg = MltrpConfig(c2=0.2, c1=0.5, cost_model=model)
+        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        assert all(anchor is None for _, _, anchor in evals)
+        assert len(solved) == len(evals) + 1
+        assert all(sol.margin <= TIE_TOL for sol in solved)
 
 
 class TestAlternating:
@@ -367,7 +495,8 @@ class TestFixedRouteGradient:
             up[i] += h
             dn[i] -= h
             num[i] = (
-                obj(up, route, data, nodes, D, cfg) - obj(dn, route, data, nodes, D, cfg)
+                _fixed_route_objective(up, lats, data, nodes, cfg)
+                - _fixed_route_objective(dn, lats, data, nodes, cfg)
             ) / (2 * h)
         assert np.allclose(g, num, rtol=1e-5, atol=1e-7)
 
@@ -413,16 +542,17 @@ class TestFixedRouteObjective:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("model", MODELS)
     def test_equals_obj_exactly(self, seed, model):
-        # AM descends on this frozen-latency form; it must be obj bit for bit.
+        # AM descends on this frozen-latency form; it must equal the combined
+        # objective written out at the route, bit for bit.
         data, nodes, D = opt_instance(seed, M=6)
         rng = np.random.default_rng(seed + 300)
         route = [1] + list(rng.permutation(range(2, 7)))
         lats = latency(route, D)
         cfg = MltrpConfig(c2=0.2, c1=1.4, cost_model=model)
         for lam in rng.normal(scale=2.0, size=(5, 2)):
-            assert _fixed_route_objective(lam, lats, data, nodes, cfg) == obj(
-                lam, route, data, nodes, D, cfg
-            )
+            w = node_weights(lam, nodes, model)
+            expect = training_error(lam, data, 0.2) + 1.4 * cost1(route, w, D)
+            assert _fixed_route_objective(lam, lats, data, nodes, cfg) == expect
 
 
 class TestSweep:

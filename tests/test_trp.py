@@ -21,9 +21,10 @@ def enumerate_routes(M):
         yield [1] + list(tail)
 
 
-def loop_dp(w, D):
+def loop_dp(w, D, fallbacks=None):
     """Reference: the subset DP filled one mask at a time, with the same
-    greedy reconstruction.  Returns (route, cost)."""
+    greedy reconstruction.  Returns (route, cost); appends to `fallbacks`, if
+    given, each step at which no completion came within TIE_TOL of c*."""
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     M = D.shape[0]
@@ -63,6 +64,8 @@ def loop_dp(w, D):
                 fallback = (total, (k, node))
         if chosen is None:
             chosen = fallback[1]
+            if fallbacks is not None:
+                fallbacks.append(len(order))
         k, node = chosen
         acc += D[last, node] * coef[mask]
         mask |= 1 << k
@@ -272,6 +275,60 @@ class TestDp:
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             solve_weighted_trp_dp([-0.1, 1.0], D)
+
+
+def twin_instance(seed, M):
+    """Integer distances and equal weights where node M is node M-1's twin
+    (same row, same column), so swapping the two in any route ties."""
+    w, D = random_instance(seed, M, integer=True)
+    D[M - 1, : M - 2] = D[M - 2, : M - 2]
+    D[: M - 2, M - 1] = D[: M - 2, M - 2]
+    D[M - 1, M - 2] = D[M - 2, M - 1]
+    return np.full(M, 0.3), D
+
+
+class TestMargin:
+    @pytest.mark.parametrize("kind", ["random", "integer", "binary_weights"])
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_matches_enumeration(self, M, kind):
+        # The runner-up is the least cost of any route but the one returned.
+        for seed in range(8):
+            w, D = random_instance(500 + 10 * M + seed, M, integer=kind == "integer")
+            if kind == "binary_weights":
+                w = (w > 0.5).astype(float)
+            sol = solve_weighted_trp_dp(w, D)
+            ref = solve_weighted_trp_bruteforce(w, D)
+            assert sol.route == ref.route
+            assert abs(sol.margin - ref.margin) <= 1e-12 * (1.0 + sol.cost), (seed, sol, ref)
+
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_ties_have_no_margin(self, M):
+        unit = np.ones((M, M)) - np.eye(M)  # every route ties
+        for w, D in [(np.full(M, 0.4), unit), twin_instance(M, M)]:
+            sol = solve_weighted_trp_dp(w, D)
+            assert solve_weighted_trp_bruteforce(w, D).margin == 0.0
+            assert abs(sol.margin) <= TIE_TOL
+            assert sol.route == loop_dp(w, D)[0]
+
+    def test_two_nodes_have_one_route(self):
+        w, D = random_instance(3, 2)
+        assert solve_weighted_trp_dp(w, D).margin == math.inf
+        assert solve_weighted_trp_bruteforce(w, D).margin == math.inf
+
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_scaled_distances_take_the_argmin_fallback(self, M):
+        # At D * 1e9 the rebuilt route's running sum misses c* by more than
+        # TIE_TOL on some of these seeds; evaluating every free node must
+        # still take the first least completion, as the per-mask loop does.
+        fallbacks = []
+        for seed in range(300, 310):
+            w, D = random_instance(seed, M)
+            D *= 1e9
+            sol = solve_weighted_trp_dp(w, D)
+            assert (sol.route, sol.cost) == loop_dp(w, D, fallbacks)
+            ref = solve_weighted_trp_bruteforce(w, D)
+            assert abs(sol.margin - ref.margin) <= 1e-12 * (1.0 + sol.cost)
+        assert fallbacks
 
 
 class TestBruteForce:

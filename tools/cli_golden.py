@@ -8,8 +8,9 @@ three methods, simulate at one and at four steps per unit, both demos (one
 also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
-under both cost models and bounded with --train, so the comparison also
-covers a large DP and its tie-breaking.  Each invocation writes into its
+and solved by Nelder-Mead under both cost models and bounded with --train,
+so the comparison also covers a large DP, its tie-breaking, and
+Nelder-Mead where the tied routes leave the DP no margin to reuse.  Each invocation writes into its
 own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records its exit code
 and stderr.  OUT_DIR must be new or empty, so no stale folder survives
 into a comparison; -h or --help prints this text.  The package is
@@ -103,6 +104,9 @@ def invocations() -> dict:
     for model in ("cost1", "cost2"):
         runs[f"route14_{model}"] = ["route", "--train", "train.csv", *large, "--c2", "0.2",
                                     "--cost-model", model]
+        runs[f"simultaneous14_nm_{model}"] = ["simultaneous", "--train", "train.csv", *large,
+                                             "--c2", "0.2", "--cost-model", model, "--method", "nm",
+                                             "--c1", "0.5"]
     runs["bound14_train"] = ["bound", *large, "--eps", "0.5", "--cg", "5", "--train", "train.csv",
                              "--c2", "0.2"]
     return runs
