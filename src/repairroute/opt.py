@@ -152,9 +152,13 @@ def simultaneous_objective(
     """Combined objective with the route re-optimized exactly for this lam.
 
     With an anchor (nelder_mead passes its own), the exact DP is skipped
-    wherever the anchor's margin certifies that the DP would return the
-    anchor's route again (see _RouteAnchor); the value is the same bit for
-    bit.  Otherwise the DP runs and becomes the new anchor.
+    wherever the anchor's margin m certifies that the DP would return the
+    anchor's route p again: every other route q has cost(q, w) - cost(p, w)
+    >= m - T ||w - w0||_1, as every latency lies in [0, T], T = sum_j
+    max_k D[j, k].  The skip needs that bound above TIE_TOL plus the
+    rounding allowance 1e-9 (1 + cost(p, w0) + T ||w - w0||_1); the value
+    is then the same bit for bit (see _RouteAnchor).  Otherwise the DP runs
+    and becomes the new anchor.
     """
     te = training_error(lam, data, cfg.c2)
     w = node_weights(lam, nodes, cfg.cost_model)

@@ -23,6 +23,16 @@ def random_instance(seed, M, low=1.0, high=10.0, wlow=0.05, whigh=1.0, integer=F
     return w, D
 
 
+def twin_last_node(D):
+    """Make the last node of D the twin of the one before it (same row, same
+    column), in place, so that swapping the two in any route ties when
+    their weights are equal."""
+    D[-1, :-2] = D[-2, :-2]
+    D[:-2, -1] = D[:-2, -2]
+    D[-1, -2] = D[-2, -1]
+    return D
+
+
 def _walk_cost(tail, w, D) -> float:
     # Prefix-sum accumulation over one route; independent of the DP's
     # per-edge-contribution arithmetic.

@@ -28,7 +28,7 @@ from repairroute.opt import (
 )
 from repairroute.trp import TIE_TOL, solve_weighted_trp_dp
 
-from conftest import blobs, random_instance, solve_weighted_trp_bruteforce
+from conftest import blobs, random_instance, solve_weighted_trp_bruteforce, twin_last_node
 
 # Both cost models; cost2 routes by its softplus surrogate weights, which its
 # case id names.
@@ -236,7 +236,6 @@ class TestNelderMead:
                 small_blobs, nodes, D, MltrpConfig(c2=0.5, c1=1.0), lam0=[1e200, 1e200]
             )
 
-
     def test_budget_stop_is_logged(self, caplog, monkeypatch):
         data, nodes, D = opt_instance(2)
         evals = []
@@ -275,16 +274,14 @@ def tied_instance(seed, M):
     nodes = proto[rng.integers(0, 3, M)]
     nodes[-1] = nodes[-2]
     D = rng.integers(1, 4, (M, M)).astype(float)
-    D[-1, :-2] = D[-2, :-2]
-    D[:-2, -1] = D[:-2, -2]
-    D[-1, -2] = D[-2, -1]
     np.fill_diagonal(D, 0.0)
-    return data, nodes, D
+    return data, nodes, twin_last_node(D)
 
 
 def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
     """Run nelder_mead, recording every DP solution and, per evaluation,
-    (lam, value, the anchor's solution if the DP was skipped else None)."""
+    (lam, value, the anchor's solution if the DP was skipped else None);
+    the spies are removed before returning."""
     solved, evals = [], []
     real_dp, real_eval = opt_mod.solve_weighted_trp_dp, opt_mod.simultaneous_objective
 

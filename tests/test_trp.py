@@ -10,7 +10,7 @@ from repairroute.bound import shortest_distances
 from repairroute.core import cost1, standard_trp_cost
 from repairroute.trp import TIE_TOL, naive_route, solve_weighted_trp_dp
 
-from conftest import random_instance, solve_weighted_trp_bruteforce
+from conftest import random_instance, solve_weighted_trp_bruteforce, twin_last_node
 
 
 BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
@@ -277,16 +277,6 @@ class TestDp:
             solve_weighted_trp_dp([-0.1, 1.0], D)
 
 
-def twin_instance(seed, M):
-    """Integer distances and equal weights where node M is node M-1's twin
-    (same row, same column), so swapping the two in any route ties."""
-    w, D = random_instance(seed, M, integer=True)
-    D[M - 1, : M - 2] = D[M - 2, : M - 2]
-    D[: M - 2, M - 1] = D[: M - 2, M - 2]
-    D[M - 1, M - 2] = D[M - 2, M - 1]
-    return np.full(M, 0.3), D
-
-
 class TestMargin:
     @pytest.mark.parametrize("kind", ["random", "integer", "binary_weights"])
     @pytest.mark.parametrize("M", range(3, 9))
@@ -304,7 +294,8 @@ class TestMargin:
     @pytest.mark.parametrize("M", range(3, 9))
     def test_ties_have_no_margin(self, M):
         unit = np.ones((M, M)) - np.eye(M)  # every route ties
-        for w, D in [(np.full(M, 0.4), unit), twin_instance(M, M)]:
+        twins = twin_last_node(random_instance(M, M, integer=True)[1])
+        for w, D in [(np.full(M, 0.4), unit), (np.full(M, 0.3), twins)]:
             sol = solve_weighted_trp_dp(w, D)
             assert solve_weighted_trp_bruteforce(w, D).margin == 0.0
             assert abs(sol.margin) <= TIE_TOL

@@ -10,9 +10,9 @@ vacuous budget and with a void one.  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
 and solved by Nelder-Mead under both cost models and bounded with --train,
 so the comparison also covers a large DP, its tie-breaking, and
-Nelder-Mead where the tied routes leave the DP no margin to reuse.  Each invocation writes into its
-own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records its exit code
-and stderr.  OUT_DIR must be new or empty, so no stale folder survives
+Nelder-Mead where the tied routes leave the DP no margin to reuse.  Each
+invocation writes into its own OUT_DIR/<name>/ folder;
+OUT_DIR/exit_codes.txt records its exit code and stderr.  OUT_DIR must be new or empty, so no stale folder survives
 into a comparison; -h or --help prints this text.  The package is
 imported from the ``src/`` next to this script, so running it from two
 checkouts and comparing the trees with
