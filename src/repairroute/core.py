@@ -17,13 +17,16 @@ import numpy as np
 
 
 def sigmoid(z):
-    """Numerically stable logistic function 1 / (1 + exp(-z)), elementwise."""
+    """Numerically stable logistic function 1 / (1 + exp(-z)), elementwise.
+
+    With e = exp(-|z|), computed once: 1 / (1 + e) where z >= 0, else
+    e / (1 + e), which is exp(z) / (1 + exp(z)) as -|z| = z there.  Neither
+    form overflows.  -|z| is taken as min(z, -z), which keeps a nan's sign,
+    so every output bit matches evaluating each branch on its own elements.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,6 +14,7 @@ atomic rename, and emit no timestamps, so reruns produce identical bytes.
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -32,7 +33,7 @@ def _parse_float(text: str, path, line_no: int) -> float:
         v = float(text)
     except ValueError:
         raise ValidationError(f"{path}:{line_no}: not a number: {text!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValidationError(f"{path}:{line_no}: non-finite value {text!r}")
     return v
 

@@ -8,8 +8,8 @@ stand-in for the early-failure cost).  Three drivers are provided:
 
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
 * nelder_mead: direct simplex search on lam with the route re-optimized
-  exactly inside every evaluation (or certified unchanged by the margin of
-  the last exact solve);
+  exactly inside every evaluation (or certified unchanged by the per-step
+  gaps of the last exact solve);
 * alternating_minimization: alternate exact routing with damped Newton
   descent on lam at the frozen route.
 
@@ -113,37 +113,72 @@ class _RouteAnchor:
     """The route of the most recent DP call, reused while it provably stays
     the route the DP would return.
 
-    Every latency of every route lies in [0, T], T = sum_j max_k D[j, k]: a
-    tour leaves each node once, by a leg no longer than that node's longest.
-    Say the DP returned route p with margin m at weights w0.  At weights w,
-    any other route q has
-        cost(q, w) - cost(p, w) = cost(q, w0) - cost(p, w0)
-                                  + (w - w0) . (lat(q) - lat(p))
-                                >= m - T ||w - w0||_1.
-    So while m - T ||w - w0||_1 exceeds TIE_TOL plus a rounding allowance
-    of 1e-9 (1 + cost(p, w0) + T ||w - w0||_1), every other route stays out
-    of the DP's tie band and the DP would return p again, at cost
-    w @ lat(p): its own expression, so the value agrees bit for bit.  Ties
-    (m <= TIE_TOL) never qualify, nor do non-finite weights, which the DP
-    rejects.
+    Say the DP returned route p = (p_0 = node 1, p_1, ..., p_n) with
+    arrival times a_i (a_0 = 0) and per-step gaps g_s (TrpSolution.
+    step_margins) at weights w0, and let d = w - w0.  A route q that first
+    leaves p at step s visits p_1..p_{s-1} at p's times; every other node j
+    (p_s..p_n, and node 1, whose latency is the tour length) it reaches
+    after a_{s-1} and by H_s = a_{s-1} + rmax(p_{s-1}) + sum_{i>=s}
+    rmax(p_i), rmax(j) = max_k D[j, k], since q leaves p_{s-1} and each of
+    p_s..p_n once, by a leg no longer than that node's longest; p's own
+    latencies lie in the same range.  Hence
+        cost(q, w) - cost(p, w) = cost(q, w0) - cost(p, w0) + d . (lat(q) - lat(p))
+                                >= g_s - r_s,
+        r_s = sum_{j in {p_s..p_n, 1}} d_j+ (lat_j - a_{s-1}) + d_j- (H_s - lat_j),
+    with lat = lat(p) and d+ = max(d, 0), d- = max(-d, 0).  While every
+    g_s - r_s exceeds TIE_TOL plus a rounding allowance of
+    1e-9 (1 + cost(p, w0) + T ||d||_1), T = sum_j rmax(j), no other route
+    can enter the DP's tie band, so the DP would return p again, at cost
+    w @ lat(p): its own expression, so the value agrees bit for bit.  As
+    r_s <= T ||d||_1, every point where the margin min_s g_s exceeds
+    T ||d||_1 plus the same allowance is certified too.  Ties (g_s <= TIE_TOL)
+    never qualify, nor do non-finite weights, which the DP rejects: they
+    make the allowance inf or nan, and each comparison fails on nan.
     """
 
     def __init__(self, D):
         D = as_distance_matrix(D)
         self._D = D
-        self._reach = float(D.max(axis=1).sum())
+        self._rmax = D.max(axis=1).tolist()
+        self._reach = sum(self._rmax)
         self._w0 = None
 
     def cost(self, w, D) -> float:
         """The DP's optimal cost at weights w: reused when certified, else solved."""
-        if self._w0 is not None:
-            r = self._reach * float(np.abs(w - self._w0).sum())
-            if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
-                return float(w @ self._lats)
+        if self._w0 is not None and self._certifies((w - self._w0).tolist()):
+            return float(w @ self._lats)
         sol = solve_weighted_trp_dp(w, D)
-        self._w0, self._cost0, self._margin = w, sol.cost, sol.margin
-        self._lats = _latency(np.array(sol.route) - 1, self._D)
+        order = [i - 1 for i in sol.route]
+        self._w0, self._cost0 = w, sol.cost
+        self._lats = _latency(np.array(order), self._D)
+        lats, rmax = self._lats.tolist(), self._rmax
+        # One (node p_s, lat(p_s), a_{s-1}, H_s, g_s) per step s, last step
+        # first, after node 1, which joins every step's sums and has no gap.
+        steps, reach = [(0, lats[0], 0.0, 0.0, math.inf)], 0.0
+        for s in range(len(order) - 1, 0, -1):
+            j, prev = order[s], order[s - 1]
+            reach += rmax[j]
+            a = lats[prev] if s > 1 else 0.0
+            steps.append((j, lats[j], a, a + rmax[prev] + reach, sol.step_margins[s - 1]))
+        self._steps = steps
         return sol.cost
+
+    def _certifies(self, dw) -> bool:
+        # g_s - r_s > tol at every step, with r_s's sums over {p_s..p_n, 1}
+        # accumulated from the last step back; nan fails every comparison.
+        tol = TIE_TOL + 1e-9 * (1.0 + self._cost0 + self._reach * sum(map(abs, dw)))
+        up = up_lat = down = down_lat = 0.0
+        for j, lat, a, h, gap in self._steps:
+            d = dw[j]
+            if d > 0:
+                up += d
+                up_lat += d * lat
+            else:
+                down -= d
+                down_lat -= d * lat
+            if not gap - (up_lat - a * up + h * down - down_lat) > tol:
+                return False
+        return True
 
 
 def simultaneous_objective(
@@ -152,13 +187,15 @@ def simultaneous_objective(
     """Combined objective with the route re-optimized exactly for this lam.
 
     With an anchor (nelder_mead passes its own), the exact DP is skipped
-    wherever the anchor's margin m certifies that the DP would return the
-    anchor's route p again: every other route q has cost(q, w) - cost(p, w)
-    >= m - T ||w - w0||_1, as every latency lies in [0, T], T = sum_j
-    max_k D[j, k].  The skip needs that bound above TIE_TOL plus the
-    rounding allowance 1e-9 (1 + cost(p, w0) + T ||w - w0||_1); the value
-    is then the same bit for bit (see _RouteAnchor).  Otherwise the DP runs
-    and becomes the new anchor.
+    wherever the anchor's per-step gaps certify that the DP would return the
+    anchor's route p again: a route that first leaves p at step s keeps p's
+    first s - 1 latencies and has every other one in [a_{s-1}, H_s], so at
+    weights w it costs at least cost(p, w) + g_s - r_s, r_s the most that
+    w - w0 can shift the free nodes' weighted latencies within that range.
+    The skip needs every g_s - r_s above TIE_TOL plus the rounding allowance
+    1e-9 (1 + cost(p, w0) + T ||w - w0||_1), T = sum_j max_k D[j, k]; the
+    value is then the same bit for bit (see _RouteAnchor).  Otherwise the DP
+    runs and becomes the new anchor.
     """
     te = training_error(lam, data, cfg.c2)
     w = node_weights(lam, nodes, cfg.cost_model)
@@ -202,11 +239,15 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
     "repairroute" logger.
 
     Every evaluation is simultaneous_objective with one shared anchor: the
-    most recent evaluation that ran the exact DP.  The DP is skipped where
-    the anchor's margin exceeds T ||w - w0||_1 plus TIE_TOL and a rounding
-    allowance (T bounds every latency; see _RouteAnchor), since no other
-    route can then come within the DP's tie band.  Values, the trace and
-    the result are those of re-solving at every evaluation, bit for bit.
+    most recent evaluation that ran the exact DP.  The DP is skipped where,
+    at every step s of the anchor's route, its gap g_s exceeds r_s plus
+    TIE_TOL and a rounding allowance: a route that first leaves the anchor's
+    at step s keeps its first s - 1 latencies and moves the others only
+    within [a_{s-1}, H_s], which bounds by r_s what the weight change can
+    gain it (see _RouteAnchor), so no other route can come within the DP's
+    tie band.  Values, the trace and the result are those of re-solving at
+    every evaluation, bit for bit.  Vertices of equal value keep their order
+    (the sort is stable).
     """
     if lam0 is None:
         lam0 = fit_logistic(data, cfg.c2).lam
@@ -230,14 +271,15 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
     evals = d + 1
     trace = []
     while True:
-        idx = np.argsort(fvals, kind="stable")
+        idx = sorted(range(d + 1), key=fvals.__getitem__)
         verts = [verts[i] for i in idx]
         fvals = [fvals[i] for i in idx]
         trace.append(fvals[0])
-        diam = max(float(np.abs(v - verts[0]).max()) for v in verts[1:])
+        simplex = np.array(verts)
+        diam = float(np.abs(simplex[1:] - simplex[0]).max())
         if diam < _NM_DIAM_TOL or evals >= _NM_MAX_EVALS:
             break
-        centroid = np.mean(verts[:-1], axis=0)
+        centroid = simplex[:-1].mean(axis=0)
         worst = verts[-1]
         xr = centroid + _NM_REFLECT * (centroid - worst)
         fr = f(xr)

@@ -31,7 +31,7 @@ class SimConfig:
             raise ValueError("seed must be a nonnegative 63-bit integer")
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, stream: int):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(stream)))))
 
 

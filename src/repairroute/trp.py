@@ -4,8 +4,11 @@ solve_weighted_trp_dp minimizes cost1(route, w, D) over all routes that
 start at node 1, visit every node once, and close back at node 1.  Ties
 within an absolute tolerance of 1e-12 are broken toward the
 lexicographically smallest route, so any exact solver with the same rule
-returns the same order.  The solution also reports its margin: the least
-cost of any other route minus the optimum, so a tie has margin <= TIE_TOL.
+returns the same order.  The solution also reports, for each step s of
+its route, the gap: the least cost of a route that first leaves it at step
+s, minus the optimum (inf where no other node is free), and its margin: the
+least gap, i.e. the least cost of any other route minus the optimum, so a
+tie has margin <= TIE_TOL.
 
 The tables are layer-major: one contiguous (C(M-1, s), M) table per subset
 size s.  The index that links the layers (`_layers`: the sets, their free
@@ -37,6 +40,10 @@ class TrpSolution:
     cost: float
     solver: str
     margin: float  # runner-up cost minus the optimum; inf when only one route exists
+    # step_margins[s - 1]: least cost of a route that agrees with `route` on
+    # its first s nodes and not on the next, minus the optimum; inf where no
+    # other node is free (the last step).  margin == min(step_margins).
+    step_margins: tuple[float, ...]
 
 
 @functools.lru_cache(maxsize=1)
@@ -96,10 +103,13 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
 
     The rebuild evaluates the completion total acc + leg + g of every free
     node at every step.  Any route other than the one returned first leaves
-    it at some step, onto a node not taken there, so the least such total is
-    the runner-up cost (Lawler, Management Science 1972) and `margin` is it
-    minus c* = g[{}, 1], both in the tables' own arithmetic.  With M = 2 only
-    one route exists and the margin is inf.
+    it at some step, onto a node not taken there (Lawler's partition,
+    Management Science 1972), so the least total not taken at step s is the
+    least cost of the routes that first leave at s: `step_margins` holds it
+    minus c* = g[{}, 1] for each step, in the tables' own arithmetic, and
+    `margin`, their minimum, is the runner-up cost minus c*.  The last step
+    has one free node, so its entry is inf; with M = 2 only one route exists
+    and the margin is inf.
 
     Memory: the tables hold 2^(M-1) * M doubles in all (4 MiB at 16 nodes,
     80 MiB at 20), plus one step's temporaries.  The index depends only on
@@ -142,9 +152,10 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     # Greedy reconstruction: at each step take the smallest next node whose
     # completion stays within TIE_TOL of the optimum; if accumulated roundoff
     # leaves none within it, the first node of least completion.  Every free
-    # node is evaluated, so the least completion not taken is the runner-up.
+    # node is evaluated, so the least completion not taken at a step is the
+    # best route that first leaves there.
     limit = c_star + TIE_TOL
-    runner_up = math.inf
+    step_margins = []
     Dl = D.tolist()
     free_nodes = list(range(n))
     mask, last, acc = 0, 0, 0.0
@@ -152,6 +163,7 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     for s in range(1, n + 1):
         t, c, row = tables[s], coef.item(mask), Dl[last]
         best = None  # (total, k, leg) of the node taken
+        other = math.inf  # least total of the nodes not taken
         for k in free_nodes:
             leg = row[k + 1] * c
             total = acc + leg + t.item(pos.item(mask | 1 << k), k + 1)
@@ -160,8 +172,9 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
                 continue
             if best[0] > limit and total < best[0]:
                 best, total = (total, k, leg), best[0]  # the displaced node competes below
-            if total < runner_up:
-                runner_up = total
+            if total < other:
+                other = total
+        step_margins.append(other - c_star)
         _, k, leg = best
         acc += leg
         mask |= 1 << k
@@ -171,7 +184,11 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
 
     cost = float(w @ _latency(np.array(order), D))  # cost1 without re-checking its inputs
     return TrpSolution(
-        route=[i + 1 for i in order], cost=cost, solver="dp", margin=runner_up - c_star
+        route=[i + 1 for i in order],
+        cost=cost,
+        solver="dp",
+        margin=min(step_margins),
+        step_margins=tuple(step_margins),
     )
 
 

@@ -49,25 +49,32 @@ def _walk_cost(tail, w, D) -> float:
 
 def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     """Reference solver: enumerate all (M-1)! routes; exact optimum with the
-    same tie-breaking as the DP, and its margin: the least cost of any other
-    route minus the optimum (inf when M = 2)."""
+    same tie-breaking as the DP, its per-step gaps (for each step s, the least
+    cost of a route that first leaves the optimum at step s, minus the
+    optimum; inf where no route does) and its margin: the least gap, the least
+    cost of any other route minus the optimum (inf when M = 2)."""
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
     M = D.shape[0]
     if M > _BF_MAX_NODES:
         raise ValueError(f"brute force supports at most {_BF_MAX_NODES} nodes, got {M}")
     tails = range(1, M)
-    best = min(_walk_cost(tail, w, D) for tail in itertools.permutations(tails))
-    chosen, runner_up = None, math.inf
-    for tail in itertools.permutations(tails):  # lexicographic order
-        c = _walk_cost(tail, w, D)
-        if chosen is None and c <= best + TIE_TOL:
-            chosen = tail
-        elif c < runner_up:
-            runner_up = c
+    costs = {tail: _walk_cost(tail, w, D) for tail in itertools.permutations(tails)}
+    best = min(costs.values())
+    chosen = next(tail for tail, c in costs.items() if c <= best + TIE_TOL)  # lexicographic
+    leave = [math.inf] * (M - 1)
+    for tail, c in costs.items():
+        if tail != chosen:
+            s = next(i for i, (a, b) in enumerate(zip(tail, chosen)) if a != b)
+            leave[s] = min(leave[s], c)
+    step_margins = tuple(c - best for c in leave)
     route = [1] + [i + 1 for i in chosen]
     return TrpSolution(
-        route=route, cost=cost1(route, w, D), solver="brute_force", margin=runner_up - best
+        route=route,
+        cost=cost1(route, w, D),
+        solver="brute_force",
+        margin=min(step_margins),
+        step_margins=step_margins,
     )
 
 

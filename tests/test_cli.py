@@ -2,6 +2,9 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +116,20 @@ class TestLoaders:
         p.write_text("f1,label\ninf,-1\n")
         with pytest.raises(ValidationError, match="non-finite"):
             load_labeled_csv(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("loader", ["labeled", "nodes", "distances"])
+    def test_non_finite_cell_names_path_line_and_text(self, tmp_path, loader, cell):
+        p = tmp_path / "t.csv"
+        load, text, line = {
+            "labeled": (load_labeled_csv, f"f1,f2,label\n1,2,+1\n3,{cell},-1\n", 3),
+            "nodes": (load_nodes_csv, f"f1,f2\n1,2\n3,{cell}\n", 3),
+            "distances": (load_distances_csv, f"0,1\n{cell},0\n", 2),
+        }[loader]
+        p.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load(p)
+        assert str(err.value) == f"{p}:{line}: non-finite value {cell!r}"
 
     def test_not_a_number_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -588,6 +605,16 @@ class TestBound:
 
 
 class TestParser:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # Only simulate and demo draw random numbers; a bare start must not
+        # pay for importing numpy.random.
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        code = "import sys, repairroute.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

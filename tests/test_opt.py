@@ -361,6 +361,66 @@ class TestMarginCertificate:
         assert all(sol.margin <= TIE_TOL for sol in solved)
 
 
+class MarginAnchor:
+    """The certificate by the margin alone: every latency of every route lies
+    in [0, T], T = sum_j max_k D[j, k], so the DP's route is reused while
+    margin - T ||w - w0||_1 exceeds the same allowance."""
+
+    def __init__(self, D):
+        self._D = D
+        self._reach = float(D.max(axis=1).sum())
+        self._w0 = None
+
+    def cost(self, w, D):
+        if self._w0 is not None:
+            r = self._reach * float(np.abs(w - self._w0).sum())
+            if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
+                return float(w @ self._lats)
+        sol = opt_mod.solve_weighted_trp_dp(w, D)
+        self._w0, self._cost0, self._margin = w, sol.cost, sol.margin
+        self._lats = latency(sol.route, self._D)
+        return sol.cost
+
+
+class TestStepCertificate:
+    @pytest.mark.parametrize("M", range(6, 11))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_skips_more_than_the_margin_alone(self, M, model, monkeypatch):
+        # Same search, same values; the per-step gaps leave fewer DP calls
+        # than the single margin, and every skipped point is the DP's answer.
+        data, nodes, D = opt_instance(60 + M, M=M)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        monkeypatch.setattr(opt_mod, "_RouteAnchor", MarginAnchor)
+        solved_margin, evals_margin = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        assert [(lam.tolist(), val) for lam, val, _ in evals] == [
+            (lam.tolist(), val) for lam, val, _ in evals_margin
+        ]
+        assert len(solved) < len(solved_margin)
+        for lam, val, anchor in evals:
+            assert val == simultaneous_objective(lam, data, nodes, D, cfg)
+            if anchor is not None:
+                w = node_weights(lam, nodes, model)
+                fresh = solve_weighted_trp_dp(w, D)
+                assert fresh.route == anchor.route
+                assert fresh.cost == float(w @ latency(anchor.route, D))
+
+    @pytest.mark.parametrize("M", [2, 3, 6])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_never_skip(self, M, bad):
+        # The DP rejects them with its own message, so the anchor must not
+        # answer for it, wherever the bad weight sits.
+        w0, D = random_instance(M, M)
+        anchor = opt_mod._RouteAnchor(D)
+        anchor.cost(w0, D)
+        for j in range(M):
+            w = w0.copy()
+            w[j] = bad
+            with pytest.raises(ValueError, match="weights contain non-finite values"):
+                anchor.cost(w, D)
+            assert anchor.cost(w0, D) == solve_weighted_trp_dp(w0, D).cost
+
+
 class TestAlternating:
     def test_c1_zero_one_round_recovers_sequential(self, monkeypatch, small_blobs):
         _, nodes, D = opt_instance(1)

@@ -291,6 +291,24 @@ class TestMargin:
             assert sol.route == ref.route
             assert abs(sol.margin - ref.margin) <= 1e-12 * (1.0 + sol.cost), (seed, sol, ref)
 
+    @pytest.mark.parametrize("kind", ["random", "integer", "binary_weights"])
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_step_margins_match_enumeration(self, M, kind):
+        # Step s's gap is the least cost of the routes that first leave the
+        # returned one at step s; only the last step has no such route.
+        for seed in range(8):
+            w, D = random_instance(700 + 10 * M + seed, M, integer=kind == "integer")
+            if kind == "binary_weights":
+                w = (w > 0.5).astype(float)
+            sol = solve_weighted_trp_dp(w, D)
+            ref = solve_weighted_trp_bruteforce(w, D)
+            assert sol.route == ref.route
+            assert len(sol.step_margins) == M - 1
+            assert sol.step_margins[-1] == ref.step_margins[-1] == math.inf
+            assert sol.margin == min(sol.step_margins)
+            for got, want in zip(sol.step_margins[:-1], ref.step_margins[:-1]):
+                assert abs(got - want) <= 1e-12 * (1.0 + sol.cost), (seed, sol, ref)
+
     @pytest.mark.parametrize("M", range(3, 9))
     def test_ties_have_no_margin(self, M):
         unit = np.ones((M, M)) - np.eye(M)  # every route ties

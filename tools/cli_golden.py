@@ -10,10 +10,14 @@ vacuous budget and with a void one.  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
 and solved by Nelder-Mead under both cost models and bounded with --train,
 so the comparison also covers a large DP, its tie-breaking, and
-Nelder-Mead where the tied routes leave the DP no margin to reuse.  Each
-invocation writes into its own OUT_DIR/<name>/ folder;
-OUT_DIR/exit_codes.txt records its exit code and stderr.  OUT_DIR must be new or empty, so no stale folder survives
-into a comparison; -h or --help prints this text.  The package is
+Nelder-Mead where the tied routes leave the DP no margin to reuse.  A
+third, 10-node graph of Euclidean distances between random points in the
+plane, with distinct node features, is solved by Nelder-Mead under both
+cost models: routes there do not tie, so most evaluations reuse the route
+of an earlier DP call under its per-step certificate.  Each invocation
+writes into its own OUT_DIR/<name>/ folder; OUT_DIR/exit_codes.txt records
+its exit code and stderr.  OUT_DIR must be new or empty, so no stale folder
+survives into a comparison; -h or --help prints this text.  The package is
 imported from the ``src/`` next to this script, so running it from two
 checkouts and comparing the trees with
 
@@ -45,8 +49,10 @@ def _labeled(X, y) -> str:
 
 
 def write_inputs(folder: Path) -> None:
-    """Two graphs with two features plus an intercept and asymmetric integer
-    distances: five nodes, and fourteen with tied optimal routes."""
+    """Three graphs with two features plus an intercept: five nodes and
+    fourteen with tied optimal routes, both with asymmetric integer
+    distances, and ten in the plane with distinct features.  Each graph
+    draws from its own seeded generator, so adding one changes no other."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -71,6 +77,14 @@ def write_inputs(folder: Path) -> None:
     D = rng.integers(1, 4, (M, M)).astype(float)
     np.fill_diagonal(D, 0.0)
     (folder / "dist14.csv").write_text(_csv(D))
+
+    rng = np.random.default_rng(19720301)
+    M = 10
+    nodes = np.column_stack([rng.normal(0.0, 0.8, (M, d)), np.ones(M)])
+    (folder / "nodes10.csv").write_text(header + _csv(nodes))
+    xy = rng.uniform(0.0, 10.0, (M, 2))
+    D = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    (folder / "dist10.csv").write_text(_csv(D))
 
 
 def invocations() -> dict:
@@ -109,6 +123,11 @@ def invocations() -> dict:
                                              "--c1", "0.5"]
     runs["bound14_train"] = ["bound", *large, "--eps", "0.5", "--cg", "5", "--train", "train.csv",
                              "--c2", "0.2"]
+    plane = ["--nodes", "nodes10.csv", "--distances", "dist10.csv"]
+    for model in ("cost1", "cost2"):
+        runs[f"simultaneous10_nm_{model}"] = ["simultaneous", "--train", "train.csv", *plane,
+                                             "--c2", "0.2", "--cost-model", model, "--method", "nm",
+                                             "--c1", "0.5"]
     return runs
 
 
