@@ -148,8 +148,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return obj  # json encodes as Infinity/NaN tokens
     return obj
 
 

@@ -257,7 +257,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
 
     def f(v):
         val = simultaneous_objective(v, data, nodes, D, cfg, anchor=anchor)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
         return val
 

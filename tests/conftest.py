@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from repairroute.core import LabeledDataset, as_distance_matrix, as_weights, check_route, cost1
+from repairroute.core import (
+    LabeledDataset,
+    as_distance_matrix,
+    as_weights,
+    check_route,
+    cost1,
+    latency,
+)
 from repairroute.milp import MilpInstance
+from repairroute.sim import SimRouteReport, _check_prob, _rng, _steps
 from repairroute.trp import TIE_TOL, TrpSolution
 
 _BF_MAX_NODES = 10
@@ -75,6 +83,56 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
         solver="brute_force",
         margin=min(step_margins),
         step_margins=step_margins,
+    )
+
+
+def loop_simulate_route_cost(route, D, cfg, model, probs) -> SimRouteReport:
+    """Reference: simulate_route_cost's per-node loop with every draw taken
+    from numpy's own samplers (Generator.binomial for the count cost,
+    Generator.geometric for the first-failure cost), on the same streams."""
+    D = as_distance_matrix(D)
+    p = as_weights(probs, D.shape[0])
+    lat = latency(route, D)
+    k = cfg.steps_per_unit
+    totals = np.zeros(cfg.trials)
+    analytic = 0.0
+    analytic_disc = 0.0
+    for node in range(D.shape[0]):
+        steps = _steps(float(lat[node]), k)
+        pi = _check_prob(p[node])
+        gen = _rng(cfg.seed, node)
+        if model == "cost1":
+            p_step = pi / k
+            totals += gen.binomial(steps, p_step, size=cfg.trials)
+            analytic += pi * lat[node]
+            analytic_disc += p_step * steps
+        else:
+            p_step = -math.expm1(math.log1p(-pi) / k) if pi < 1.0 else 1.0
+            if p_step > 0.0 and steps > 0:
+                totals += gen.geometric(p_step, size=cfg.trials) <= steps
+            analytic += -math.expm1(lat[node] * math.log1p(-pi)) if pi < 1.0 else (
+                1.0 if lat[node] > 0 else 0.0
+            )
+            analytic_disc += -math.expm1(steps * math.log1p(-p_step)) if p_step < 1.0 else (
+                1.0 if steps > 0 else 0.0
+            )
+    est = float(totals.mean())
+    se = float(totals.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+    diff = est - analytic_disc
+    if se > 0:
+        z = diff / se
+    else:
+        z = 0.0 if diff == 0.0 else math.inf if diff > 0 else -math.inf
+    return SimRouteReport(
+        model=model,
+        trials=cfg.trials,
+        seed=int(cfg.seed),
+        steps_per_unit=k,
+        estimate=est,
+        std_error=se,
+        analytic=float(analytic),
+        analytic_discretized=float(analytic_disc),
+        z_score=float(z),
     )
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import repairroute.sim as sim_mod
 from repairroute.core import cost1, cost2_exact, latency, sigmoid
 from repairroute.sim import SimConfig, SimRouteReport, simulate_route_cost
 
-from conftest import random_instance
+from conftest import loop_simulate_route_cost, random_instance
 
 BIG = SimConfig(trials=100_000, seed=0)
 
@@ -231,3 +232,133 @@ class TestRouteCost:
             simulate_route_cost([1, 2, 3], D, cfg, lam=[1.0, 2.0], nodes=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1] * 3, model="cost3")
+
+
+# (guide cells, chunk): the defaults, a single cell so the scan does the
+# whole lookup, and a chunk of 7 so every draw spans many batches.
+TABLES = {"default": {}, "guide1": {"_GUIDE": 1}, "chunk7": {"_CHUNK": 7}}
+
+
+@pytest.fixture(params=list(TABLES))
+def table(request, monkeypatch):
+    for name, value in TABLES[request.param].items():
+        monkeypatch.setattr(sim_mod, name, value)
+    return request.param
+
+
+def pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class TestBinomialTable:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 31, 60, 61, 300])
+    @pytest.mark.parametrize("p", [0.0, 1e-5, 0.1, 0.5, 0.5 + 1e-12, 0.9, 1.0])
+    def test_equals_numpy(self, table, n, p):
+        # 300 * 0.1 rounds above 30 (BTPE) and 300 * (1 - 0.9) below (inversion);
+        # 61 * 0.5 is BTPE, 60 * 0.5 = 30 inversion.
+        for size in (1, 3 * sim_mod._CHUNK + 2):
+            a, b = pcg(n), pcg(n)
+            got = sim_mod._binomial(a, n, p, size)
+            want = b.binomial(n, p, size=size)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert a.random() == b.random()  # same uniforms consumed
+
+    @pytest.mark.parametrize("n, p", [(2**63, 0.1), (2**70, 1e-30), (5, math.nan), (5, 1.5), (5, -0.1)])
+    def test_rejects_what_numpy_rejects(self, n, p):
+        with pytest.raises(Exception) as want:
+            pcg(0).binomial(n, p, size=3)
+        with pytest.raises(want.type):
+            sim_mod._binomial(pcg(0), n, p, 3)
+
+
+class ListGenerator:
+    """Stands in for a Generator: random() hands out a fixed list in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def random(self, size):
+        out = self.values[self.used : self.used + size]
+        assert len(out) == size, "ran out of uniforms"
+        self.used += size
+        return np.array(out)
+
+
+def numpy_inversion(values, n, p):
+    """numpy's random_binomial for its inversion branch, transcribed: reads
+    `values` in order, restarting on a fresh uniform past `bound`.  Returns
+    the draws and the number of uniforms used; the list must end with a
+    uniform that completes a draw."""
+    flip = p > 0.5
+    if flip:
+        p = 1.0 - p
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    draws, used = [], 0
+    while used < len(values):
+        x, px = 0, qn
+        u = values[used]
+        used += 1
+        while u > px:
+            x += 1
+            if x > bound:
+                x, px = 0, qn
+                u = values[used]
+                used += 1
+            else:
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        draws.append(n - x if flip else x)
+    return draws, used
+
+
+class TestBinomialRestarts:
+    @pytest.mark.parametrize(
+        "n, p, restarts",
+        [(1, 0.5, False), (2, 0.5, False), (20, 0.3, False), (5, 0.9, False),
+         (100, 0.01, True), (100, 0.99, True)],
+    )
+    def test_chosen_uniforms_match_numpys_loop(self, table, n, p, restarts):
+        # Every threshold, its grid neighbours, runs of uniforms above the
+        # last threshold (numpy restarts on each, where any lies above it)
+        # and ordinary values; the list ends in 0, which completes a draw.
+        # At (1, 0.5) and (2, 0.5) thresholds fall on guide-cell edges.
+        tau = sim_mod._inversion_thresholds(n, min(p, 1.0 - p))
+        ulp = 2.0**-53
+        top = 1.0 - ulp
+        near = [min(max(t + d, 0.0), top) for t in tau for d in (-ulp, 0.0, ulp)]
+        ordinary = list(pcg(n).random(40))
+        values = near + [top, top, 0.3] + ordinary + [top] * 5 + [0.9, top, 0.0]
+        draws, used = numpy_inversion(values, n, p)
+        gen = ListGenerator(values)
+        assert sim_mod._binomial(gen, n, p, len(draws)).tolist() == draws
+        assert gen.used == used
+        assert (used > len(draws)) == restarts
+
+
+class TestMatchesNumpyLoop:
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_equals_reference(self, table, model, k, seed):
+        _, D = random_instance(seed, 6, integer=True)
+        probs = np.roll([0.0, 1.0, 0.93, 0.5, 0.61, 0.2], seed)
+        cfg = SimConfig(trials=3001, seed=seed, steps_per_unit=k)
+        route = [1, 3, 2, 6, 4, 5]
+        assert simulate_route_cost(route, D, cfg, model=model, probs=probs) == loop_simulate_route_cost(
+            route, D, cfg, model, probs
+        )
+
+    def test_long_waits_reach_btpe(self):
+        # At 64 steps per unit every node (latency times probability 37.8,
+        # 32 and 38.95) draws from numpy's BTPE branch; at 1 step all invert.
+        D = np.array([[0.0, 40.0, 1.0], [1.0, 0.0, 40.0], [40.0, 1.0, 0.0]])
+        probs = [0.9, 0.8, 0.95]
+        for k in (1, 64):
+            cfg = SimConfig(trials=2000, seed=5, steps_per_unit=k)
+            rep = simulate_route_cost([1, 2, 3], D, cfg, probs=probs)
+            assert rep == loop_simulate_route_cost([1, 2, 3], D, cfg, "cost1", probs)

@@ -6,7 +6,10 @@ Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
 subcommand of ``repairroute.cli.main`` in-process: both cost models, all
 three methods, simulate at one and at four steps per unit, both demos (one
 also under cost2), and the bound with explicit caps, with --train, with a
-vacuous budget and with a void one.  A second, 14-node graph with integer
+vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
+per unit on the five-node graph with every distance four times as long,
+has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
+sampler is reached as well as its inversion.  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
 and solved by Nelder-Mead under both cost models and bounded with --train,
 so the comparison also covers a large DP, its tie-breaking, and
@@ -52,7 +55,8 @@ def write_inputs(folder: Path) -> None:
     """Three graphs with two features plus an intercept: five nodes and
     fourteen with tied optimal routes, both with asymmetric integer
     distances, and ten in the plane with distinct features.  Each graph
-    draws from its own seeded generator, so adding one changes no other."""
+    draws from its own seeded generator, so adding one changes no other.
+    The five-node graph also has a copy with four times its distances."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -66,6 +70,7 @@ def write_inputs(folder: Path) -> None:
     D = rng.integers(1, 10, (M, M)).astype(float)
     np.fill_diagonal(D, 0.0)
     (folder / "dist.csv").write_text(_csv(D))
+    (folder / "dist_far.csv").write_text(_csv(4.0 * D))
 
     # Nodes repeat three feature rows, so weights repeat and, with distances
     # 1-3, this seed's optimal routes tie (checked by swapping node pairs).
@@ -102,6 +107,10 @@ def invocations() -> dict:
                 "simultaneous", *base, "--cost-model", model, "--method", method, "--c1", "0.5",
                 "--test", "test.csv",
             ]
+    runs["simulate_far_k64_cost1"] = ["simulate", "--train", "train.csv", "--nodes", "nodes.csv",
+                                      "--distances", "dist_far.csv", "--c2", "0.2", "--cost-model",
+                                      "cost1", "--trials", "2000", "--seed", "3", "--steps-per-unit",
+                                      "64"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
     for which in ("four_node", "six_node"):
