@@ -32,7 +32,6 @@ from .learn import (
 from .milp import (
     MilpInstance,
     build_milp,
-    check_feasible,
     export_lp,
     flow_caps,
 )

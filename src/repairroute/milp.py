@@ -1,11 +1,19 @@
 """Single-commodity flow formulation of the weighted latency routing problem.
 
-Variables, both 1-based and row-major: y_i_j is the binary edge indicator and
-z_i_j the weight still carried while traversing edge (i, j).  The crew leaves
-node 1 carrying every node's weight, drops each node's weight on arrival, and
-carries node 1's share all the way around; minimizing sum d_ij * z_ij over
-degree-, flow-, and capacity-feasible (y, z) reproduces the optimal route
-cost.
+The crew leaves node 1 carrying every node's weight, drops each node's
+weight on arrival, and carries node 1's share all the way around;
+minimizing sum d_ij * z_ij over degree-, flow-, and capacity-feasible (y, z)
+reproduces the optimal route cost (Gavish & Graves 1978).  A zero-weight
+node could sit on a zero-flow subtour, so nodes 2..M need positive weights.
+
+Variables x = (z row-major, y row-major), nodes 1-based: z_i_j, column
+(i - 1) * M + j - 1, is the weight carried along edge (i, j) and y_i_j, M * M
+columns on, its binary indicator; bounds are 0 <= x <= ub, with z_i_i and
+y_i_i fixed at 0.  Rows in order: deg_in_j, deg_out_i, ret (the closing
+legs carry node 1's weight), flow_k (conservation) and link_i_j (z_i_j <=
+cap * y_i_j, no y term where cap is 0).  Row r holds the terms vals[a:b] on
+columns cols[a:b], a, b = indptr[r], indptr[r + 1], in LP text order;
+eq[r] marks an == row (else <=) and rhs[r] is its right-hand side.
 """
 
 from dataclasses import dataclass
@@ -14,34 +22,18 @@ import numpy as np
 
 from .core import as_distance_matrix, as_weights
 
-EQ_TOL = 1e-9
-
-
-def zvar(i: int, j: int) -> str:
-    return f"z_{i}_{j}"
-
-
-def yvar(i: int, j: int) -> str:
-    return f"y_{i}_{j}"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One linear row; coeffs maps variable name to coefficient, zeros dropped."""
-
-    name: str
-    coeffs: dict
-    sense: str  # "==" or "<="
-    rhs: float
-
 
 @dataclass(frozen=True)
 class MilpInstance:
     M: int
-    w: np.ndarray
     D: np.ndarray
-    r: np.ndarray  # per-edge flow caps used in the linking rows
-    constraints: tuple
+    constraints: tuple  # row names, in row order
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    eq: np.ndarray
+    rhs: np.ndarray
+    ub: np.ndarray
 
 
 def flow_caps(w) -> np.ndarray:
@@ -63,104 +55,45 @@ def flow_caps(w) -> np.ndarray:
 
 
 def build_milp(w, D) -> MilpInstance:
-    """Assemble the flow model rows in a fixed, deterministic order."""
+    """Assemble the flow model's rows in a fixed, deterministic order."""
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
     M = D.shape[0]
-    wtot = float(w.sum())
+    zero = np.flatnonzero(w[1:] == 0.0)
+    if zero.size:
+        raise ValueError(
+            f"node {zero[0] + 2} has weight 0 (its score underflowed); the flow model "
+            "needs a positive weight on every node but node 1"
+        )
     r = flow_caps(w)
-
-    cons = []
-    for j in range(1, M + 1):
-        cons.append(
-            Constraint(
-                name=f"deg_in_{j}",
-                coeffs={yvar(i, j): 1.0 for i in range(1, M + 1)},
-                sense="==",
-                rhs=1.0,
-            )
-        )
-    for i in range(1, M + 1):
-        cons.append(
-            Constraint(
-                name=f"deg_out_{i}",
-                coeffs={yvar(i, j): 1.0 for j in range(1, M + 1)},
-                sense="==",
-                rhs=1.0,
-            )
-        )
-    cons.append(
-        Constraint(
-            name="ret",
-            coeffs={zvar(i, 1): 1.0 for i in range(1, M + 1)},
-            sense="==",
-            rhs=float(w[0]),
-        )
+    Z = np.arange(M * M).reshape(M, M)
+    Y = Z + M * M
+    off = ~np.eye(M, dtype=bool)
+    nodes = range(1, M + 1)
+    names = [f"deg_in_{j}" for j in nodes] + [f"deg_out_{i}" for i in nodes] + ["ret"]
+    names += [f"flow_{k}" for k in nodes] + [f"link_{i}_{j}" for i in nodes for j in nodes]
+    # Fixed-width rows: degrees, ret, then flow_k (in-edges of k, out-edges of k).
+    flow = np.hstack([Z.T[off].reshape(M, M - 1), Z[off].reshape(M, M - 1)])
+    fixed = [(Y.T, 1.0), (Y, 1.0), (Z[:, :1].T, 1.0), (flow, np.repeat([1.0, -1.0], M - 1))]
+    # link_i_j: 1 z_i_j - cap y_i_j, without the y term where cap == 0.
+    link_cols = np.stack([Z.ravel(), Y.ravel()], axis=1)
+    link_vals = np.stack([np.ones(M * M), -r.ravel()], axis=1)
+    keep = link_vals != 0.0
+    lengths = [np.full(c.shape[0], c.shape[1]) for c, _ in fixed] + [keep.sum(axis=1)]
+    vals = [np.broadcast_to(v, c.shape).ravel() for c, v in fixed] + [link_vals[keep]]
+    flow_rhs = w.copy()
+    flow_rhs[0] = float(w[0]) - float(w.sum())
+    return MilpInstance(
+        M=M,
+        D=D,
+        constraints=tuple(names),
+        indptr=np.concatenate([[0], np.cumsum(np.concatenate(lengths))]),
+        cols=np.concatenate([c.ravel() for c, _ in fixed] + [link_cols[keep]]),
+        vals=np.concatenate(vals),
+        eq=np.arange(len(names)) < 3 * M + 1,
+        rhs=np.concatenate([np.ones(2 * M), w[:1], flow_rhs, np.zeros(M * M)]),
+        ub=np.concatenate([np.where(off, r, 0.0).ravel(), off.ravel().astype(float)]),
     )
-    for k in range(1, M + 1):
-        coeffs = {}
-        for i in range(1, M + 1):
-            if i != k:
-                coeffs[zvar(i, k)] = 1.0
-        for j in range(1, M + 1):
-            if j != k:
-                coeffs[zvar(k, j)] = -1.0
-        rhs = float(w[0]) - wtot if k == 1 else float(w[k - 1])
-        cons.append(Constraint(name=f"flow_{k}", coeffs=coeffs, sense="==", rhs=rhs))
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            coeffs = {zvar(i, j): 1.0}
-            cap = float(r[i - 1, j - 1])
-            if cap != 0.0:
-                coeffs[yvar(i, j)] = -cap
-            cons.append(
-                Constraint(name=f"link_{i}_{j}", coeffs=coeffs, sense="<=", rhs=0.0)
-            )
-    return MilpInstance(M=M, w=w, D=D, r=r, constraints=tuple(cons))
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    violations: tuple  # (row or bound name, amount) pairs above EQ_TOL
-
-
-def check_feasible(instance: MilpInstance, Y, Z) -> FeasibilityReport:
-    """Evaluate every row, bound, and integrality condition of the model at (Y, Z)."""
-    M = instance.M
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Y.shape != (M, M) or Z.shape != (M, M):
-        raise ValueError(f"Y and Z must be {M}x{M} arrays")
-    vals = {}
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            vals[yvar(i, j)] = float(Y[i - 1, j - 1])
-            vals[zvar(i, j)] = float(Z[i - 1, j - 1])
-
-    violations = []
-    for con in instance.constraints:
-        res = sum(c * vals[v] for v, c in con.coeffs.items()) - con.rhs
-        if con.sense == "==":
-            if abs(res) > EQ_TOL:
-                violations.append((con.name, abs(res)))
-        elif res > EQ_TOL:
-            violations.append((con.name, res))
-
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            z = float(Z[i - 1, j - 1])
-            y = float(Y[i - 1, j - 1])
-            cap = float(instance.r[i - 1, j - 1]) if i != j else 0.0
-            zb = max(0.0, -z, z - cap)
-            if zb > EQ_TOL:
-                violations.append((f"bound_{zvar(i, j)}", zb))
-            nearest = 0.0 if y < 0.5 else 1.0
-            ybad = abs(y) if i == j else abs(y - nearest)
-            if ybad > EQ_TOL:
-                violations.append((f"binary_{yvar(i, j)}", ybad))
-
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
 def _fmt(x: float) -> str:
@@ -168,15 +101,8 @@ def _fmt(x: float) -> str:
 
 
 def _expr(pairs) -> str:
-    parts = []
-    for var, coef in pairs:
-        if not parts:
-            parts.append(f"{_fmt(coef)} {var}" if coef >= 0 else f"- {_fmt(-coef)} {var}")
-        elif coef >= 0:
-            parts.append(f"+ {_fmt(coef)} {var}")
-        else:
-            parts.append(f"- {_fmt(-coef)} {var}")
-    return " ".join(parts)
+    text = " ".join(f"+ {_fmt(c)} {v}" if c >= 0 else f"- {_fmt(-c)} {v}" for v, c in pairs)
+    return text[2:] if text.startswith("+") else text
 
 
 def export_lp(instance: MilpInstance) -> str:
@@ -187,30 +113,20 @@ def export_lp(instance: MilpInstance) -> str:
     details are embedded.
     """
     M = instance.M
-    lines = ["Minimize"]
-    obj_terms = [
-        (zvar(i, j), float(instance.D[i - 1, j - 1]))
-        for i in range(1, M + 1)
-        for j in range(1, M + 1)
-        if i != j
-    ]
-    lines.append(f" obj: {_expr(obj_terms)}")
-    lines.append("Subject To")
-    for con in instance.constraints:
-        sense = "=" if con.sense == "==" else "<="
-        lines.append(f" {con.name}: {_expr(con.coeffs.items())} {sense} {_fmt(con.rhs)}")
+    nodes = range(1, M + 1)
+    names = [f"{v}_{i}_{j}" for v in "zy" for i in nodes for j in nodes]
+    edges = np.flatnonzero(~np.eye(M, dtype=bool))
+    obj = zip([names[c] for c in edges], instance.D.ravel()[edges].tolist())
+    lines = ["Minimize", f" obj: {_expr(obj)}", "Subject To"]
+    ptr, cols, vals = instance.indptr.tolist(), instance.cols.tolist(), instance.vals.tolist()
+    rows = zip(instance.constraints, ptr, ptr[1:], instance.eq.tolist(), instance.rhs.tolist())
+    for name, a, b, eq, rhs in rows:
+        terms = _expr(zip([names[c] for c in cols[a:b]], vals[a:b]))
+        lines.append(f" {name}: {terms} {'=' if eq else '<='} {_fmt(rhs)}")
     lines.append("Bounds")
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            if i == j:
-                lines.append(f" {zvar(i, j)} = 0")
-            else:
-                lines.append(f" 0 <= {zvar(i, j)} <= {_fmt(instance.r[i - 1, j - 1])}")
-    for i in range(1, M + 1):
-        lines.append(f" {yvar(i, i)} = 0")
-    lines.append("Binaries")
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            lines.append(f" {yvar(i, j)}")
-    lines.append("End")
+    ub = instance.ub.tolist()
+    for c, name in enumerate(names[: M * M]):
+        lines.append(f" {name} = 0" if c % (M + 1) == 0 else f" 0 <= {name} <= {_fmt(ub[c])}")
+    lines += [f" {names[M * M + c]} = 0" for c in range(0, M * M, M + 1)]
+    lines += ["Binaries"] + [f" {name}" for name in names[M * M :]] + ["End"]
     return "\n".join(lines) + "\n"

@@ -210,6 +210,11 @@ def simulate_route_cost(
         pi = _check_prob(p[node])
         gen = _rng(cfg.seed, node)
         if model == "cost1":
+            if steps >= 2**63:
+                raise ValueError(
+                    f"node {node + 1} is reached after {steps} steps; the binomial "
+                    "count cost takes at most 2**63 - 1"
+                )
             p_step = pi / k
             totals += _binomial(gen, steps, p_step, cfg.trials)
             analytic += pi * lat[node]

@@ -159,6 +159,24 @@ def route_to_flow(route, w, D):
     return Y, Z
 
 
+def milp_violations(instance: MilpInstance, Y, Z, tol=1e-9) -> list:
+    """Names of the rows, bounds (bound_<var>) and binaries (binary_<var>)
+    of the flow model that (Y, Z) violates by more than tol; empty when
+    (Y, Z) is feasible.  The rows are checked by one sparse product."""
+    M, nrows = instance.M, len(instance.constraints)
+    x = np.concatenate([np.ravel(Z), np.ravel(Y)]).astype(float)
+    row_of_term = np.repeat(np.arange(nrows), np.diff(instance.indptr))
+    res = np.bincount(row_of_term, instance.vals * x[instance.cols], nrows) - instance.rhs
+    names = [f"{v}_{i}_{j}" for v in "zy" for i in range(1, M + 1) for j in range(1, M + 1)]
+    bad_bound = (x < -tol) | (x > instance.ub + tol)
+    bad_binary = np.abs(x - np.round(x)) > tol
+    return (
+        [n for n, r, eq in zip(instance.constraints, res, instance.eq) if (abs(r) if eq else r) > tol]
+        + [f"bound_{n}" for n, bad in zip(names, bad_bound) if bad]
+        + [f"binary_{n}" for n, bad in zip(names[M * M :], bad_binary[M * M :]) if bad]
+    )
+
+
 def objective_value(instance: MilpInstance, Z) -> float:
     """sum d_ij * z_ij."""
     Z = np.asarray(Z, dtype=float)

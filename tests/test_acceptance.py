@@ -24,7 +24,7 @@ from repairroute.bound import halfspace_ball_fraction, shortest_distances
 from repairroute.core import cost1, cost2_exact, latency, sigmoid, standard_trp_cost
 from repairroute.demo import six_node
 from repairroute.learn import training_error, training_gradient
-from repairroute.milp import build_milp, check_feasible
+from repairroute.milp import build_milp
 from repairroute.opt import (
     MltrpConfig,
     _fixed_route_gradient,
@@ -36,7 +36,14 @@ from repairroute.opt import (
 from repairroute.sim import SimConfig, simulate_route_cost
 from repairroute.trp import solve_weighted_trp_dp
 
-from conftest import blobs, objective_value, random_instance, route_to_flow, solve_weighted_trp_bruteforce
+from conftest import (
+    blobs,
+    milp_violations,
+    objective_value,
+    random_instance,
+    route_to_flow,
+    solve_weighted_trp_bruteforce,
+)
 from test_bound import alpha_hypergeometric, make_inputs, tangent_line
 from repairroute.bound import generalization_bound, BoundInputs
 
@@ -112,8 +119,8 @@ def test_03_milp_soundness():
             for tail in itertools.permutations(range(2, M + 1)):
                 route = [1] + list(tail)
                 y, z = route_to_flow(route, w, D)
-                report = check_feasible(inst, y, z)
-                assert report.feasible, (seed, route, report.violations)
+                violations = milp_violations(inst, y, z)
+                assert not violations, (seed, route, violations)
                 objv = objective_value(inst, z)
                 assert abs(objv - cost1(route, w, D)) <= MILP_TOL, (seed, route)
                 best = min(best, objv)

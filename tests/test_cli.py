@@ -422,6 +422,17 @@ class TestExportMilp:
                      "--c2", "0.5", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "model.lp").read_bytes() == GOLDEN.read_bytes()
 
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    def test_underflowed_weight_exits_two_without_lp(self, tmp_path, capsys, model):
+        # Node 2's score is about -1e6, so its weight underflows to 0.
+        for name, content in [("t", M2_TRAIN), ("n", "f1\n0.8\n-1e6\n"), ("d", M2_DIST)]:
+            (tmp_path / f"{name}.csv").write_text(content)
+        assert main(["export-milp", "--train", str(tmp_path / "t.csv"),
+                     "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
+                     "--c2", "0.5", "--cost-model", model, "--out-dir", str(tmp_path)]) == 2
+        assert "node 2 has weight 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.lp").exists()
+
     def test_requires_some_output_path(self, tmp_path, capsys):
         for name, content in [("t", M2_TRAIN), ("n", M2_NODES), ("d", M2_DIST)]:
             (tmp_path / f"{name}.csv").write_text(content)
@@ -515,6 +526,21 @@ class TestSimulate:
         assert doc["route"] == route
         assert doc["analytic"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), di), rel=1e-10)
         assert abs(doc["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("model, code", [("cost1", 2), ("cost2", 0)])
+    def test_huge_latencies(self, tmp_path, capsys, model, code):
+        # 1e19 unit steps exceed what the binomial count draw takes (2**63 - 1);
+        # the first-failure draw has no such limit.
+        data = blobs(3, per_side=10, d=2)
+        D = np.full((3, 3), 1e19)
+        np.fill_diagonal(D, 0.0)
+        tp, np_, dp = write_problem(tmp_path, data, np.zeros((3, 2)), D)
+        assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp,
+                     "--c2", "0.2", "--cost-model", model, "--trials", "10",
+                     "--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("2**63 - 1" in err) == (code == 2)
+        assert (tmp_path / "simulation.json").exists() == (code == 0)
 
     def test_bad_trials_exit_two(self, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=3, M=4)

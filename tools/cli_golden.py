@@ -9,7 +9,12 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  A second, 14-node graph with integer
+sampler is reached as well as its inversion.  Two runs are refused with
+exit code 2: export-milp on a copy of the five nodes where one node's
+score is so low that its weight underflows to 0 (a zero-weight node would
+let the flow model close a subtour), and cost1 simulate on the five-node
+graph with every distance 1e19 times as long, whose step counts exceed
+the binomial draw's 2**63 - 1.  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
 and solved by Nelder-Mead under both cost models and bounded with --train,
 so the comparison also covers a large DP, its tie-breaking, and
@@ -56,7 +61,9 @@ def write_inputs(folder: Path) -> None:
     fourteen with tied optimal routes, both with asymmetric integer
     distances, and ten in the plane with distinct features.  Each graph
     draws from its own seeded generator, so adding one changes no other.
-    The five-node graph also has a copy with four times its distances."""
+    The five-node graph also has copies with four and 1e19 times its
+    distances, and a copy of its nodes whose third node has a first
+    feature of -1000."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -71,6 +78,10 @@ def write_inputs(folder: Path) -> None:
     np.fill_diagonal(D, 0.0)
     (folder / "dist.csv").write_text(_csv(D))
     (folder / "dist_far.csv").write_text(_csv(4.0 * D))
+    (folder / "dist_huge.csv").write_text(_csv(1e19 * D))
+    underflow = nodes.copy()
+    underflow[2, 0] = -1000.0
+    (folder / "nodes_underflow.csv").write_text(header + _csv(underflow))
 
     # Nodes repeat three feature rows, so weights repeat and, with distances
     # 1-3, this seed's optimal routes tie (checked by swapping node pairs).
@@ -111,6 +122,12 @@ def invocations() -> dict:
                                       "--distances", "dist_far.csv", "--c2", "0.2", "--cost-model",
                                       "cost1", "--trials", "2000", "--seed", "3", "--steps-per-unit",
                                       "64"]
+    runs["export_milp_zero_weight"] = ["export-milp", "--train", "train.csv", "--nodes",
+                                       "nodes_underflow.csv", "--distances", "dist.csv", "--c2",
+                                       "0.2"]
+    runs["simulate_overflow_cost1"] = ["simulate", "--train", "train.csv", "--nodes", "nodes.csv",
+                                       "--distances", "dist_huge.csv", "--c2", "0.2",
+                                       "--cost-model", "cost1", "--trials", "2000", "--seed", "3"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
     for which in ("four_node", "six_node"):
