@@ -3,8 +3,6 @@
 from .bound import (
     BoundInputs,
     BoundReport,
-    alpha,
-    c_vector,
     generalization_bound,
     halfspace_ball_fraction,
     reg_inc_beta,
@@ -13,9 +11,7 @@ from .bound import (
 from .core import (
     LabeledDataset,
     cost1,
-    cost1_general,
     cost2_exact,
-    cost2_general,
     latency,
     sigmoid,
     softplus,

@@ -49,13 +49,16 @@ class BoundInputs:
                 raise ValueError(f"{name} must be finite and positive")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        norms = np.linalg.norm(nodes, axis=1)
-        if norms.max() > self.M2 * (1 + 1e-12) + 1e-12:
-            raise ValueError(
-                f"node feature norm {norms.max():.6g} exceeds the M2 cap {self.M2:.6g}"
-            )
+        self.check_norms(nodes, "node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "D", D)
+
+    def check_norms(self, rows, what: str) -> None:
+        """Raise ValueError if a row of `rows` has a norm above M2, with 1e-12
+        relative and absolute slack; `what` names the rows in the message."""
+        top = float(np.linalg.norm(rows, axis=1).max())
+        if top > self.M2 * (1 + 1e-12) + 1e-12:
+            raise ValueError(f"{what} feature norm {top:.6g} exceeds the M2 cap {self.M2:.6g}")
 
     @property
     def d(self) -> int:
@@ -87,43 +90,6 @@ def shortest_distances(D) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class ConstraintVector:
-    c_tilde: np.ndarray
-    c_tilde0: float
-    c: np.ndarray
-    dists: np.ndarray
-    m1: float
-    m0: float
-
-
-def c_vector(inputs: BoundInputs) -> ConstraintVector:
-    """Linearized routing constraint in coefficient space.
-
-    The failure rate sigmoid(lam . x) is bounded above by its tangent line at
-    -M1*M2, the worst-case margin: slope m1 and intercept m0.  Summing the
-    tangent bound against the distance floors turns the budget Cg into the
-    half-space {lam : c . lam <= 1} with c as returned, alongside the
-    distance floors and the tangent.  Cg must exceed the intercept mass
-    c_tilde0 for the half-space to be well defined.
-    """
-    z = inputs.M1 * inputs.M2
-    m1 = float(sigmoid(z) * sigmoid(-z))
-    m0 = z * m1 + float(sigmoid(-z))
-    dists = shortest_distances(inputs.D)
-    c_tilde = m1 * (dists @ inputs.nodes)
-    c_tilde0 = m0 * float(dists.sum())
-    denom = inputs.Cg - c_tilde0
-    if denom <= 0:
-        raise ValueError(
-            f"budget Cg={inputs.Cg:.6g} does not exceed the tangent intercept mass "
-            f"{c_tilde0:.6g}; the linearized constraint is void"
-        )
-    return ConstraintVector(
-        c_tilde=c_tilde, c_tilde0=c_tilde0, c=c_tilde / denom, dists=dists, m1=m1, m0=m0
-    )
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta (modified Lentz).
     EPS = 1e-15
@@ -137,25 +103,20 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 301):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and the odd coefficient of step m, each one Lentz update.
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < FPMIN:
+                d = FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < FPMIN:
+                c = FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < EPS:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -205,27 +166,13 @@ def halfspace_ball_fraction(z: float, R: float, d: int) -> float:
     return 1.0 - 0.5 * reg_inc_beta(x, (d + 1) / 2.0, 0.5)
 
 
-def _cut(inputs: BoundInputs, cn: float) -> tuple[float, float]:
-    # Plane distance 1/|c| and ball radius M1, both padded by eps / (32 M2).
-    pad = inputs.eps / (32.0 * inputs.M2)
-    z_prime = math.inf if cn == 0.0 else 1.0 / cn + pad
-    return z_prime, inputs.M1 + pad
-
-
-def alpha(inputs: BoundInputs, c) -> float:
-    """Surviving volume fraction of the coefficient ball under c . lam <= 1."""
-    c = np.asarray(c, dtype=float).ravel()
-    z_prime, r_prime = _cut(inputs, float(np.linalg.norm(c)))
-    if z_prime >= r_prime:
-        return 1.0
-    return halfspace_ball_fraction(z_prime, r_prime, inputs.d)
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    dists: np.ndarray
-    m1: float
-    m0: float
+    """Every quantity of the bound; the field names are ``bound.json``'s keys."""
+
+    shortest_distances: np.ndarray
+    m1_slope: float
+    m0_intercept: float
     c_tilde: np.ndarray
     c_tilde0: float
     c: np.ndarray
@@ -242,29 +189,55 @@ class BoundReport:
 def generalization_bound(inputs: BoundInputs) -> BoundReport:
     """Probability bound 4 * alpha * (32 M1 M2 / eps + 1)^d * exp(-m eps^2 / (512 (M1 M2)^2)).
 
+    The failure rate sigmoid(lam . x) is bounded above by its tangent line at
+    -M1*M2, the worst-case margin: slope m1 and intercept m0.  Summing the
+    tangent bound against the distance floors turns the budget Cg into the
+    half-space {lam : c . lam <= 1}, c = c_tilde / (Cg - c_tilde0) with
+    c_tilde = m1 * sum_i dist_i x_i and c_tilde0 = m0 * sum_i dist_i.  Cg must
+    exceed the intercept mass c_tilde0 for the half-space to be well defined.
+
+    alpha is the surviving volume fraction of the coefficient ball under
+    c . lam <= 1: the plane distance 1/|c| and the ball radius M1, both padded
+    by eps / (32 M2), give z_prime and r_prime, and alpha is one when the
+    plane clears the ball.
+
     Not clamped at one; values above one simply mean the bound is vacuous at
     these dimensions and sample size.  constraint_vacuous flags a budget so
     loose (Cg above the distance-floor mass) that it removes nothing.
     """
-    vec = c_vector(inputs)
-    cn = float(np.linalg.norm(vec.c))
-    z_prime, r_prime = _cut(inputs, cn)
-    a = alpha(inputs, vec.c)
+    z = inputs.M1 * inputs.M2
+    m1 = float(sigmoid(z) * sigmoid(-z))
+    m0 = z * m1 + float(sigmoid(-z))
+    dists = shortest_distances(inputs.D)
+    c_tilde = m1 * (dists @ inputs.nodes)
+    c_tilde0 = m0 * float(dists.sum())
+    denom = inputs.Cg - c_tilde0
+    if denom <= 0:
+        raise ValueError(
+            f"budget Cg={inputs.Cg:.6g} does not exceed the tangent intercept mass "
+            f"{c_tilde0:.6g}; the linearized constraint is void"
+        )
+    c = c_tilde / denom
+    cn = float(np.linalg.norm(c))
+    c_norm_inv = math.inf if cn == 0.0 else 1.0 / cn
+    pad = inputs.eps / (32.0 * inputs.M2)
+    z_prime, r_prime = c_norm_inv + pad, inputs.M1 + pad
+    a = halfspace_ball_fraction(z_prime, r_prime, inputs.d)
     covering = (32.0 * inputs.M1 * inputs.M2 / inputs.eps + 1.0) ** inputs.d
     exp_factor = math.exp(-inputs.m * inputs.eps**2 / (512.0 * (inputs.M1 * inputs.M2) ** 2))
     return BoundReport(
-        dists=vec.dists,
-        m1=vec.m1,
-        m0=vec.m0,
-        c_tilde=vec.c_tilde,
-        c_tilde0=vec.c_tilde0,
-        c=vec.c,
-        c_norm_inv=math.inf if cn == 0.0 else 1.0 / cn,
+        shortest_distances=dists,
+        m1_slope=m1,
+        m0_intercept=m0,
+        c_tilde=c_tilde,
+        c_tilde0=c_tilde0,
+        c=c,
+        c_norm_inv=c_norm_inv,
         z_prime=z_prime,
         r_prime=r_prime,
         alpha=a,
         covering_factor=covering,
         exp_factor=exp_factor,
         bound=4.0 * a * covering * exp_factor,
-        constraint_vacuous=bool(inputs.Cg > float(vec.dists.sum())),
+        constraint_vacuous=bool(inputs.Cg > float(dists.sum())),
     )

@@ -11,7 +11,7 @@ bytes.  Exit codes: 0 on success, 2 for bad input, 1 for internal errors.
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,26 +55,29 @@ def _model_dict(fit, c2: float, data) -> dict:
     }
 
 
-def _route_dict(route, lam, nodes, D, cost_model: str) -> dict:
-    w = node_weights(lam, nodes, cost_model)
-    probs = node_weights(lam, nodes, "cost1")
-    lats = latency(route, D)
-    naive = naive_route(w)
+def _route_costs(route, lam, nodes, D) -> dict:
+    # A route with both failure costs under the model lam: the expected
+    # failure count (cost1) and the early-failure probability (cost2_exact).
     return {
         "route": list(route),
         "route_string": route_string(route),
-        "latencies_by_node": lats,
-        "weights": w,
-        "probabilities": probs,
-        "cost1": cost1(route, probs, D),
+        "cost1": cost1(route, node_weights(lam, nodes, "cost1"), D),
         "cost2_exact": cost2_exact(route, lam, nodes, D),
+    }
+
+
+def _route_dict(route, lam, nodes, D, cost_model: str) -> dict:
+    w = node_weights(lam, nodes, cost_model)
+    naive = naive_route(w)
+    return {
+        **_route_costs(route, lam, nodes, D),
+        "latencies_by_node": latency(route, D),
+        "weights": w,
+        "probabilities": node_weights(lam, nodes, "cost1"),
         "weighted_latency_cost": cost1(route, w, D),
         "standard_trp_cost": standard_trp_cost(route, D),
         "naive": {
-            "route": list(naive),
-            "route_string": route_string(naive),
-            "cost1": cost1(naive, probs, D),
-            "cost2_exact": cost2_exact(naive, lam, nodes, D),
+            **_route_costs(naive, lam, nodes, D),
             "weighted_latency_cost": cost1(naive, w, D),
         },
     }
@@ -159,7 +162,7 @@ def cmd_simultaneous(args) -> int:
     dataio.write_json(out / "route.json", _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model))
     if grid is not None:
         rows = c1_sweep(data, nodes, D, cfg, grid, method=args.method, test_data=test)
-        dataio.write_csv(out / "sweep.csv", sweep_csv(rows))
+        dataio.write_text(out / "sweep.csv", sweep_csv(rows))
     return 0
 
 
@@ -193,24 +196,20 @@ def cmd_demo(args) -> int:
         ",".join(repr(v) for v in row) + f",{int(lab):+d}"
         for row, lab in zip(data.features.tolist(), data.labels.tolist())
     ]
-    dataio.write_csv(out / "train.csv", "\n".join(train_rows) + "\n")
+    dataio.write_text(out / "train.csv", "\n".join(train_rows) + "\n")
     node_rows = [header] + [",".join(repr(v) for v in row) for row in nodes.tolist()]
-    dataio.write_csv(out / "nodes.csv", "\n".join(node_rows) + "\n")
+    dataio.write_text(out / "nodes.csv", "\n".join(node_rows) + "\n")
     dist_rows = [",".join(repr(v) for v in row) for row in D.tolist()]
-    dataio.write_csv(out / "distances.csv", "\n".join(dist_rows) + "\n")
+    dataio.write_text(out / "distances.csv", "\n".join(dist_rows) + "\n")
 
     seq = solve("sequential", data, nodes, D, cfg)
     sim_sol = solve(args.method, data, nodes, D, cfg)
 
     def _summary(sol):
-        probs = node_weights(sol.lam, nodes, "cost1")
         return {
-            "route": list(sol.route),
-            "route_string": route_string(sol.route),
-            "cost1": cost1(sol.route, probs, D),
-            "cost2_exact": cost2_exact(sol.route, sol.lam, nodes, D),
+            **_route_costs(sol.route, sol.lam, nodes, D),
             "training_error": sol.training_error,
-            "probabilities": probs,
+            "probabilities": node_weights(sol.lam, nodes, "cost1"),
         }
 
     s_seq, s_sim = _summary(seq), _summary(sim_sol)
@@ -246,10 +245,10 @@ def cmd_simulate(args) -> int:
     report = simulate_route_cost(
         sol.route, D, sim_cfg, model=args.cost_model, lam=sol.lam, nodes=nodes
     )
-    doc = report.to_dict()
-    doc["route"] = list(sol.route)
-    doc["route_string"] = route_string(sol.route)
-    dataio.write_json(Path(args.out_dir) / "simulation.json", doc)
+    dataio.write_json(
+        Path(args.out_dir) / "simulation.json",
+        {**asdict(report), "route": list(sol.route), "route_string": route_string(sol.route)},
+    )
     return 0
 
 
@@ -260,7 +259,7 @@ def cmd_bound(args) -> int:
     nodes, D = _load_graph(args)
     m1 = args.m1
     m = args.m
-    norm_cap = float(np.linalg.norm(nodes, axis=1).max())
+    rows = nodes
     if args.train is not None:
         data = dataio.load_labeled_csv(args.train)
         if data.d != nodes.shape[1]:
@@ -273,14 +272,16 @@ def cmd_bound(args) -> int:
         lam_norm = float(np.linalg.norm(fit.lam))
         m1 = max(m1, lam_norm) if m1 is not None else lam_norm
         m = m if m is not None else data.m
-        norm_cap = max(norm_cap, float(np.linalg.norm(data.features, axis=1).max()))
+        rows = np.vstack([nodes, data.features])
     if m1 is None:
         raise ValidationError("supply --m1 or --train to set the coefficient norm cap")
     if m is None:
         raise ValidationError("supply --m or --train to set the sample size")
-    m2 = args.m2 if args.m2 is not None else norm_cap
+    m2 = args.m2 if args.m2 is not None else float(np.linalg.norm(rows, axis=1).max())
     try:
         inputs = BoundInputs(M1=m1, M2=m2, Cg=args.cg, eps=args.eps, m=m, nodes=nodes, D=D)
+        # BoundInputs has checked the node rows, so only a training row can fail here.
+        inputs.check_norms(rows, "training")
         report = generalization_bound(inputs)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
@@ -293,20 +294,7 @@ def cmd_bound(args) -> int:
             "eps": args.eps,
             "m": m,
             "dimension": inputs.d,
-            "shortest_distances": report.dists,
-            "m1_slope": report.m1,
-            "m0_intercept": report.m0,
-            "c_tilde": report.c_tilde,
-            "c_tilde0": report.c_tilde0,
-            "c": report.c,
-            "c_norm_inv": report.c_norm_inv,
-            "z_prime": report.z_prime,
-            "r_prime": report.r_prime,
-            "alpha": report.alpha,
-            "covering_factor": report.covering_factor,
-            "exp_factor": report.exp_factor,
-            "bound": report.bound,
-            "constraint_vacuous": report.constraint_vacuous,
+            **asdict(report),
         },
     )
     return 0

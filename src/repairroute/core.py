@@ -144,21 +144,6 @@ def cost1(route, w, D) -> float:
     return float(w @ latency(route, D))
 
 
-def cost1_general(route, w, D, beta: float) -> float:
-    """Interpolated count cost: beta=0 waits per-node, beta=1 waits a full tour.
-
-    Each node contributes w_i * (beta * (L_tour - L_i) + L_i) where L_tour is
-    the closed-tour length and L_i the node's latency.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
-    D = as_distance_matrix(D)
-    w = as_weights(w, D.shape[0])
-    lat = latency(route, D)
-    tour = lat[check_route(route, D.shape[0])[0]]
-    return float(w @ (beta * (tour - lat) + lat))
-
-
 def node_scores(lam, nodes, M: int | None = None) -> np.ndarray:
     """Per-node linear scores lam . x_i, after checking lam against the feature width.
 
@@ -188,17 +173,6 @@ def cost2_exact(route, lam, nodes, D) -> float:
     lat = latency(route, D)
     per_node = np.where(lat > 0, -np.expm1(-lat * rate), 0.0)
     return float(per_node.sum())
-
-
-def cost2_general(route, lam, nodes, D, beta: float) -> float:
-    """Interpolated early-failure cost; beta=0 recovers the exact form, beta=1 counts every node."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
-    D = as_distance_matrix(D)
-    rate = softplus(node_scores(lam, nodes, D.shape[0]))
-    lat = latency(route, D)
-    survive = np.where(lat > 0, np.exp(-lat * rate), 1.0)
-    return float(np.sum(1.0 - (1.0 - beta) * survive))
 
 
 def standard_trp_cost(route, D) -> float:

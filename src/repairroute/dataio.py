@@ -154,7 +154,3 @@ def _jsonable(obj):
 def write_json(path, obj):
     """Atomically write a JSON document with sorted keys and a trailing newline."""
     _atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
-
-
-def write_csv(path, text: str):
-    _atomic_write(path, text)

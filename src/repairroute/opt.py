@@ -292,24 +292,15 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
         elif fr < fvals[-2]:
             verts[-1], fvals[-1] = xr, fr
         else:
-            shrink = False
-            if fr < fvals[-1]:
-                xc = centroid + _NM_CONTRACT * (centroid - worst)
-                fc = f(xc)
-                evals += 1
-                if fc <= fr:
-                    verts[-1], fvals[-1] = xc, fc
-                else:
-                    shrink = True
+            # Contract on the reflected side when the reflection beat the
+            # worst vertex, else on the worst vertex's side; shrink if that fails.
+            outside = fr < fvals[-1]
+            xc = centroid + (_NM_CONTRACT if outside else -_NM_CONTRACT) * (centroid - worst)
+            fc = f(xc)
+            evals += 1
+            if (fc <= fr) if outside else (fc < fvals[-1]):
+                verts[-1], fvals[-1] = xc, fc
             else:
-                xc = centroid - _NM_CONTRACT * (centroid - worst)
-                fc = f(xc)
-                evals += 1
-                if fc < fvals[-1]:
-                    verts[-1], fvals[-1] = xc, fc
-                else:
-                    shrink = True
-            if shrink:
                 for i in range(1, d + 1):
                     verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
                     fvals[i] = f(verts[i])

@@ -151,19 +151,6 @@ class SimRouteReport:
     analytic_discretized: float
     z_score: float
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "trials": self.trials,
-            "seed": self.seed,
-            "steps_per_unit": self.steps_per_unit,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "analytic": self.analytic,
-            "analytic_discretized": self.analytic_discretized,
-            "z_score": self.z_score,
-        }
-
 
 def simulate_route_cost(
     route,
@@ -200,6 +187,10 @@ def simulate_route_cost(
             raise ValueError("lam requires node features")
         p = sigmoid(node_scores(lam, nodes, M))
 
+    def first_failure(n, q):
+        # P(a failure within n steps, each failing with probability q).
+        return -math.expm1(n * math.log1p(-q)) if q < 1.0 else float(n > 0)
+
     lat = latency(route, D)
     k = cfg.steps_per_unit
     totals = np.zeros(cfg.trials)
@@ -223,12 +214,8 @@ def simulate_route_cost(
             p_step = -math.expm1(math.log1p(-pi) / k) if pi < 1.0 else 1.0
             if p_step > 0.0 and steps > 0:
                 totals += gen.geometric(p_step, size=cfg.trials) <= steps
-            analytic += -math.expm1(lat[node] * math.log1p(-pi)) if pi < 1.0 else (
-                1.0 if lat[node] > 0 else 0.0
-            )
-            analytic_disc += -math.expm1(steps * math.log1p(-p_step)) if p_step < 1.0 else (
-                1.0 if steps > 0 else 0.0
-            )
+            analytic += first_failure(lat[node], pi)
+            analytic_disc += first_failure(steps, p_step)
     est = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     diff = est - analytic_disc

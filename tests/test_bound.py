@@ -10,8 +10,6 @@ import repairroute.bound as bound_mod
 from repairroute.bound import (
     BoundInputs,
     BoundReport,
-    alpha,
-    c_vector,
     generalization_bound,
     halfspace_ball_fraction,
     reg_inc_beta,
@@ -223,30 +221,29 @@ class TestConstraintVector:
     def test_flat_sigmoid_limit(self):
         inputs = make_inputs(0, M1=1e-8, M2=1e-8)
         rep = generalization_bound(inputs)
-        assert rep.m1 == pytest.approx(0.25, abs=1e-10)
-        assert rep.m0 == pytest.approx(0.5, abs=1e-10)
+        assert rep.m1_slope == pytest.approx(0.25, abs=1e-10)
+        assert rep.m0_intercept == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_features_give_vacuous_constraint(self):
         _, D = random_instance(1, 4)
         _, m0 = tangent_line(1.0, 1.0)
         cg = m0 * float(shortest_distances(D).sum()) + 1.0
         inputs = BoundInputs(M1=1.0, M2=1.0, Cg=cg, eps=0.5, m=50, nodes=np.zeros((4, 2)), D=D)
-        vec = c_vector(inputs)
-        assert np.array_equal(vec.c, np.zeros(2))
         rep = generalization_bound(inputs)
+        assert np.array_equal(rep.c, np.zeros(2))
         assert rep.alpha == 1.0
         assert math.isinf(rep.c_norm_inv)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_components(self, seed):
         inputs = make_inputs(seed)
-        vec = c_vector(inputs)
+        rep = generalization_bound(inputs)
         m1, m0 = tangent_line(inputs.M1, inputs.M2)
         dists = shortest_distances(inputs.D)
         expect_tilde = m1 * np.einsum("i,ij->j", dists, inputs.nodes)
-        assert np.allclose(vec.c_tilde, expect_tilde, rtol=1e-12)
-        assert vec.c_tilde0 == pytest.approx(m0 * dists.sum(), rel=1e-12)
-        assert np.allclose(vec.c, expect_tilde / (inputs.Cg - vec.c_tilde0), rtol=1e-12)
+        assert np.allclose(rep.c_tilde, expect_tilde, rtol=1e-12)
+        assert rep.c_tilde0 == pytest.approx(m0 * dists.sum(), rel=1e-12)
+        assert np.allclose(rep.c, expect_tilde / (inputs.Cg - rep.c_tilde0), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_line_lower_bounds_sigmoid(self, seed):
@@ -261,18 +258,16 @@ class TestConstraintVector:
 
     def test_budget_below_intercept_mass_errors(self):
         inputs = make_inputs(3)
-        vec = c_vector(inputs)
+        rep = generalization_bound(inputs)
         bad = BoundInputs(
             M1=inputs.M1,
             M2=inputs.M2,
-            Cg=vec.c_tilde0 * 0.5,
+            Cg=rep.c_tilde0 * 0.5,
             eps=inputs.eps,
             m=inputs.m,
             nodes=inputs.nodes,
             D=inputs.D,
         )
-        with pytest.raises(ValueError, match="does not exceed"):
-            c_vector(bad)
         with pytest.raises(ValueError, match="does not exceed"):
             generalization_bound(bad)
 
@@ -293,7 +288,9 @@ class TestAlpha:
 
     def test_unit_when_plane_clears_ball(self):
         inputs = make_inputs(2, cg_slack=1e9)  # huge budget, tiny c
-        assert alpha(inputs, c_vector(inputs).c) == 1.0
+        rep = generalization_bound(inputs)
+        assert rep.z_prime >= rep.r_prime
+        assert rep.alpha == 1.0
 
     @pytest.mark.parametrize("seed", range(100))
     def test_monotone_in_budget(self, seed):
@@ -358,7 +355,7 @@ class TestGeneralizationBound:
     def test_distances_reported(self):
         inputs = make_inputs(8)
         rep = generalization_bound(inputs)
-        assert np.array_equal(rep.dists, shortest_distances(inputs.D))
+        assert np.array_equal(rep.shortest_distances, shortest_distances(inputs.D))
 
     def test_one_tour_dp_per_call(self, monkeypatch):
         inputs = make_inputs(9)
@@ -372,6 +369,7 @@ class TestGeneralizationBound:
         monkeypatch.setattr(bound_mod, "solve_weighted_trp_dp", counting)
         rep = generalization_bound(inputs)
         assert len(calls) == 1
-        vec = c_vector(inputs)
-        assert np.array_equal(rep.dists, vec.dists)
-        assert (rep.m1, rep.m0) == (vec.m1, vec.m0)
+        assert np.array_equal(rep.shortest_distances, shortest_distances(inputs.D))
+        m1, m0 = tangent_line(inputs.M1, inputs.M2)
+        assert rep.m1_slope == pytest.approx(m1, rel=1e-12)
+        assert rep.m0_intercept == pytest.approx(m0, rel=1e-12)

@@ -527,6 +527,15 @@ class TestSimulate:
         assert doc["analytic"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), di), rel=1e-10)
         assert abs(doc["z_score"]) <= 4.0
 
+    def test_simulation_json_keys(self, tmp_path):
+        (tp, np_, dp), *_ = problem(tmp_path, seed=3, M=4)
+        assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp,
+                     "--c2", "0.2", "--trials", "100", "--out-dir", str(tmp_path)]) == 0
+        assert set(read_json(tmp_path / "simulation.json")) == {
+            "model", "trials", "seed", "steps_per_unit", "estimate", "std_error", "analytic",
+            "analytic_discretized", "z_score", "route", "route_string",
+        }
+
     @pytest.mark.parametrize("model, code", [("cost1", 2), ("cost2", 0)])
     def test_huge_latencies(self, tmp_path, capsys, model, code):
         # 1e19 unit steps exceed what the binomial count draw takes (2**63 - 1);
@@ -575,6 +584,33 @@ class TestBound:
         )
         assert doc["dimension"] == 2
         assert len(doc["shortest_distances"]) == 4
+
+    def test_bound_json_keys(self, tmp_path):
+        np_, dp, *_ = self.make_files(tmp_path)
+        assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60",
+                     "--eps", "0.5", "--m1", "2.0", "--m2", "1.5", "--m", "400",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert set(read_json(tmp_path / "bound.json")) == {
+            "M1", "M2", "Cg", "eps", "m", "dimension", "shortest_distances", "m1_slope",
+            "m0_intercept", "c_tilde", "c_tilde0", "c", "c_norm_inv", "z_prime", "r_prime",
+            "alpha", "covering_factor", "exp_factor", "bound", "constraint_vacuous",
+        }
+
+    def test_m2_below_a_training_norm_exits_two(self, tmp_path, capsys):
+        # The bound needs every training row within M2, like every node row.
+        np_, dp, *_ = self.make_files(tmp_path, seed=1)  # node norms at most 1.2
+        tp = tmp_path / "train_far.csv"
+        tp.write_text("f1,f2,label\n5.0,5.0,+1\n-0.1,0.2,-1\n0.3,-0.2,+1\n-5.0,-4.0,-1\n")
+        flags = ["bound", "--train", str(tp), "--c2", "0.3", "--nodes", np_, "--distances", dp,
+                 "--cg", "60", "--eps", "0.5"]
+        out = tmp_path / "out"
+        assert main(flags + ["--m2", "1.5", "--out-dir", str(out)]) == 2
+        assert "error: training feature norm 7.07107 exceeds the M2 cap 1.5" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # A cap at the largest training norm is accepted.
+        assert main(flags + ["--m2", repr(math.hypot(5.0, 5.0)), "--out-dir", str(out)]) == 0
 
     def test_train_supplies_caps(self, tmp_path):
         np_, dp, nodes, D = self.make_files(tmp_path, seed=1)

@@ -6,9 +6,7 @@ import pytest
 
 from repairroute.core import (
     cost1,
-    cost1_general,
     cost2_exact,
-    cost2_general,
     latency,
     node_scores,
     sigmoid,
@@ -109,57 +107,6 @@ class TestCost1:
             cost1([1, 2, 3], [0.5, 0.5], UNIT3)
 
 
-class TestCost1General:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_beta_zero_is_cost1(self, seed):
-        w, D = random_instance(seed, 5)
-        route = [1, 3, 2, 5, 4]
-        assert cost1_general(route, w, D, 0.0) == pytest.approx(
-            cost1(route, w, D), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_beta_one_charges_full_tour(self, seed):
-        w, D = random_instance(seed, 5)
-        route = [1, 4, 5, 2, 3]
-        tour = latency(route, D)[0]
-        assert cost1_general(route, w, D, 1.0) == pytest.approx(
-            float(w.sum()) * tour, rel=1e-12
-        )
-
-    def test_half_beta_hand_expansion(self):
-        w = np.array([0.4, 0.3, 0.2, 0.1])
-        D = np.array(
-            [
-                [0.0, 2.0, 4.0, 1.0],
-                [2.0, 0.0, 1.0, 3.0],
-                [4.0, 1.0, 0.0, 2.0],
-                [1.0, 3.0, 2.0, 0.0],
-            ]
-        )
-        route = [1, 2, 3, 4]
-        # legs: 2, 1, 2, closing 1 -> latencies: n2=2, n3=3, n4=5, n1=6
-        lat = {1: 6.0, 2: 2.0, 3: 3.0, 4: 5.0}
-        beta = 0.5
-        expected = sum(
-            w[i - 1] * (beta * (lat[1] - lat[i]) + lat[i]) for i in (1, 2, 3, 4)
-        )
-        assert cost1_general(route, w, D, beta) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_monotone_in_beta(self, seed):
-        w, D = random_instance(seed, 5)
-        route = [1, 5, 4, 3, 2]
-        vals = [cost1_general(route, w, D, b) for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_beta_out_of_range(self):
-        w, D = random_instance(0, 4)
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                cost1_general([1, 2, 3, 4], w, D, bad)
-
-
 class TestCost2Exact:
     def test_two_nodes_zero_score(self):
         # f = 0 at both nodes: per-step failure chance 1/2, latencies 3 and 6.
@@ -186,9 +133,7 @@ class TestCost2Exact:
         nodes = rng.normal(size=(5, 3))
         lam = rng.normal(size=3)
         route = [1] + (rng.permutation(np.arange(2, 6)).tolist())
-        val = cost2_general(route, lam, nodes, D, 0.0)
-        assert 0.0 <= val <= 5.0
-        assert val == pytest.approx(cost2_exact(route, lam, nodes, D), rel=1e-12)
+        assert 0.0 <= cost2_exact(route, lam, nodes, D) <= 5.0
 
     def test_survival_form_oracle(self):
         # Independent accumulation: per node, 1 - (1 + e^f)^(-L) via direct powers.
@@ -203,49 +148,6 @@ class TestCost2Exact:
             1.0 - (1.0 + math.exp(float(nodes[i] @ lam))) ** (-lat[i]) for i in range(4)
         )
         assert cost2_exact(route, lam, nodes, D) == pytest.approx(expected, rel=1e-12)
-
-
-class TestCost2General:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_beta_one_counts_every_node(self, seed):
-        w, D = random_instance(seed, 6)
-        rng = np.random.default_rng(6000 + seed)
-        nodes = rng.normal(size=(6, 2))
-        lam = rng.normal(size=2)
-        assert cost2_general([1, 2, 3, 4, 5, 6], lam, nodes, D, 1.0) == pytest.approx(
-            6.0, rel=1e-12
-        )
-
-    def test_quarter_beta_hand_expansion(self):
-        D = np.array([[0.0, 2.0], [1.0, 0.0]])
-        lam = [0.5, -0.25]
-        nodes = np.array([[1.0, 2.0], [2.0, 1.0]])
-        lat = {0: 3.0, 1: 2.0}
-        beta = 0.25
-        expected = sum(
-            1.0
-            - (1.0 - beta)
-            * (1.0 + math.exp(float(nodes[i] @ np.array(lam)))) ** (-lat[i])
-            for i in range(2)
-        )
-        assert cost2_general([1, 2], lam, nodes, D, beta) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_monotone_in_beta(self, seed):
-        w, D = random_instance(seed, 5)
-        rng = np.random.default_rng(7000 + seed)
-        nodes = rng.normal(size=(5, 2))
-        lam = rng.normal(size=2)
-        route = [1] + (rng.permutation(np.arange(2, 6)).tolist())
-        vals = [cost2_general(route, lam, nodes, D, b) for b in (0.0, 0.5, 1.0)]
-        assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
-
-    def test_beta_out_of_range(self):
-        D = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            cost2_general([1, 2], [0.0], [[1.0], [1.0]], D, 1.5)
 
 
 class TestSurrogateWeights:
@@ -270,7 +172,6 @@ class TestSurrogateWeights:
 _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 _SCORE_USERS = {
     "cost2_exact": lambda lam, nodes: cost2_exact([1, 2, 3], lam, nodes, _D3),
-    "cost2_general": lambda lam, nodes: cost2_general([1, 2, 3], lam, nodes, _D3, 0.5),
     "node_weights_cost1": lambda lam, nodes: node_weights(lam, nodes, "cost1"),
     "node_weights_cost2_surrogate": lambda lam, nodes: node_weights(lam, nodes, "cost2"),
     "simulate_route_cost": lambda lam, nodes: simulate_route_cost(
@@ -286,7 +187,7 @@ class TestNodeScoreChecks:
         with pytest.raises(ValueError, match="lambda has 3 coefficients, node features have 2"):
             _SCORE_USERS[name]([1.0, 2.0, 3.0], np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("name", ["cost2_exact", "cost2_general", "simulate_route_cost"])
+    @pytest.mark.parametrize("name", ["cost2_exact", "simulate_route_cost"])
     def test_rejects_node_count_mismatch(self, name):
         with pytest.raises(ValueError, match="node feature count does not match distance matrix"):
             _SCORE_USERS[name]([1.0, 2.0], np.zeros((4, 2)))

@@ -198,27 +198,6 @@ class TestRouteCost:
         b = simulate_route_cost([1, 2, 3, 4], D, cfg, probs=p)
         assert a == b
 
-    def test_to_dict_round_trip(self):
-        _, D = random_instance(5, 3, integer=True)
-        rep = simulate_route_cost(
-            [1, 2, 3], D, SimConfig(trials=1000, seed=5), probs=[0.2, 0.4, 0.6]
-        )
-        d = rep.to_dict()
-        assert set(d) == {
-            "model",
-            "trials",
-            "seed",
-            "steps_per_unit",
-            "estimate",
-            "std_error",
-            "analytic",
-            "analytic_discretized",
-            "z_score",
-        }
-        assert d["model"] == "cost1"
-        assert d["trials"] == 1000
-        assert isinstance(rep, SimRouteReport)
-
     def test_argument_validation(self):
         _, D = random_instance(0, 3, integer=True)
         cfg = SimConfig(trials=10, seed=0)

@@ -9,12 +9,14 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Two runs are refused with
+sampler is reached as well as its inversion.  Three runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
-let the flow model close a subtour), and cost1 simulate on the five-node
+let the flow model close a subtour), cost1 simulate on the five-node
 graph with every distance 1e19 times as long, whose step counts exceed
-the binomial draw's 2**63 - 1.  A second, 14-node graph with integer
+the binomial draw's 2**63 - 1, and the bound with --train and an --m2 of
+2, above every node's feature norm but below the largest training row's
+(the bound holds only for training rows within M2).  A second, 14-node graph with integer
 distances and repeated node features, whose optimal routes tie, is routed
 and solved by Nelder-Mead under both cost models and bounded with --train,
 so the comparison also covers a large DP, its tie-breaking, and
@@ -140,6 +142,8 @@ def invocations() -> dict:
     runs["bound_train"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2"]
     runs["bound_vacuous"] = ["bound", *graph, "--cg", "1000", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_void"] = ["bound", *graph, "--cg", "0.001", "--m1", "2", "--m2", "2", "--m", "64"]
+    runs["bound_train_m2_low"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2",
+                                  "0.2", "--m2", "2"]
     large = ["--nodes", "nodes14.csv", "--distances", "dist14.csv"]
     for model in ("cost1", "cost2"):
         runs[f"route14_{model}"] = ["route", "--train", "train.csv", *large, "--c2", "0.2",
