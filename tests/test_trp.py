@@ -16,6 +16,10 @@ from conftest import random_instance, solve_weighted_trp_bruteforce, twin_last_n
 BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
 
+def popcount(masks):
+    return sum(BYTE_POPCOUNT[(masks >> shift) & 0xFF] for shift in (0, 8, 16))
+
+
 def enumerate_routes(M):
     for tail in itertools.permutations(range(2, M + 1)):
         yield [1] + list(tail)
@@ -23,8 +27,10 @@ def enumerate_routes(M):
 
 def loop_dp(w, D, fallbacks=None):
     """Reference: the subset DP filled one mask at a time, with the same
-    greedy reconstruction.  Returns (route, cost); appends to `fallbacks`, if
-    given, each step at which no completion came within TIE_TOL of c*."""
+    greedy reconstruction.  Returns (route, cost, gaps), gaps[s - 1] being
+    the least completion not taken at step s minus c* (inf where one node is
+    free); appends to `fallbacks`, if given, each step at which no
+    completion came within TIE_TOL of c*."""
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     M = D.shape[0]
@@ -49,30 +55,25 @@ def loop_dp(w, D, fallbacks=None):
     c_star = float(g[0, 0])
     mask, last, acc = 0, 0, 0.0
     order = [0]
+    gaps = []
     for _ in range(n):
-        chosen = None
-        fallback = (np.inf, None)
-        for k in range(n):
-            if mask >> k & 1:
-                continue
-            node = k + 1
-            total = acc + D[last, node] * coef[mask] + g[mask | (1 << k), node]
-            if total <= c_star + TIE_TOL:
-                chosen = (k, node)
-                break
-            if total < fallback[0]:
-                fallback = (total, (k, node))
-        if chosen is None:
-            chosen = fallback[1]
+        free = [k for k in range(n) if not mask >> k & 1]
+        totals = [acc + D[last, k + 1] * coef[mask] + g[mask | (1 << k), k + 1] for k in free]
+        within = [i for i, total in enumerate(totals) if total <= c_star + TIE_TOL]
+        if within:
+            i = within[0]
+        else:
+            i = totals.index(min(totals))
             if fallbacks is not None:
                 fallbacks.append(len(order))
-        k, node = chosen
+        gaps.append(float(min(totals[:i] + totals[i + 1 :], default=math.inf) - c_star))
+        k, node = free[i], free[i] + 1
         acc += D[last, node] * coef[mask]
         mask |= 1 << k
         last = node
         order.append(node)
     route = [i + 1 for i in order]
-    return route, cost1(route, w, D)
+    return route, cost1(route, w, D), tuple(gaps)
 
 
 class TestDp:
@@ -181,9 +182,10 @@ class TestDp:
         elif kind == "zero_weights":
             w[1:] = 0.0
         sol = solve_weighted_trp_dp(w, D)
-        route, cost = loop_dp(w, D)
+        route, cost, gaps = loop_dp(w, D)
         assert sol.route == route
         assert sol.cost == cost
+        assert sol.step_margins == gaps
 
     @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])
     @pytest.mark.parametrize("seed", range(5))
@@ -203,15 +205,16 @@ class TestDp:
             w = np.full(M, 0.3)
         D *= scale
         sol = solve_weighted_trp_dp(w, D)
-        route, cost = loop_dp(w, D)
+        route, cost, gaps = loop_dp(w, D)
         assert sol.route == route
         assert sol.cost == cost
+        assert sol.step_margins == gaps
 
     @pytest.mark.parametrize("M", [13, 14])
     def test_matches_per_mask_loop_larger(self, M):
         w, D = random_instance(100 + M, M)
         sol = solve_weighted_trp_dp(w, D)
-        assert (sol.route, sol.cost) == loop_dp(w, D)
+        assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D)
 
     def test_pair_index_cache_across_node_counts(self):
         # The (set, free bit) index is cached for the most recent node count
@@ -230,38 +233,78 @@ class TestDp:
             else:
                 w, D = random_instance(200 + M, M)
                 sol = solve_weighted_trp_dp(w, D)
-                assert (sol.route, sol.cost) == loop_dp(w, D)
+                assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D)
             assert trp_mod._layers.cache_info().currsize == 1
             self.check_pair_index(M - 1)
 
     @staticmethod
     def check_pair_index(n):
-        pos, layers = trp_mod._layers(n)
+        fill_rows = trp_mod._FILL_ROWS
+        pos, all_sets, layers = trp_mod._layers(n, fill_rows)
         assert len(layers) == n
-        assert pos.dtype == np.int32 and pos.shape == (1 << n,)
+        assert pos.dtype == all_sets.dtype == np.int32 and pos.shape == (1 << n,)
         assert pos[(1 << n) - 1] == 0  # the full set is alone in its layer
-        for s, (sets, free, nxt) in enumerate(layers):
-            assert sets.dtype == np.int32 and free.dtype == np.uint8 and nxt.dtype == np.int32
+        assert all_sets.size == (1 << n) - 1
+        # layer s + 1's members, to check where each successor entry lands;
+        # the full set's table holds its n nodes in order
+        members_above = np.arange(n)[:, None]
+        for s in range(n - 1, -1, -1):
+            span, shape, steps = layers[s]
+            size = math.comb(n, s)
+            sets = all_sets[span]
+            assert shape == (max(s, 1), size)
             # every set of s bits, each once, in ascending order
-            assert sets.size == math.comb(n, s)
+            assert sets.size == size
             assert np.all(np.diff(sets) > 0)
-            popcount = sum(BYTE_POPCOUNT[(sets >> shift) & 0xFF] for shift in (0, 8, 16))
-            assert np.all(popcount == s)
-            # pos numbers the layer's sets 0..|sets|-1 in order
-            assert np.array_equal(pos[sets], np.arange(sets.size))
-            # each column: n - s distinct bits, ascending, exactly the set's complement
-            assert free.shape == nxt.shape == (n - s, sets.size)
-            assert np.all(np.diff(free.astype(int), axis=0) > 0)
-            k = free.astype(np.int64)
+            assert np.all(popcount(sets) == s)
+            # pos numbers the layer's sets 0..size-1 in order
+            assert np.array_equal(pos[sets], np.arange(size))
+            # the steps cover the columns in order, each within the cap or one set wide
+            assert steps[0][0].start == 0 and steps[-1][0].stop >= size
+            for (cut, *_), (after, *_) in zip(steps, steps[1:]):
+                assert cut.stop == after.start
+            for cut, rows, cols, nxt in steps:
+                assert rows.dtype == np.uint16 and cols.dtype == np.uint8 and nxt.dtype == np.int32
+                width = cut.stop - cut.start
+                assert width == 1 or (n - s) * shape[0] * width <= fill_rows * (n + 1)
+            rows = np.concatenate([step[1] for step in steps], axis=2)[0]
+            cols = np.concatenate([step[2] for step in steps], axis=2)[:, 0]
+            nxt = np.concatenate([step[3] for step in steps], axis=2)[:, 0]
+            assert rows.shape == shape and cols.shape == nxt.shape == (n - s, size)
+            # members: ascending rows of D, exactly the set's bits (node 1 for {})
+            node, rem = np.divmod(rows.astype(int), n + 1)
+            assert not rem.any()
+            if s == 0:
+                assert node.tolist() == [[0]]
+            else:
+                assert np.all(np.diff(node, axis=0) > 0)
+                assert np.array_equal(np.bitwise_or.reduce(1 << (node - 1), axis=0), sets)
+            # free columns: ascending, exactly the set's complement
+            k = cols.astype(np.int64) - 1
+            assert np.all(np.diff(k, axis=0) > 0)
             covered = np.bitwise_or.reduce(1 << k, axis=0)
             assert not np.any(sets & covered)
             assert np.all((sets | covered) == (1 << n) - 1)
-            # nxt[j, r] is the flat index of g[sets[r] | 1 << k, k + 1] in
-            # layer s + 1's (C(n, s + 1), n + 1) table, k = free[j, r]
-            row, col = np.divmod(nxt, n + 1)
-            assert np.array_equal(row, pos[sets | (1 << k)])
-            assert np.array_equal(col, k + 1)
-            assert row.max() < math.comb(n, s + 1)
+            # nxt[j, r] is g[sets[r] | 1 << k, k + 1] in layer s + 1's
+            # (s + 1, C(n, s + 1)) table: row = the rank of k, the set's
+            # bits below k, column = pos of the successor set
+            rank, col = np.divmod(nxt, math.comb(n, s + 1))
+            assert np.array_equal(rank, popcount(sets & ((1 << k) - 1)))
+            assert np.array_equal(col, pos[sets | (1 << k)])
+            assert np.array_equal(members_above[rank, col], k)
+            members_above = node - 1
+
+    def test_index_and_tables_fit_fifteen_bits(self):
+        # At 16 nodes the cached index plus the tables took 5.42 MiB with the
+        # (C(15, s), 16) tables (index 1.42 MiB, tables 4.00 MiB).
+        n = 15
+        pos, all_sets, layers = trp_mod._layers(n, trp_mod._FILL_ROWS)
+        index = pos.nbytes + all_sets.nbytes + sum(
+            a.nbytes for _, _, steps in layers for step in steps for a in step[1:]
+        )
+        tables = sum(np.empty(shape).nbytes for _, shape, _ in layers) + np.empty((n, 1)).nbytes
+        assert tables == 8 * (n * 2 ** (n - 1) + 1)  # one double per (set, member), and g[{}, 1]
+        assert index + tables < 5.42 * 2**20
 
     def test_rejects_oversized(self):
         M = 21
@@ -334,7 +377,7 @@ class TestMargin:
             w, D = random_instance(seed, M)
             D *= 1e9
             sol = solve_weighted_trp_dp(w, D)
-            assert (sol.route, sol.cost) == loop_dp(w, D, fallbacks)
+            assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D, fallbacks)
             ref = solve_weighted_trp_bruteforce(w, D)
             assert abs(sol.margin - ref.margin) <= 1e-12 * (1.0 + sol.cost)
         assert fallbacks
