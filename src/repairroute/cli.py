@@ -62,7 +62,7 @@ def _route_costs(route, lam, nodes, D) -> dict:
         "route": list(route),
         "route_string": route_string(route),
         "cost1": cost1(route, node_weights(lam, nodes, "cost1"), D),
-        "cost2_exact": cost2_exact(route, lam, nodes, D),
+        "cost2_exact": cost2_exact(route, node_weights(lam, nodes, "cost2"), D),
     }
 
 
@@ -117,14 +117,18 @@ def cmd_route(args) -> int:
     cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.c2)
     route = solve_weighted_trp_dp(node_weights(fit.lam, nodes, cfg.cost_model), D).route
+    # Built before any write, so a rejected weight leaves no output behind.
+    route_doc = _route_dict(route, fit.lam, nodes, D, cfg.cost_model)
     out = Path(args.out_dir)
     dataio.write_json(out / "model.json", _model_dict(fit, args.c2, data))
-    dataio.write_json(out / "route.json", _route_dict(route, fit.lam, nodes, D, cfg.cost_model))
+    dataio.write_json(out / "route.json", route_doc)
     return 0
 
 
 def cmd_simultaneous(args) -> int:
     _require(args, "train", "nodes", "distances", "c2", "out-dir")
+    if args.test is not None and args.c1_grid is None:
+        raise ValidationError("--test is only used with --c1-grid")
     data, nodes, D = _load_problem(args)
     test = dataio.load_labeled_csv(args.test) if args.test is not None else None
     if test is not None and test.d != data.d:
@@ -143,6 +147,7 @@ def cmd_simultaneous(args) -> int:
             ) from None
     out = Path(args.out_dir)
     sol = solve(args.method, data, nodes, D, cfg)
+    route_doc = _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model)  # before any write
     dataio.write_json(
         out / "solution.json",
         {
@@ -159,7 +164,7 @@ def cmd_simultaneous(args) -> int:
             "trace": list(sol.trace),
         },
     )
-    dataio.write_json(out / "route.json", _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model))
+    dataio.write_json(out / "route.json", route_doc)
     if grid is not None:
         rows = c1_sweep(data, nodes, D, cfg, grid, method=args.method, test_data=test)
         dataio.write_text(out / "sweep.csv", sweep_csv(rows))
@@ -168,8 +173,8 @@ def cmd_simultaneous(args) -> int:
 
 def cmd_export_milp(args) -> int:
     _require(args, "train", "nodes", "distances", "c2")
-    if args.lp_out is None and args.out_dir is None:
-        raise ValidationError("--lp-out or --out-dir is required for this command")
+    if (args.lp_out is None) == (args.out_dir is None):
+        raise ValidationError("export-milp takes exactly one of --lp-out or --out-dir")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.c2)
@@ -243,7 +248,7 @@ def cmd_simulate(args) -> int:
     sol = solve("sequential", data, nodes, D, cfg)
     sim_cfg = SimConfig(trials=args.trials, seed=args.seed, steps_per_unit=args.steps_per_unit)
     report = simulate_route_cost(
-        sol.route, D, sim_cfg, model=args.cost_model, lam=sol.lam, nodes=nodes
+        sol.route, D, sim_cfg, node_weights(sol.lam, nodes, "cost1"), model=args.cost_model
     )
     dataio.write_json(
         Path(args.out_dir) / "simulation.json",

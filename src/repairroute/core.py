@@ -144,34 +144,20 @@ def cost1(route, w, D) -> float:
     return float(w @ latency(route, D))
 
 
-def node_scores(lam, nodes, M: int | None = None) -> np.ndarray:
-    """Per-node linear scores lam . x_i, after checking lam against the feature width.
-
-    With M given, the node rows must also number M (one per distance-matrix row).
-    """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.asarray(lam, dtype=float).ravel()
-    if nodes.shape[1] != lam.shape[0]:
-        raise ValueError(
-            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
-        )
-    if M is not None and nodes.shape[0] != M:
-        raise ValueError("node feature count does not match distance matrix")
-    return nodes @ lam
-
-
-def cost2_exact(route, lam, nodes, D) -> float:
+def cost2_exact(route, w, D) -> float:
     """Probability-of-early-failure cost under a per-step failure process.
 
-    Node i fails independently each unit step with probability
-    sigmoid(f_i) where f_i = lam . x_i; the node's cost is the probability
-    that its first failure lands before its repair visit, i.e.
-    1 - (1 + exp(f_i))^(-L_i).  Zero-latency nodes contribute 0.
+    w holds each node's failure rate softplus(f_i), f_i = lam . x_i (the
+    cost2 weights of opt.node_weights): node i fails independently each unit
+    step with probability sigmoid(f_i), so its cost, the probability that its
+    first failure lands before its repair visit, is
+    1 - (1 + exp(f_i))^(-L_i) = 1 - exp(-L_i w_i).  Zero-latency nodes
+    contribute 0.
     """
     D = as_distance_matrix(D)
-    rate = softplus(node_scores(lam, nodes, D.shape[0]))
+    w = as_weights(w, D.shape[0])
     lat = latency(route, D)
-    per_node = np.where(lat > 0, -np.expm1(-lat * rate), 0.0)
+    per_node = np.where(lat > 0, -np.expm1(-lat * w), 0.0)
     return float(per_node.sum())
 
 

@@ -26,7 +26,6 @@ from .core import (
     _latency,
     as_distance_matrix,
     latency,
-    node_scores,
     sigmoid,
     softplus,
 )
@@ -103,10 +102,18 @@ class MltrpSolution:
 
 
 def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
-    """Routing weights induced by the model at each node."""
+    """Weights induced by the model at each node, from its score lam . x:
+    failure probabilities sigmoid(lam . x) for cost1, failure rates
+    softplus(lam . x) for cost2.  The one place where scores become weights."""
     if cost_model not in COST_MODELS:
         raise ValueError(f"cost_model must be one of {COST_MODELS}")
-    return _WEIGHTS[cost_model][0](node_scores(lam, nodes))
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    lam = np.asarray(lam, dtype=float).ravel()
+    if nodes.shape[1] != lam.shape[0]:
+        raise ValueError(
+            f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
+        )
+    return _WEIGHTS[cost_model][0](nodes @ lam)
 
 
 class _RouteAnchor:

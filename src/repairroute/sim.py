@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_distance_matrix, as_weights, latency, node_scores, sigmoid
+from .core import as_distance_matrix, as_weights, latency
 from .opt import COST_MODELS
 
 # Cells of the binomial guide table; a power of two, so U * _GUIDE is exact.
@@ -47,13 +47,6 @@ class SimConfig:
 
 def _rng(seed: int, stream: int):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(stream)))))
-
-
-def _check_prob(p: float) -> float:
-    p = float(p)
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability {p!r} is not in [0, 1]")
-    return p
 
 
 def _steps(lat: float, k: int) -> int:
@@ -152,40 +145,25 @@ class SimRouteReport:
     z_score: float
 
 
-def simulate_route_cost(
-    route,
-    D,
-    cfg: SimConfig,
-    model: str = "cost1",
-    probs=None,
-    lam=None,
-    nodes=None,
-) -> SimRouteReport:
+def simulate_route_cost(route, D, cfg: SimConfig, probs, model: str = "cost1") -> SimRouteReport:
     """Simulate the traversal cost of a route and compare with the closed form.
 
-    Per-node failure probabilities come either from `probs` directly or from
-    sigmoid(lam . x) when `lam` and `nodes` are given.  Latencies are floored
-    to whole steps; `analytic` uses the exact latencies while
-    `analytic_discretized` matches the floored process the trials draw from,
-    and the z score is taken against the latter so any flooring gap is
-    reported rather than folded into the noise.  Each node's draws come from
-    its own stream (_binomial for the count cost, Generator.geometric for
-    the first-failure cost), and equal numpy's own samplers bit for bit.
+    probs holds each node's per-unit-time failure probability (the cost1
+    weights of opt.node_weights).  Latencies are floored to whole steps;
+    `analytic` uses the exact latencies while `analytic_discretized` matches
+    the floored process the trials draw from, and the z score is taken
+    against the latter so any flooring gap is reported rather than folded
+    into the noise.  Each node's draws come from its own stream (_binomial
+    for the count cost, Generator.geometric for the first-failure cost), and
+    equal numpy's own samplers bit for bit.
     """
     if model not in COST_MODELS:
         raise ValueError(f"model must be one of {COST_MODELS}")
     D = as_distance_matrix(D)
     M = D.shape[0]
-    if (probs is None) == (lam is None):
-        raise ValueError("supply exactly one of probs or (lam, nodes)")
-    if probs is not None:
-        p = as_weights(probs, M)
-        if (p > 1.0).any():
-            raise ValueError("probabilities must be in [0, 1]")
-    else:
-        if nodes is None:
-            raise ValueError("lam requires node features")
-        p = sigmoid(node_scores(lam, nodes, M))
+    p = as_weights(probs, M)
+    if (p > 1.0).any():
+        raise ValueError("probabilities must be in [0, 1]")
 
     def first_failure(n, q):
         # P(a failure within n steps, each failing with probability q).
@@ -198,7 +176,7 @@ def simulate_route_cost(
     analytic_disc = 0.0
     for node in range(M):
         steps = _steps(float(lat[node]), k)
-        pi = _check_prob(p[node])
+        pi = float(p[node])
         gen = _rng(cfg.seed, node)
         if model == "cost1":
             if steps >= 2**63:

@@ -6,9 +6,9 @@ within an absolute tolerance of 1e-12 are broken toward the
 lexicographically smallest route, so any exact solver with the same rule
 returns the same order.  The solution also reports, for each step s of
 its route, the gap: the least cost of a route that first leaves it at step
-s, minus the optimum (inf where no other node is free), and its margin: the
-least gap, i.e. the least cost of any other route minus the optimum, so a
-tie has margin <= TIE_TOL.
+s, minus the optimum (inf where no other node is free).  The least gap is
+the margin, the least cost of any other route minus the optimum, so a tie
+has margin <= TIE_TOL.
 
 The tables are layer-major: one contiguous (s, C(M-1, s)) table per subset
 size s, holding g[S, j] only for the last nodes j in S (node 1 alone when S
@@ -40,11 +40,10 @@ _FILL_ROWS = 1024
 class TrpSolution:
     route: list[int]
     cost: float
-    solver: str
-    margin: float  # runner-up cost minus the optimum; inf when only one route exists
     # step_margins[s - 1]: least cost of a route that agrees with `route` on
     # its first s nodes and not on the next, minus the optimum; inf where no
-    # other node is free (the last step).  margin == min(step_margins).
+    # other node is free (the last step).  min(step_margins) is the margin:
+    # the runner-up cost minus the optimum, inf when only one route exists.
     step_margins: tuple[float, ...]
 
 
@@ -218,8 +217,6 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     return TrpSolution(
         route=[i + 1 for i in order],
         cost=cost,
-        solver="dp",
-        margin=min(step_margins),
         step_margins=tuple(step_margins),
     )
 

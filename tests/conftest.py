@@ -13,7 +13,7 @@ from repairroute.core import (
     latency,
 )
 from repairroute.milp import MilpInstance
-from repairroute.sim import SimRouteReport, _check_prob, _rng, _steps
+from repairroute.sim import SimRouteReport, _rng, _steps
 from repairroute.trp import TIE_TOL, TrpSolution
 
 _BF_MAX_NODES = 10
@@ -57,9 +57,9 @@ def _walk_cost(tail, w, D) -> float:
 
 def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     """Reference solver: enumerate all (M-1)! routes; exact optimum with the
-    same tie-breaking as the DP, its per-step gaps (for each step s, the least
-    cost of a route that first leaves the optimum at step s, minus the
-    optimum; inf where no route does) and its margin: the least gap, the least
+    same tie-breaking as the DP and its per-step gaps (for each step s, the
+    least cost of a route that first leaves the optimum at step s, minus the
+    optimum; inf where no route does), whose least is the margin: the least
     cost of any other route minus the optimum (inf when M = 2)."""
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
@@ -80,8 +80,6 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     return TrpSolution(
         route=route,
         cost=cost1(route, w, D),
-        solver="brute_force",
-        margin=min(step_margins),
         step_margins=step_margins,
     )
 
@@ -99,7 +97,7 @@ def loop_simulate_route_cost(route, D, cfg, model, probs) -> SimRouteReport:
     analytic_disc = 0.0
     for node in range(D.shape[0]):
         steps = _steps(float(lat[node]), k)
-        pi = _check_prob(p[node])
+        pi = float(p[node])
         gen = _rng(cfg.seed, node)
         if model == "cost1":
             p_step = pi / k

@@ -244,8 +244,10 @@ def test_08_stochastic_validation():
 
             lam = rng.normal(scale=0.8, size=2)
             nodes = rng.normal(size=(M, 2))
-            rep2 = simulate_route_cost(route, D, cfg, model="cost2", lam=lam, nodes=nodes)
-            assert rep2.analytic == pytest.approx(cost2_exact(route, lam, nodes, D), rel=1e-12)
+            probs = node_weights(lam, nodes, "cost1")
+            rep2 = simulate_route_cost(route, D, cfg, model="cost2", probs=probs)
+            rates = node_weights(lam, nodes, "cost2")
+            assert rep2.analytic == pytest.approx(cost2_exact(route, rates, D), rel=1e-12)
             assert abs(rep2.estimate - rep2.analytic) <= MC_SIGMAS * rep2.std_error, seed
 
 

@@ -25,7 +25,7 @@ from repairroute.demo import INSTANCES
 import repairroute.opt as opt_mod
 import repairroute.learn as learn_mod
 from repairroute.learn import fit_logistic, training_gradient
-from repairroute.opt import MltrpConfig, solve
+from repairroute.opt import MltrpConfig, node_weights, solve
 from repairroute.trp import solve_weighted_trp_dp
 
 from conftest import blobs, random_instance
@@ -262,7 +262,8 @@ class TestRoute:
         fit = fit_logistic(data, 0.4)
         assert np.allclose(doc["latencies_by_node"], latency(route, D), rtol=1e-12)
         assert doc["cost1"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), D), rel=1e-10)
-        assert doc["cost2_exact"] == pytest.approx(cost2_exact(route, fit.lam, nodes, D), rel=1e-10)
+        rates = node_weights(fit.lam, nodes, "cost2")
+        assert doc["cost2_exact"] == pytest.approx(cost2_exact(route, rates, D), rel=1e-10)
 
     def test_dimension_mismatches_exit_two(self, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=0, M=5, d=2)
@@ -277,6 +278,25 @@ class TestRoute:
         assert main(["route", "--train", tp, "--nodes", np_, "--distances", str(dp6),
                      "--c2", "0.2", "--out-dir", str(tmp_path)]) == 2
         assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    @pytest.mark.parametrize("command", [["route"], ["simultaneous", "--method", "sequential"]],
+                             ids=["route", "simultaneous"])
+    def test_overflowing_score_exits_two(self, tmp_path, capsys, command, model):
+        # Node 2's features are near the largest double and the fitted lam is
+        # positive, so its score lam . x overflows to +inf and its failure
+        # rate softplus(inf) is not finite: cost2_exact rejects it under
+        # cost1, the DP already under cost2, before any file is written.
+        data = blobs(3, per_side=10, d=2)
+        nodes = np.array([[0.1, 0.2], [1.7e308, 1.7e308], [0.3, -0.1]])
+        _, D = random_instance(3, 3)
+        tp, np_, dp = write_problem(tmp_path, data, nodes, D)
+        out = tmp_path / "out"
+        assert main([*command, "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--cost-model", model, "--out-dir", str(out)]) == 2
+        assert "weights contain non-finite values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimultaneous:
@@ -383,8 +403,20 @@ class TestSimultaneous:
         bad_test, _, _ = write_problem(tmp_path, blobs(81, per_side=5, d=3),
                                        np.zeros((1, 3)), np.zeros((1, 1)), name="_bad")
         assert main(["simultaneous", "--train", tp, "--test", bad_test, "--nodes", np_,
-                     "--distances", dp, "--c2", "0.2", "--out-dir", str(tmp_path)]) == 2
+                     "--distances", dp, "--c2", "0.2", "--c1-grid", "0,1",
+                     "--out-dir", str(tmp_path)]) == 2
         assert "feature columns" in capsys.readouterr().err
+
+    def test_test_without_grid_exits_two(self, tmp_path, capsys):
+        # --test feeds only the sweep; without --c1-grid it is refused before
+        # any file is read (the test file does not exist) or written.
+        (tp, np_, dp), *_ = problem(tmp_path, seed=8)
+        out = tmp_path / "out"
+        assert main(["simultaneous", "--train", tp, "--test", str(tmp_path / "missing.csv"),
+                     "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--out-dir", str(out)]) == 2
+        assert "--test is only used with --c1-grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportMilp:
@@ -440,6 +472,16 @@ class TestExportMilp:
                      "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
                      "--c2", "0.5"]) == 2
         assert "--lp-out or --out-dir" in capsys.readouterr().err
+
+    def test_both_output_paths_exit_two(self, tmp_path, capsys):
+        for name, content in [("t", M2_TRAIN), ("n", M2_NODES), ("d", M2_DIST)]:
+            (tmp_path / f"{name}.csv").write_text(content)
+        lp, out = tmp_path / "out.lp", tmp_path / "out"
+        assert main(["export-milp", "--train", str(tmp_path / "t.csv"),
+                     "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
+                     "--c2", "0.5", "--lp-out", str(lp), "--out-dir", str(out)]) == 2
+        assert "exactly one of --lp-out or --out-dir" in capsys.readouterr().err
+        assert not lp.exists() and not out.exists()
 
 
 class TestDemo:

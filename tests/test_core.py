@@ -8,7 +8,6 @@ from repairroute.core import (
     cost1,
     cost2_exact,
     latency,
-    node_scores,
     sigmoid,
     softplus,
     standard_trp_cost,
@@ -111,7 +110,7 @@ class TestCost2Exact:
     def test_two_nodes_zero_score(self):
         # f = 0 at both nodes: per-step failure chance 1/2, latencies 3 and 6.
         D = np.array([[0.0, 3.0], [3.0, 0.0]])
-        val = cost2_exact([1, 2], [0.0], [[1.0], [1.0]], D)
+        val = cost2_exact([1, 2], node_weights([0.0], [[1.0], [1.0]], "cost2"), D)
         assert val == pytest.approx((1 - 0.5**6) + (1 - 0.5**3), abs=1e-12)
         assert val == pytest.approx(1.859375, abs=1e-9)
 
@@ -124,7 +123,8 @@ class TestCost2Exact:
         assert lat[1] == 0.0
         rate = softplus(3.0)
         expected = (1 - math.exp(-lat[2] * rate)) + (1 - math.exp(-lat[0] * rate))
-        assert cost2_exact([1, 2, 3], lam, nodes, D) == pytest.approx(expected, rel=1e-12)
+        rates = node_weights(lam, nodes, "cost2")
+        assert cost2_exact([1, 2, 3], rates, D) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_node_terms_are_probabilities(self, seed):
@@ -133,7 +133,7 @@ class TestCost2Exact:
         nodes = rng.normal(size=(5, 3))
         lam = rng.normal(size=3)
         route = [1] + (rng.permutation(np.arange(2, 6)).tolist())
-        assert 0.0 <= cost2_exact(route, lam, nodes, D) <= 5.0
+        assert 0.0 <= cost2_exact(route, node_weights(lam, nodes, "cost2"), D) <= 5.0
 
     def test_survival_form_oracle(self):
         # Independent accumulation: per node, 1 - (1 + e^f)^(-L) via direct powers.
@@ -147,7 +147,8 @@ class TestCost2Exact:
         expected = sum(
             1.0 - (1.0 + math.exp(float(nodes[i] @ lam))) ** (-lat[i]) for i in range(4)
         )
-        assert cost2_exact(route, lam, nodes, D) == pytest.approx(expected, rel=1e-12)
+        rates = node_weights(lam, nodes, "cost2")
+        assert cost2_exact(route, rates, D) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSurrogateWeights:
@@ -170,35 +171,33 @@ class TestSurrogateWeights:
 
 
 _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-_SCORE_USERS = {
-    "cost2_exact": lambda lam, nodes: cost2_exact([1, 2, 3], lam, nodes, _D3),
-    "node_weights_cost1": lambda lam, nodes: node_weights(lam, nodes, "cost1"),
-    "node_weights_cost2_surrogate": lambda lam, nodes: node_weights(lam, nodes, "cost2"),
-    "simulate_route_cost": lambda lam, nodes: simulate_route_cost(
-        [1, 2, 3], _D3, SimConfig(trials=10), lam=lam, nodes=nodes
-    ),
+_WEIGHT_USERS = {
+    "cost2_exact": lambda w: cost2_exact([1, 2, 3], w, _D3),
+    "simulate_route_cost": lambda w: simulate_route_cost([1, 2, 3], _D3, SimConfig(trials=10), w),
 }
 
 
 class TestNodeScoreChecks:
-    # Every entry point that scores nodes by lam . x shares one shape check.
-    @pytest.mark.parametrize("name", sorted(_SCORE_USERS))
-    def test_rejects_lambda_width_mismatch(self, name):
+    # node_weights is the one place where lam . x becomes a weight, so it
+    # alone checks lam against the feature width; the weight users check the
+    # weight count against the distance matrix, as cost1 does.
+    @pytest.mark.parametrize(
+        "model", ["cost1", "cost2"], ids=["node_weights_cost1", "node_weights_cost2_surrogate"]
+    )
+    def test_rejects_lambda_width_mismatch(self, model):
         with pytest.raises(ValueError, match="lambda has 3 coefficients, node features have 2"):
-            _SCORE_USERS[name]([1.0, 2.0, 3.0], np.zeros((3, 2)))
+            node_weights([1.0, 2.0, 3.0], np.zeros((3, 2)), model)
 
-    @pytest.mark.parametrize("name", ["cost2_exact", "simulate_route_cost"])
+    @pytest.mark.parametrize("name", sorted(_WEIGHT_USERS))
     def test_rejects_node_count_mismatch(self, name):
-        with pytest.raises(ValueError, match="node feature count does not match distance matrix"):
-            _SCORE_USERS[name]([1.0, 2.0], np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="expected 3 weights, got 4"):
+            _WEIGHT_USERS[name](node_weights([1.0, 2.0], np.zeros((4, 2)), "cost1"))
 
-    def test_node_scores(self):
+    def test_node_weights(self):
         lam = np.array([0.5, 1.0])
-        nodes = np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert np.array_equal(node_scores(lam, nodes), nodes @ lam)
-        assert np.array_equal(node_scores(lam, nodes, 2), nodes @ lam)
-        with pytest.raises(ValueError, match="node feature count"):
-            node_scores(lam, nodes, 3)
+        nodes = np.array([[1.0, 2.0], [3.0, -1.0], [-4.0, 0.25]])
+        assert np.array_equal(node_weights(lam, nodes, "cost1"), sigmoid(nodes @ lam))
+        assert np.array_equal(node_weights(lam, nodes, "cost2"), softplus(nodes @ lam))
 
 
 class TestStandardTrp:

@@ -358,7 +358,7 @@ class TestMarginCertificate:
         solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
         assert all(anchor is None for _, _, anchor in evals)
         assert len(solved) == len(evals) + 1
-        assert all(sol.margin <= TIE_TOL for sol in solved)
+        assert all(min(sol.step_margins) <= TIE_TOL for sol in solved)
 
 
 class MarginAnchor:
@@ -377,7 +377,7 @@ class MarginAnchor:
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
                 return float(w @ self._lats)
         sol = opt_mod.solve_weighted_trp_dp(w, D)
-        self._w0, self._cost0, self._margin = w, sol.cost, sol.margin
+        self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
         self._lats = latency(sol.route, self._D)
         return sol.cost
 

@@ -5,6 +5,7 @@ import pytest
 
 import repairroute.sim as sim_mod
 from repairroute.core import cost1, cost2_exact, latency, sigmoid
+from repairroute.opt import node_weights
 from repairroute.sim import SimConfig, SimRouteReport, simulate_route_cost
 
 from conftest import loop_simulate_route_cost, random_instance
@@ -155,9 +156,12 @@ class TestRouteCost:
         nodes = rng.normal(size=(4, 2))
         route = [1] + list(rng.permutation(range(2, 5)))
         rep = simulate_route_cost(
-            route, D, SimConfig(trials=100_000, seed=seed), model="cost2", lam=lam, nodes=nodes
+            route, D, SimConfig(trials=100_000, seed=seed), node_weights(lam, nodes, "cost1"),
+            model="cost2",
         )
-        assert rep.analytic == pytest.approx(cost2_exact(route, lam, nodes, D), rel=1e-12)
+        assert rep.analytic == pytest.approx(
+            cost2_exact(route, node_weights(lam, nodes, "cost2"), D), rel=1e-12
+        )
         assert rep.analytic_discretized == pytest.approx(rep.analytic, rel=1e-10)
         assert abs(rep.z_score) <= 3.0
 
@@ -165,9 +169,8 @@ class TestRouteCost:
         _, D = random_instance(7, 4, integer=True)
         lam = np.array([0.5, -0.8])
         nodes = np.random.default_rng(7).normal(size=(4, 2))
-        rep = simulate_route_cost(
-            [1, 3, 2, 4], D, SimConfig(trials=20_000, seed=7), lam=lam, nodes=nodes
-        )
+        probs = node_weights(lam, nodes, "cost1")
+        rep = simulate_route_cost([1, 3, 2, 4], D, SimConfig(trials=20_000, seed=7), probs)
         assert rep.analytic == pytest.approx(cost1([1, 3, 2, 4], sigmoid(nodes @ lam), D), rel=1e-12)
 
     def test_post_visit_steps_never_count(self):
@@ -201,14 +204,15 @@ class TestRouteCost:
     def test_argument_validation(self):
         _, D = random_instance(0, 3, integer=True)
         cfg = SimConfig(trials=10, seed=0)
-        with pytest.raises(ValueError):
-            simulate_route_cost([1, 2, 3], D, cfg)  # neither probs nor lam
-        with pytest.raises(ValueError):
-            simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1] * 3, lam=[1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            simulate_route_cost([1, 2, 3], D, cfg)  # probs is required
+        with pytest.raises(ValueError, match="probabilities must be in"):
             simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1, 0.2, 1.4])
-        with pytest.raises(ValueError):
-            simulate_route_cost([1, 2, 3], D, cfg, lam=[1.0, 2.0], nodes=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+            simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1, 0.2])
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weights"):
+                simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1, bad, 0.2])
         with pytest.raises(ValueError):
             simulate_route_cost([1, 2, 3], D, cfg, probs=[0.1] * 3, model="cost3")
 

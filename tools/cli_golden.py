@@ -9,18 +9,20 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Three runs are refused with
+sampler is reached as well as its inversion.  Four runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
 graph with every distance 1e19 times as long, whose step counts exceed
-the binomial draw's 2**63 - 1, and the bound with --train and an --m2 of
-2, above every node's feature norm but below the largest training row's
-(the bound holds only for training rows within M2).  A second, 14-node graph with integer
-distances and repeated node features, whose optimal routes tie, is routed
-and solved by Nelder-Mead under both cost models and bounded with --train,
-so the comparison also covers a large DP, its tie-breaking, and
-Nelder-Mead where the tied routes leave the DP no margin to reuse.  A
+the binomial draw's 2**63 - 1, the bound with --train and an --m2 of 2,
+above every node's feature norm but below the largest training row's (the
+bound holds only for training rows within M2), and simultaneous with
+--test but no --c1-grid (held-out data feeds only the sweep).  A second,
+14-node graph with integer distances and repeated node features, whose
+optimal routes tie, is routed and solved by Nelder-Mead under both cost
+models and bounded with --train, so the comparison also covers a large DP,
+its tie-breaking, and Nelder-Mead where the tied routes leave the DP no
+margin to reuse.  A
 third, 10-node graph of Euclidean distances between random points in the
 plane, with distinct node features, is solved by Nelder-Mead under both
 cost models: routes there do not tie, so most evaluations reuse the route
@@ -118,7 +120,6 @@ def invocations() -> dict:
         for method in ("sequential", "nm", "am"):
             runs[f"simultaneous_{method}_{model}"] = [
                 "simultaneous", *base, "--cost-model", model, "--method", method, "--c1", "0.5",
-                "--test", "test.csv",
             ]
     runs["simulate_far_k64_cost1"] = ["simulate", "--train", "train.csv", "--nodes", "nodes.csv",
                                       "--distances", "dist_far.csv", "--c2", "0.2", "--cost-model",
@@ -132,6 +133,8 @@ def invocations() -> dict:
                                        "--cost-model", "cost1", "--trials", "2000", "--seed", "3"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
+    runs["simultaneous_test_without_grid"] = ["simultaneous", *base, "--c1", "0.5", "--test",
+                                              "test.csv"]
     for which in ("four_node", "six_node"):
         for method in ("nm", "am"):
             runs[f"demo_{which}_{method}"] = ["demo", "--which", which, "--method", method]
