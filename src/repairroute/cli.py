@@ -3,7 +3,9 @@
 Subcommands cover the full workflow: fit a model, route a fitted model,
 optimize both jointly, export the routing MILP as LP text, replay the
 bundled demos, validate costs by simulation, and evaluate the deviation
-bound.  All outputs are written atomically under --out-dir and contain no
+bound.  Each command returns {path: document}; main writes the documents
+atomically (a str as text, anything else as JSON) only after the command has
+returned, so a run that exits non-zero writes no file.  Outputs contain no
 timestamps or host details, so identical invocations produce identical
 bytes.  Exit codes: 0 on success, 2 for bad input, 1 for internal errors.
 """
@@ -29,12 +31,6 @@ from .opt import (
 )
 from .sim import SimConfig, simulate_route_cost
 from .trp import naive_route, solve_weighted_trp_dp
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ValidationError(f"--{name} is required for this command")
 
 
 def _mltrp_config(args, c1=0.0) -> MltrpConfig:
@@ -103,30 +99,25 @@ def _load_problem(args):
     return data, nodes, D
 
 
-def cmd_train(args) -> int:
-    _require(args, "train", "c2", "out-dir")
+def cmd_train(args) -> dict:
     data = dataio.load_labeled_csv(args.train)
     fit = fit_logistic(data, args.c2)
-    dataio.write_json(Path(args.out_dir) / "model.json", _model_dict(fit, args.c2, data))
-    return 0
+    return {Path(args.out_dir) / "model.json": _model_dict(fit, args.c2, data)}
 
 
-def cmd_route(args) -> int:
-    _require(args, "train", "nodes", "distances", "c2", "out-dir")
+def cmd_route(args) -> dict:
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.c2)
     route = solve_weighted_trp_dp(node_weights(fit.lam, nodes, cfg.cost_model), D).route
-    # Built before any write, so a rejected weight leaves no output behind.
-    route_doc = _route_dict(route, fit.lam, nodes, D, cfg.cost_model)
     out = Path(args.out_dir)
-    dataio.write_json(out / "model.json", _model_dict(fit, args.c2, data))
-    dataio.write_json(out / "route.json", route_doc)
-    return 0
+    return {
+        out / "model.json": _model_dict(fit, args.c2, data),
+        out / "route.json": _route_dict(route, fit.lam, nodes, D, cfg.cost_model),
+    }
 
 
-def cmd_simultaneous(args) -> int:
-    _require(args, "train", "nodes", "distances", "c2", "out-dir")
+def cmd_simultaneous(args) -> dict:
     if args.test is not None and args.c1_grid is None:
         raise ValidationError("--test is only used with --c1-grid")
     data, nodes, D = _load_problem(args)
@@ -138,19 +129,17 @@ def cmd_simultaneous(args) -> int:
     cfg = _mltrp_config(args, c1=args.c1 if args.c1 is not None else 0.0)
     grid = None
     if args.c1_grid is not None:
-        # Checked before solving, so a rejected grid leaves no output behind.
+        # Checked before solving, so a rejected grid fails fast.
         try:
-            grid = check_c1_grid(float(tok) for tok in args.c1_grid.split(",") if tok.strip())
+            grid = check_c1_grid(float(tok) for tok in args.c1_grid.split(","))
         except ValueError as exc:
             raise ValidationError(
                 f"--c1-grid must be comma-separated numbers, got {args.c1_grid!r}: {exc}"
             ) from None
     out = Path(args.out_dir)
     sol = solve(args.method, data, nodes, D, cfg)
-    route_doc = _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model)  # before any write
-    dataio.write_json(
-        out / "solution.json",
-        {
+    docs = {
+        out / "solution.json": {
             "method": sol.method,
             "c1": cfg.c1,
             "c2": cfg.c2,
@@ -163,30 +152,26 @@ def cmd_simultaneous(args) -> int:
             "combined_objective": sol.combined_objective,
             "trace": list(sol.trace),
         },
-    )
-    dataio.write_json(out / "route.json", route_doc)
+        out / "route.json": _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model),
+    }
     if grid is not None:
         rows = c1_sweep(data, nodes, D, cfg, grid, method=args.method, test_data=test)
-        dataio.write_text(out / "sweep.csv", sweep_csv(rows))
-    return 0
+        docs[out / "sweep.csv"] = sweep_csv(rows)
+    return docs
 
 
-def cmd_export_milp(args) -> int:
-    _require(args, "train", "nodes", "distances", "c2")
+def cmd_export_milp(args) -> dict:
     if (args.lp_out is None) == (args.out_dir is None):
         raise ValidationError("export-milp takes exactly one of --lp-out or --out-dir")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.c2)
     w = node_weights(fit.lam, nodes, cfg.cost_model)
-    text = export_lp(build_milp(w, D))
     target = Path(args.lp_out) if args.lp_out is not None else Path(args.out_dir) / "model.lp"
-    dataio.write_text(target, text)
-    return 0
+    return {target: export_lp(build_milp(w, D))}
 
 
-def cmd_demo(args) -> int:
-    _require(args, "out-dir")
+def cmd_demo(args) -> dict:
     inst = INSTANCES[args.which](seed=args.seed)
     data, nodes, D = inst.train, inst.nodes, inst.D
     cfg = replace(inst.cfg, cost_model=args.cost_model)
@@ -201,11 +186,8 @@ def cmd_demo(args) -> int:
         ",".join(repr(v) for v in row) + f",{int(lab):+d}"
         for row, lab in zip(data.features.tolist(), data.labels.tolist())
     ]
-    dataio.write_text(out / "train.csv", "\n".join(train_rows) + "\n")
     node_rows = [header] + [",".join(repr(v) for v in row) for row in nodes.tolist()]
-    dataio.write_text(out / "nodes.csv", "\n".join(node_rows) + "\n")
     dist_rows = [",".join(repr(v) for v in row) for row in D.tolist()]
-    dataio.write_text(out / "distances.csv", "\n".join(dist_rows) + "\n")
 
     seq = solve("sequential", data, nodes, D, cfg)
     sim_sol = solve(args.method, data, nodes, D, cfg)
@@ -218,12 +200,14 @@ def cmd_demo(args) -> int:
         }
 
     s_seq, s_sim = _summary(seq), _summary(sim_sol)
-    dataio.write_json(out / "sequential.json", s_seq)
-    dataio.write_json(out / "simultaneous.json", s_sim)
     shift = np.abs(np.asarray(s_seq["probabilities"]) - np.asarray(s_sim["probabilities"]))
-    dataio.write_json(
-        out / "summary.json",
-        {
+    return {
+        out / "train.csv": "\n".join(train_rows) + "\n",
+        out / "nodes.csv": "\n".join(node_rows) + "\n",
+        out / "distances.csv": "\n".join(dist_rows) + "\n",
+        out / "sequential.json": s_seq,
+        out / "simultaneous.json": s_sim,
+        out / "summary.json": {
             "instance": inst.name,
             "c1": cfg.c1,
             "c2": cfg.c2,
@@ -237,12 +221,10 @@ def cmd_demo(args) -> int:
             "max_shift_node": int(shift.argmax()) + 1,
             "odd_node": inst.odd_node,
         },
-    )
-    return 0
+    }
 
 
-def cmd_simulate(args) -> int:
-    _require(args, "train", "nodes", "distances", "c2", "out-dir")
+def cmd_simulate(args) -> dict:
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
     sol = solve("sequential", data, nodes, D, cfg)
@@ -250,15 +232,13 @@ def cmd_simulate(args) -> int:
     report = simulate_route_cost(
         sol.route, D, sim_cfg, node_weights(sol.lam, nodes, "cost1"), model=args.cost_model
     )
-    dataio.write_json(
-        Path(args.out_dir) / "simulation.json",
-        {**asdict(report), "route": list(sol.route), "route_string": route_string(sol.route)},
-    )
-    return 0
+    return {
+        Path(args.out_dir) / "simulation.json":
+            {**asdict(report), "route": list(sol.route), "route_string": route_string(sol.route)},
+    }
 
 
-def cmd_bound(args) -> int:
-    _require(args, "nodes", "distances", "cg", "eps", "out-dir")
+def cmd_bound(args) -> dict:
     if args.c2 is not None and args.train is None:
         raise ValidationError("--c2 is only used with --train")
     nodes, D = _load_graph(args)
@@ -274,8 +254,12 @@ def cmd_bound(args) -> int:
         if args.c2 is None:
             raise ValidationError("--c2 is required when --train is used")
         fit = fit_logistic(data, args.c2)
-        lam_norm = float(np.linalg.norm(fit.lam))
-        m1 = max(m1, lam_norm) if m1 is not None else lam_norm
+        norm = float(np.linalg.norm(fit.lam))
+        # The bound holds only for coefficients within M1 (slack as in check_norms).
+        if m1 is None:
+            m1 = norm
+        elif norm > m1 * (1 + 1e-12) + 1e-12:
+            raise ValidationError(f"fitted coefficient norm {norm:.6g} exceeds the M1 cap {m1:.6g}")
         m = m if m is not None else data.m
         rows = np.vstack([nodes, data.features])
     if m1 is None:
@@ -290,9 +274,8 @@ def cmd_bound(args) -> int:
         report = generalization_bound(inputs)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    dataio.write_json(
-        Path(args.out_dir) / "bound.json",
-        {
+    return {
+        Path(args.out_dir) / "bound.json": {
             "M1": m1,
             "M2": m2,
             "Cg": args.cg,
@@ -301,8 +284,7 @@ def cmd_bound(args) -> int:
             "dimension": inputs.d,
             **asdict(report),
         },
-    )
-    return 0
+    }
 
 
 def _text(value: str) -> str:
@@ -341,26 +323,36 @@ _FLAGS = {
     "m": dict(type=int, help="training sample size"),
 }
 
-# route, export-milp and simulate fix C1 at 0, so they take no --c1.
+# name: (function, help, flags besides --out-dir, required flags in checking
+# order).  route, export-milp and simulate fix C1 at 0, so take no --c1.
 _PROBLEM = ("train", "nodes", "distances", "c2", "cost-model")
+_REQUIRED = ("train", "nodes", "distances", "c2", "out-dir")
 _COMMANDS = {
-    "train": (cmd_train, "fit the regularized logistic model", ("train", "c2")),
-    "route": (cmd_route, "fit, then route the fitted weights", _PROBLEM),
+    "train": (
+        cmd_train, "fit the regularized logistic model", ("train", "c2"),
+        ("train", "c2", "out-dir"),
+    ),
+    "route": (cmd_route, "fit, then route the fitted weights", _PROBLEM, _REQUIRED),
     "simultaneous": (
         cmd_simultaneous, "joint fit and route", _PROBLEM + ("c1", "test", "method", "c1-grid"),
+        _REQUIRED,
     ),
-    "export-milp": (cmd_export_milp, "write the routing MILP as LP text", _PROBLEM + ("lp-out",)),
+    "export-milp": (
+        cmd_export_milp, "write the routing MILP as LP text", _PROBLEM + ("lp-out",),
+        ("train", "nodes", "distances", "c2"),
+    ),
     "demo": (
         cmd_demo, "run a bundled synthetic showcase",
-        ("which", "method", "cost-model", "c1", "c2", "seed"),
+        ("which", "method", "cost-model", "c1", "c2", "seed"), ("out-dir",),
     ),
     "simulate": (
         cmd_simulate, "Monte Carlo check of the analytic costs",
-        _PROBLEM + ("trials", "seed", "steps-per-unit"),
+        _PROBLEM + ("trials", "seed", "steps-per-unit"), _REQUIRED,
     ),
     "bound": (
         cmd_bound, "evaluate the deviation bound",
         ("train", "nodes", "distances", "c2", "cg", "eps", "m1", "m2", "m"),
+        ("nodes", "distances", "cg", "eps", "out-dir"),
     ),
 }
 
@@ -371,11 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Failure-probability estimation coupled with minimum-latency routing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags + ("out-dir",):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
@@ -388,9 +379,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    func, _, _, required = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (ValidationError, ValueError, FileNotFoundError) as exc:
+        for name in required:
+            if getattr(args, name.replace("-", "_")) is None:
+                raise ValidationError(f"--{name} is required for this command")
+        docs = func(args)
+        for path, doc in docs.items():
+            (dataio.write_text if isinstance(doc, str) else dataio.write_json)(path, doc)
+        return 0
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

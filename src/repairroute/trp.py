@@ -137,9 +137,9 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     Management Science 1972), so the least total not taken at step s is the
     least cost of the routes that first leave at s: `step_margins` holds it
     minus c* = g[{}, 1] for each step, in the tables' own arithmetic, and
-    `margin`, their minimum, is the runner-up cost minus c*.  The last step
+    min(step_margins) is the runner-up cost minus c*.  The last step
     has one free node, so its entry is inf; with M = 2 only one route exists
-    and the margin is inf.
+    and min(step_margins) is inf.
 
     Memory: the tables hold 2^(M-2) * (M-1) doubles in all (1.9 MiB at 16
     nodes, 38 MiB at 20), plus one step's temporaries.  The index is cached

@@ -13,7 +13,9 @@ import pytest
 
 import repairroute.cli as cli_mod
 from repairroute.cli import main
-from repairroute.core import cost1, cost2_exact, latency, sigmoid, softplus, standard_trp_cost
+from repairroute.core import (
+    LabeledDataset, cost1, cost2_exact, latency, sigmoid, softplus, standard_trp_cost,
+)
 from repairroute.dataio import (
     ValidationError,
     load_distances_csv,
@@ -388,7 +390,7 @@ class TestSimultaneous:
                      "--c2", "0.2", "--c1-grid", "0.1,zz", "--out-dir", str(tmp_path)]) == 2
         assert "comma-separated numbers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", [",", " , ", "0,-1", "0,nan", "0.1,zz"])
+    @pytest.mark.parametrize("grid", [",", " , ", "0,-1", "0,nan", "0.1,zz", "0,,1", "0,1,"])
     def test_rejected_grid_writes_nothing(self, grid, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=8)
         out = tmp_path / "out"
@@ -671,6 +673,26 @@ class TestBound:
         )
         assert doc["M2"] == pytest.approx(feat_cap, rel=1e-12)
 
+    def test_m1_below_the_fitted_norm_exits_two(self, tmp_path, capsys):
+        # The bound needs the fitted coefficients within M1, so a lower --m1
+        # is refused, not replaced by the fitted norm.
+        np_, dp, *_ = self.make_files(tmp_path, seed=1)
+        data = blobs(1, per_side=10, d=2)
+        tp, _, _ = write_problem(tmp_path, data, np.zeros((1, 2)), np.zeros((1, 1)), name="_t")
+        norm = float(np.linalg.norm(fit_logistic(data, 0.3).lam))
+        flags = ["bound", "--train", tp, "--c2", "0.3", "--nodes", np_, "--distances", dp,
+                 "--cg", "60", "--eps", "0.5"]
+        out = tmp_path / "out"
+        assert main(flags + ["--m1", "0.01", "--out-dir", str(out)]) == 2
+        assert f"error: fitted coefficient norm {norm:.6g} exceeds the M1 cap 0.01" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # A cap within the 1e-12 relative slack is accepted and kept as given.
+        below = norm / (1 + 1e-13)
+        assert main(flags + ["--m1", repr(below), "--out-dir", str(out)]) == 0
+        assert read_json(out / "bound.json")["M1"] == below
+
     def test_train_with_nan_c2_exits_two(self, tmp_path, capsys):
         np_, dp, *_ = self.make_files(tmp_path, seed=1)
         tp, _, _ = write_problem(tmp_path, blobs(1, per_side=10, d=2), np.zeros((1, 2)),
@@ -708,7 +730,60 @@ class TestBound:
         assert "does not exceed" in capsys.readouterr().err
 
 
+class TestRejectedRunWritesNothing:
+    @pytest.mark.parametrize("case", ["one_class_test", "one_class_train", "demo_am", "demo_nm"])
+    def test_late_failure_leaves_no_out_dir(self, case, tmp_path, capsys):
+        # Each run fails only after its command has built some documents: the
+        # sweep's AUC needs both labels, and C1 = 1e308 overflows the demo's
+        # objective after its input CSVs are built.
+        (tp, np_, dp), data, _, _ = problem(tmp_path, seed=8)
+        pos = data.labels == 1
+        one, _, _ = write_problem(tmp_path, LabeledDataset(data.features[pos], data.labels[pos]),
+                                  np.zeros((1, 2)), np.zeros((1, 1)), name="_one")
+        graph = ["--nodes", np_, "--distances", dp, "--c2", "0.2", "--c1-grid", "0,1"]
+        argv = {
+            "one_class_test": ["simultaneous", "--train", tp, "--test", one, *graph],
+            "one_class_train": ["simultaneous", "--train", one, *graph],
+            "demo_am": ["demo", "--which", "six_node", "--c1", "1e308", "--method", "am"],
+            "demo_nm": ["demo", "--which", "six_node", "--c1", "1e308", "--method", "nm"],
+        }[case]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+# The flags each command requires, in the order main checks them.
+REQUIRED = {
+    "train": ("train", "c2", "out-dir"),
+    "route": ("train", "nodes", "distances", "c2", "out-dir"),
+    "simultaneous": ("train", "nodes", "distances", "c2", "out-dir"),
+    "export-milp": ("train", "nodes", "distances", "c2"),
+    "demo": ("out-dir",),
+    "simulate": ("train", "nodes", "distances", "c2", "out-dir"),
+    "bound": ("nodes", "distances", "cg", "eps", "out-dir"),
+}
+REQUIRED_VALUES = {"train": "t.csv", "nodes": "n.csv", "distances": "d.csv", "c2": "0.2",
+                   "cg": "2", "eps": "0.5", "out-dir": "out"}
+
+
 class TestParser:
+    def test_required_table_names_every_command(self):
+        assert set(REQUIRED) == set(cli_mod._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "command, flag", [(cmd, flag) for cmd, flags in REQUIRED.items() for flag in flags]
+    )
+    def test_missing_required_flag_exits_two(self, command, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for other in REQUIRED[command]:
+            if other != flag:
+                argv += [f"--{other}", REQUIRED_VALUES[other]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --{flag} is required for this command\n"
+        assert not any(tmp_path.iterdir())
+
     def test_import_leaves_numpy_random_unloaded(self):
         # Only simulate and demo draw random numbers; a bare start must not
         # pay for importing numpy.random.

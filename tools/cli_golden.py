@@ -9,15 +9,18 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Four runs are refused with
+sampler is reached as well as its inversion.  Five runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
 graph with every distance 1e19 times as long, whose step counts exceed
 the binomial draw's 2**63 - 1, the bound with --train and an --m2 of 2,
 above every node's feature norm but below the largest training row's (the
-bound holds only for training rows within M2), and simultaneous with
---test but no --c1-grid (held-out data feeds only the sweep).  A second,
+bound holds only for training rows within M2), simultaneous with --test
+but no --c1-grid (held-out data feeds only the sweep), and the six-node
+demo at --c1 1e308, whose objective overflows only after the demo's input
+CSVs are built (a refused run writes no file, so its folder must not
+exist).  A second,
 14-node graph with integer distances and repeated node features, whose
 optimal routes tie, is routed and solved by Nelder-Mead under both cost
 models and bounded with --train, so the comparison also covers a large DP,
@@ -140,6 +143,7 @@ def invocations() -> dict:
             runs[f"demo_{which}_{method}"] = ["demo", "--which", which, "--method", method]
     runs["demo_four_node_sequential"] = ["demo", "--which", "four_node", "--method", "sequential"]
     runs["demo_six_node_am_cost2"] = ["demo", "--which", "six_node", "--cost-model", "cost2"]
+    runs["demo_six_node_c1_overflow"] = ["demo", "--which", "six_node", "--c1", "1e308"]
     graph = ["--nodes", "nodes.csv", "--distances", "dist.csv", "--eps", "0.5"]
     runs["bound_caps"] = ["bound", *graph, "--cg", "2", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_train"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2"]
