@@ -129,13 +129,19 @@ def cmd_simultaneous(args) -> dict:
     cfg = _mltrp_config(args, c1=args.c1 if args.c1 is not None else 0.0)
     grid = None
     if args.c1_grid is not None:
-        # Checked before solving, so a rejected grid fails fast.
+        # Checked before solving, so a rejected grid, or a set whose sweep
+        # AUC is undefined, fails fast.
         try:
             grid = check_c1_grid(float(tok) for tok in args.c1_grid.split(","))
         except ValueError as exc:
             raise ValidationError(
                 f"--c1-grid must be comma-separated numbers, got {args.c1_grid!r}: {exc}"
             ) from None
+        for flag, path, labeled in (("--train", args.train, data), ("--test", args.test, test)):
+            if labeled is not None and np.unique(labeled.labels).size < 2:
+                raise ValidationError(
+                    f"{flag} {path} has one class; the sweep's AUC needs both labels"
+                )
     out = Path(args.out_dir)
     sol = solve(args.method, data, nodes, D, cfg)
     docs = {
@@ -161,14 +167,11 @@ def cmd_simultaneous(args) -> dict:
 
 
 def cmd_export_milp(args) -> dict:
-    if (args.lp_out is None) == (args.out_dir is None):
-        raise ValidationError("export-milp takes exactly one of --lp-out or --out-dir")
     data, nodes, D = _load_problem(args)
     cfg = _mltrp_config(args)
     fit = fit_logistic(data, cfg.c2)
     w = node_weights(fit.lam, nodes, cfg.cost_model)
-    target = Path(args.lp_out) if args.lp_out is not None else Path(args.out_dir) / "model.lp"
-    return {target: export_lp(build_milp(w, D))}
+    return {Path(args.out_dir) / "model.lp": export_lp(build_milp(w, D))}
 
 
 def cmd_demo(args) -> dict:
@@ -241,6 +244,8 @@ def cmd_simulate(args) -> dict:
 def cmd_bound(args) -> dict:
     if args.c2 is not None and args.train is None:
         raise ValidationError("--c2 is only used with --train")
+    if args.m is not None and args.train is not None:
+        raise ValidationError("--m is only used without --train")
     nodes, D = _load_graph(args)
     m1 = args.m1
     m = args.m
@@ -260,7 +265,7 @@ def cmd_bound(args) -> dict:
             m1 = norm
         elif norm > m1 * (1 + 1e-12) + 1e-12:
             raise ValidationError(f"fitted coefficient norm {norm:.6g} exceeds the M1 cap {m1:.6g}")
-        m = m if m is not None else data.m
+        m = data.m
         rows = np.vstack([nodes, data.features])
     if m1 is None:
         raise ValidationError("supply --m1 or --train to set the coefficient norm cap")
@@ -313,7 +318,6 @@ _FLAGS = {
     "out-dir": dict(type=_text, help="directory for output files"),
     "c1-grid": dict(type=_text, help="comma-separated C1 values for a sweep CSV"),
     "trials": dict(type=int, default=100_000),
-    "lp-out": dict(type=_text, help="output path for LP text"),
     "which": dict(choices=sorted(INSTANCES), default="six_node"),
     "steps-per-unit": dict(type=int, default=1),
     "cg": dict(type=float, help="budget on the weighted failure-rate sum"),
@@ -337,10 +341,7 @@ _COMMANDS = {
         cmd_simultaneous, "joint fit and route", _PROBLEM + ("c1", "test", "method", "c1-grid"),
         _REQUIRED,
     ),
-    "export-milp": (
-        cmd_export_milp, "write the routing MILP as LP text", _PROBLEM + ("lp-out",),
-        ("train", "nodes", "distances", "c2"),
-    ),
+    "export-milp": (cmd_export_milp, "write the routing MILP as LP text", _PROBLEM, _REQUIRED),
     "demo": (
         cmd_demo, "run a bundled synthetic showcase",
         ("which", "method", "cost-model", "c1", "c2", "seed"), ("out-dir",),

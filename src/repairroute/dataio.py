@@ -139,18 +139,8 @@ def write_text(path, text: str):
     _atomic_write(path, text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_json(path, obj):
-    """Atomically write a JSON document with sorted keys and a trailing newline."""
-    _atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    """Atomically write a JSON document with sorted keys and a trailing newline.
+    numpy arrays and scalars are written as the lists and numbers of tolist()."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
+    _atomic_write(path, text + "\n")

@@ -21,14 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    LabeledDataset,
-    _latency,
-    as_distance_matrix,
-    latency,
-    sigmoid,
-    softplus,
-)
+from .core import LabeledDataset, as_distance_matrix, sigmoid, softplus
 from .learn import (
     auc,
     fit_logistic,
@@ -104,7 +97,8 @@ class MltrpSolution:
 def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
     """Weights induced by the model at each node, from its score lam . x:
     failure probabilities sigmoid(lam . x) for cost1, failure rates
-    softplus(lam . x) for cost2.  The one place where scores become weights."""
+    softplus(lam . x) for cost2.  The one place where scores become weights;
+    ValueError names the first node whose score is not finite."""
     if cost_model not in COST_MODELS:
         raise ValueError(f"cost_model must be one of {COST_MODELS}")
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -113,12 +107,18 @@ def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
         raise ValueError(
             f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
         )
-    return _WEIGHTS[cost_model][0](nodes @ lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = nodes @ lam
+    if not np.isfinite(z).all():
+        k = int(np.flatnonzero(~np.isfinite(z))[0])
+        raise ValueError(f"node {k + 1} has a non-finite score lambda . x = {float(z[k])}")
+    return _WEIGHTS[cost_model][0](z)
 
 
 class _RouteAnchor:
     """The route of the most recent DP call, reused while it provably stays
-    the route the DP would return.
+    the route the DP would return.  route(w) serves every route the solvers
+    use, with the latencies the DP computed for it.
 
     Say the DP returned route p = (p_0 = node 1, p_1, ..., p_n) with
     arrival times a_i (a_0 = 0) and per-step gaps g_s (TrpSolution.
@@ -150,15 +150,15 @@ class _RouteAnchor:
         self._reach = sum(self._rmax)
         self._w0 = None
 
-    def cost(self, w, D) -> float:
-        """The DP's optimal cost at weights w: reused when certified, else solved."""
+    def route(self, w) -> tuple[list[int], np.ndarray]:
+        """(route, latencies) of the DP at weights w: reused when certified,
+        else solved; the DP's cost there is float(w @ latencies)."""
         if self._w0 is not None and self._certifies((w - self._w0).tolist()):
-            return float(w @ self._lats)
-        sol = solve_weighted_trp_dp(w, D)
+            return self._sol.route, self._sol.latencies
+        sol = solve_weighted_trp_dp(w, self._D)
+        self._w0, self._sol = w, sol
         order = [i - 1 for i in sol.route]
-        self._w0, self._cost0 = w, sol.cost
-        self._lats = _latency(np.array(order), self._D)
-        lats, rmax = self._lats.tolist(), self._rmax
+        lats, rmax = sol.latencies.tolist(), self._rmax
         # One (node p_s, lat(p_s), a_{s-1}, H_s, g_s) per step s, last step
         # first, after node 1, which joins every step's sums and has no gap.
         steps, reach = [(0, lats[0], 0.0, 0.0, math.inf)], 0.0
@@ -168,12 +168,12 @@ class _RouteAnchor:
             a = lats[prev] if s > 1 else 0.0
             steps.append((j, lats[j], a, a + rmax[prev] + reach, sol.step_margins[s - 1]))
         self._steps = steps
-        return sol.cost
+        return sol.route, sol.latencies
 
     def _certifies(self, dw) -> bool:
         # g_s - r_s > tol at every step, with r_s's sums over {p_s..p_n, 1}
         # accumulated from the last step back; nan fails every comparison.
-        tol = TIE_TOL + 1e-9 * (1.0 + self._cost0 + self._reach * sum(map(abs, dw)))
+        tol = TIE_TOL + 1e-9 * (1.0 + self._sol.cost + self._reach * sum(map(abs, dw)))
         up = up_lat = down = down_lat = 0.0
         for j, lat, a, h, gap in self._steps:
             d = dw[j]
@@ -193,34 +193,31 @@ def simultaneous_objective(
 ) -> float:
     """Combined objective with the route re-optimized exactly for this lam.
 
-    With an anchor (nelder_mead passes its own), the exact DP is skipped
-    wherever the anchor's per-step gaps certify that the DP would return the
-    anchor's route p again: a route that first leaves p at step s keeps p's
-    first s - 1 latencies and has every other one in [a_{s-1}, H_s], so at
-    weights w it costs at least cost(p, w) + g_s - r_s, r_s the most that
-    w - w0 can shift the free nodes' weighted latencies within that range.
-    The skip needs every g_s - r_s above TIE_TOL plus the rounding allowance
-    1e-9 (1 + cost(p, w0) + T ||w - w0||_1), T = sum_j max_k D[j, k]; the
-    value is then the same bit for bit (see _RouteAnchor).  Otherwise the DP
-    runs and becomes the new anchor.
+    With an anchor (nelder_mead passes its own), the route and its latencies
+    come from anchor.route, which skips the DP where its certificate shows
+    that the DP would return the anchor's route again (see _RouteAnchor), so
+    the value is the same bit for bit; D is then the anchor's.  Without one,
+    the DP runs on D.
     """
     te = training_error(lam, data, cfg.c2)
     w = node_weights(lam, nodes, cfg.cost_model)
     if anchor is None:
         return te + cfg.c1 * solve_weighted_trp_dp(w, D).cost
-    return te + cfg.c1 * anchor.cost(w, D)
+    return te + cfg.c1 * float(w @ anchor.route(w)[1])
 
 
-def _finalize(lam, data, nodes, D, cfg, trace, method) -> MltrpSolution:
+def _finalize(lam, data, nodes, anchor: _RouteAnchor, cfg, trace, method) -> MltrpSolution:
     lam = np.asarray(lam, dtype=float).ravel()
     te = training_error(lam, data, cfg.c2)
-    sol = solve_weighted_trp_dp(node_weights(lam, nodes, cfg.cost_model), D)
+    w = node_weights(lam, nodes, cfg.cost_model)
+    route, lats = anchor.route(w)
+    cost = float(w @ lats)
     return MltrpSolution(
         lam=lam,
-        route=sol.route,
+        route=route,
         training_error=te,
-        traversal_cost=sol.cost,
-        combined_objective=te + cfg.c1 * sol.cost,
+        traversal_cost=cost,
+        combined_objective=te + cfg.c1 * cost,
         trace=tuple(trace),
         method=method,
     )
@@ -229,7 +226,7 @@ def _finalize(lam, data, nodes, D, cfg, trace, method) -> MltrpSolution:
 def sequential_pipeline(data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> MltrpSolution:
     """Fit first, route second; lam never sees the distances."""
     fit = fit_logistic(data, cfg.c2)
-    sol = _finalize(fit.lam, data, nodes, D, cfg, trace=(), method="sequential")
+    sol = _finalize(fit.lam, data, nodes, _RouteAnchor(D), cfg, trace=(), method="sequential")
     return replace(sol, trace=(sol.combined_objective,))
 
 
@@ -245,16 +242,12 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
     with the simplex still wider, is logged as a warning on the
     "repairroute" logger.
 
-    Every evaluation is simultaneous_objective with one shared anchor: the
-    most recent evaluation that ran the exact DP.  The DP is skipped where,
-    at every step s of the anchor's route, its gap g_s exceeds r_s plus
-    TIE_TOL and a rounding allowance: a route that first leaves the anchor's
-    at step s keeps its first s - 1 latencies and moves the others only
-    within [a_{s-1}, H_s], which bounds by r_s what the weight change can
-    gain it (see _RouteAnchor), so no other route can come within the DP's
-    tie band.  Values, the trace and the result are those of re-solving at
-    every evaluation, bit for bit.  Vertices of equal value keep their order
-    (the sort is stable).
+    Every evaluation, and the final route, is simultaneous_objective with
+    one shared anchor: the most recent evaluation that ran the exact DP,
+    whose per-step certificate (see _RouteAnchor) skips the DP wherever it
+    would return the anchor's route again.  Values, the trace and the result
+    are those of re-solving at every evaluation, bit for bit.  Vertices of
+    equal value keep their order (the sort is stable).
     """
     if lam0 is None:
         lam0 = fit_logistic(data, cfg.c2).lam
@@ -319,7 +312,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
             "Nelder-Mead stopped after %d evaluations (budget %d) with simplex diameter %.3g",
             evals, _NM_MAX_EVALS, diam,
         )
-    return _finalize(verts[0], data, nodes, D, cfg, trace, method="nm")
+    return _finalize(verts[0], data, nodes, anchor, cfg, trace, method="nm")
 
 
 def _fixed_route_objective(lam, lats, data, nodes, cfg: MltrpConfig) -> float:
@@ -345,10 +338,11 @@ def alternating_minimization(
 ) -> MltrpSolution:
     """Alternate exact routing with descent on lam at the frozen route.
 
-    Each round first re-solves the route for the current weights, then runs
-    damped Newton descent (learn.minimize_descent with the exact Hessian) on
-    the combined objective with that route frozen, warm-started at the
-    current lam.  Both half-steps can only lower the objective, up to
+    Each round first takes the exact route and its latencies for the current
+    weights from one shared anchor (see _RouteAnchor), then runs damped
+    Newton descent (learn.minimize_descent with the exact Hessian) on the
+    combined objective with that route frozen, warm-started at the current
+    lam.  Both half-steps can only lower the objective, up to
     16 eps |f| rounding in the descent's last steps, so the recorded trace is
     non-increasing to that precision.  A descent that stops unconverged is
     logged as a warning on the "repairroute" logger.  The loop stops early
@@ -359,15 +353,13 @@ def alternating_minimization(
         lam0 = fit_logistic(data, cfg.c2).lam
     lam = np.asarray(lam0, dtype=float).ravel()
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    D = as_distance_matrix(D)
+    anchor = _RouteAnchor(D)
     prev_route = None
     trace = []
     for rnd in range(1, _AM_ROUNDS + 1):
-        w = node_weights(lam, nodes, cfg.cost_model)
-        route = solve_weighted_trp_dp(w, D).route
+        route, lats = anchor.route(node_weights(lam, nodes, cfg.cost_model))
         if route == prev_route:
             break
-        lats = latency(route, D)
         res = minimize_descent(
             lambda v: _fixed_route_objective(v, lats, data, nodes, cfg),
             lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
@@ -385,7 +377,7 @@ def alternating_minimization(
         lam = res.lam
         trace.append(res.loss)
         prev_route = route
-    return _finalize(lam, data, nodes, D, cfg, trace, method="am")
+    return _finalize(lam, data, nodes, anchor, cfg, trace, method="am")
 
 
 def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> MltrpSolution:

@@ -40,6 +40,9 @@ _FILL_ROWS = 1024
 class TrpSolution:
     route: list[int]
     cost: float
+    # latencies[k]: the latency of node k + 1 along `route` (core.latency),
+    # read-only; cost == float(w @ latencies).
+    latencies: np.ndarray
     # step_margins[s - 1]: least cost of a route that agrees with `route` on
     # its first s nodes and not on the next, minus the optimum; inf where no
     # other node is free (the last step).  min(step_margins) is the margin:
@@ -213,10 +216,12 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
         order.append(last)
         free_nodes.remove(k)
 
-    cost = float(w @ _latency(np.array(order), D))  # cost1 without re-checking its inputs
+    lats = _latency(np.array(order), D)  # core.latency without re-checking its inputs
+    lats.flags.writeable = False
     return TrpSolution(
         route=[i + 1 for i in order],
-        cost=cost,
+        cost=float(w @ lats),
+        latencies=lats,
         step_margins=tuple(step_margins),
     )
 

@@ -80,6 +80,7 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     return TrpSolution(
         route=route,
         cost=cost1(route, w, D),
+        latencies=latency(route, D),
         step_margins=step_margins,
     )
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,23 +282,28 @@ class TestRoute:
                      "--c2", "0.2", "--out-dir", str(tmp_path)]) == 2
         assert "do not match" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("model", ["cost1", "cost2"])
-    @pytest.mark.parametrize("command", [["route"], ["simultaneous", "--method", "sequential"]],
-                             ids=["route", "simultaneous"])
+    @pytest.mark.parametrize(
+        "command", [["route"], ["simultaneous", "--method", "sequential"], ["simulate"]],
+        ids=["route", "simultaneous", "simulate"],
+    )
     def test_overflowing_score_exits_two(self, tmp_path, capsys, command, model):
         # Node 2's features are near the largest double and the fitted lam is
-        # positive, so its score lam . x overflows to +inf and its failure
-        # rate softplus(inf) is not finite: cost2_exact rejects it under
-        # cost1, the DP already under cost2, before any file is written.
+        # positive, so its score lam . x overflows to +inf.  node_weights
+        # refuses it where it is made, under either model and in every
+        # command, with no numpy warning and before any file is written.
         data = blobs(3, per_side=10, d=2)
         nodes = np.array([[0.1, 0.2], [1.7e308, 1.7e308], [0.3, -0.1]])
         _, D = random_instance(3, 3)
         tp, np_, dp = write_problem(tmp_path, data, nodes, D)
         out = tmp_path / "out"
-        assert main([*command, "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
-                     "--cost-model", model, "--out-dir", str(out)]) == 2
-        assert "weights contain non-finite values" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*command, "--train", tp, "--nodes", np_, "--distances", dp,
+                         "--c2", "0.2", "--cost-model", model, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: node 2 has a non-finite score lambda . x = inf\n"
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
 
@@ -420,30 +426,56 @@ class TestSimultaneous:
         assert "--test is only used with --c1-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("one_class", ["train", "test"])
+    def test_one_class_sweep_set_exits_two_before_solving(self, one_class, tmp_path, capsys,
+                                                          monkeypatch):
+        # The sweep's AUC needs both labels in the training and the test set,
+        # so a one-class set is refused before the main solve or any sweep solve.
+        (tp, np_, dp), data, _, _ = problem(tmp_path, seed=8)
+        pos = data.labels == 1
+        one, _, _ = write_problem(tmp_path, LabeledDataset(data.features[pos], data.labels[pos]),
+                                  np.zeros((1, 2)), np.zeros((1, 1)), name="_one")
+        calls = []
+
+        def spy_solve(*a, **k):
+            calls.append(1)
+            return solve(*a, **k)
+
+        monkeypatch.setattr(cli_mod, "solve", spy_solve)
+        monkeypatch.setattr(opt_mod, "solve", spy_solve)
+        sets = {"train": ["--train", one], "test": ["--train", tp, "--test", one]}[one_class]
+        out = tmp_path / "out"
+        assert main(["simultaneous", *sets, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--c1-grid", "0,1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{one_class} {one} has one class; the sweep's AUC needs both labels\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
 
 class TestExportMilp:
-    def run_export(self, tmp_path, target):
+    def run_export(self, tmp_path, out):
         for name, content in [("t", M2_TRAIN), ("n", M2_NODES), ("d", M2_DIST)]:
             (tmp_path / f"{name}.csv").write_text(content)
         return main(["export-milp", "--train", str(tmp_path / "t.csv"),
                      "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
-                     "--c2", "0.5", "--lp-out", str(target)])
+                     "--c2", "0.5", "--out-dir", str(out)])
 
     def test_golden_bytes(self, tmp_path):
-        target = tmp_path / "out.lp"
-        assert self.run_export(tmp_path, target) == 0
-        assert target.read_bytes() == GOLDEN.read_bytes()
+        assert self.run_export(tmp_path, tmp_path / "out") == 0
+        assert (tmp_path / "out" / "model.lp").read_bytes() == GOLDEN.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        target = tmp_path / "out.lp"
-        assert self.run_export(tmp_path, target) == 0
+        target = tmp_path / "out" / "model.lp"
+        assert self.run_export(tmp_path, tmp_path / "out") == 0
         first = target.read_bytes()
-        assert self.run_export(tmp_path, target) == 0
+        assert self.run_export(tmp_path, tmp_path / "out") == 0
         assert target.read_bytes() == first
 
     def test_two_node_variable_count(self, tmp_path):
-        target = tmp_path / "out.lp"
-        assert self.run_export(tmp_path, target) == 0
+        target = tmp_path / "out" / "model.lp"
+        assert self.run_export(tmp_path, tmp_path / "out") == 0
         text = target.read_text()
         names = {tok for tok in text.replace(":", " ").split() if tok[:2] in ("z_", "y_")}
         assert len(names) == 8
@@ -473,16 +505,19 @@ class TestExportMilp:
         assert main(["export-milp", "--train", str(tmp_path / "t.csv"),
                      "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
                      "--c2", "0.5"]) == 2
-        assert "--lp-out or --out-dir" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --out-dir is required for this command\n"
 
     def test_both_output_paths_exit_two(self, tmp_path, capsys):
+        # --out-dir is the one way to name the output; --lp-out is unknown.
         for name, content in [("t", M2_TRAIN), ("n", M2_NODES), ("d", M2_DIST)]:
             (tmp_path / f"{name}.csv").write_text(content)
         lp, out = tmp_path / "out.lp", tmp_path / "out"
-        assert main(["export-milp", "--train", str(tmp_path / "t.csv"),
-                     "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
-                     "--c2", "0.5", "--lp-out", str(lp), "--out-dir", str(out)]) == 2
-        assert "exactly one of --lp-out or --out-dir" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["export-milp", "--train", str(tmp_path / "t.csv"),
+                  "--nodes", str(tmp_path / "n.csv"), "--distances", str(tmp_path / "d.csv"),
+                  "--c2", "0.5", "--lp-out", str(lp), "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lp-out" in capsys.readouterr().err
         assert not lp.exists() and not out.exists()
 
 
@@ -713,6 +748,18 @@ class TestBound:
         assert "error: --c2 is only used with --train" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_m_with_train_exits_two(self, tmp_path, capsys):
+        # With --train the sample size is the training set's row count, so an
+        # --m would be ignored or, worse, overstate the samples.
+        np_, dp, *_ = self.make_files(tmp_path, seed=1)
+        tp, _, _ = write_problem(tmp_path, blobs(1, per_side=10, d=2), np.zeros((1, 2)),
+                                 np.zeros((1, 1)), name="_t")
+        out = tmp_path / "out"
+        assert main(["bound", "--train", tp, "--c2", "0.3", "--nodes", np_, "--distances", dp,
+                     "--cg", "60", "--eps", "0.5", "--m", "1000000", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --m is only used without --train\n"
+        assert not out.exists()
+
     def test_missing_caps_exit_two(self, tmp_path, capsys):
         np_, dp, *_ = self.make_files(tmp_path, seed=2)
         assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60",
@@ -733,9 +780,9 @@ class TestBound:
 class TestRejectedRunWritesNothing:
     @pytest.mark.parametrize("case", ["one_class_test", "one_class_train", "demo_am", "demo_nm"])
     def test_late_failure_leaves_no_out_dir(self, case, tmp_path, capsys):
-        # Each run fails only after its command has built some documents: the
-        # sweep's AUC needs both labels, and C1 = 1e308 overflows the demo's
-        # objective after its input CSVs are built.
+        # The sweep's AUC needs both labels, which is checked before solving,
+        # and C1 = 1e308 overflows the demo's objective only after its input
+        # CSVs are built.
         (tp, np_, dp), data, _, _ = problem(tmp_path, seed=8)
         pos = data.labels == 1
         one, _, _ = write_problem(tmp_path, LabeledDataset(data.features[pos], data.labels[pos]),
@@ -758,7 +805,7 @@ REQUIRED = {
     "train": ("train", "c2", "out-dir"),
     "route": ("train", "nodes", "distances", "c2", "out-dir"),
     "simultaneous": ("train", "nodes", "distances", "c2", "out-dir"),
-    "export-milp": ("train", "nodes", "distances", "c2"),
+    "export-milp": ("train", "nodes", "distances", "c2", "out-dir"),
     "demo": ("out-dir",),
     "simulate": ("train", "nodes", "distances", "c2", "out-dir"),
     "bound": ("nodes", "distances", "cg", "eps", "out-dir"),
@@ -808,7 +855,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["train", "--lp-out", "x.lp"],
+            ["train", "--steps-per-unit", "2"],
             ["train", "--trials", "3"],
             ["train", "--method", "nm"],
             ["train", "--nodes", "n.csv"],
@@ -819,7 +866,7 @@ class TestParser:
             ["export-milp", "--method", "nm"],
             ["export-milp", "--trials", "3"],
             ["simulate", "--c1-grid", "0,1"],
-            ["simulate", "--lp-out", "x.lp"],
+            ["simulate", "--which", "six_node"],
             ["simultaneous", "--seed", "1"],
             ["simultaneous", "--steps-per-unit", "2"],
             ["demo", "--train", "t.csv"],
@@ -850,7 +897,7 @@ class TestParser:
             (["route", "--train", "t.csv", "--nodes", "n.csv", "--distances", "",
               "--c2", "0.2"], "distances"),
             (["export-milp", "--train", "t.csv", "--nodes", "n.csv", "--distances", "d.csv",
-              "--c2", "0.2", "--lp-out", ""], "lp-out"),
+              "--c2", "0.2", "--out-dir", ""], "out-dir"),
             (["train", "--train", "t.csv", "--c2", "0.2", "--out-dir", ""], "out-dir"),
         ],
     )

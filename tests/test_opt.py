@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import repairroute.core as core_mod
 import repairroute.opt as opt_mod
+import repairroute.trp as trp_mod
 from repairroute.core import LabeledDataset, cost1, latency, standard_trp_cost
 from repairroute.demo import six_node
 import repairroute.learn as learn_mod
@@ -279,11 +281,13 @@ def tied_instance(seed, M):
 
 
 def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
-    """Run nelder_mead, recording every DP solution and, per evaluation,
-    (lam, value, the anchor's solution if the DP was skipped else None);
-    the spies are removed before returning."""
-    solved, evals = [], []
+    """Run nelder_mead, recording every DP solution, per evaluation (lam,
+    value, the anchor's solution if the DP was skipped else None), and the
+    DP calls of the final route (0 where the anchor certified it); returns
+    those three and the result, with the spies removed."""
+    solved, evals, final = [], [], []
     real_dp, real_eval = opt_mod.solve_weighted_trp_dp, opt_mod.simultaneous_objective
+    real_finalize = opt_mod._finalize
 
     def spy_dp(w, D):
         solved.append(real_dp(w, D))
@@ -295,11 +299,19 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
         evals.append((lam.copy(), val, solved[-1] if len(solved) == before else None))
         return val
 
+    def spy_finalize(*a, **k):
+        before = len(solved)
+        sol = real_finalize(*a, **k)
+        final.append(len(solved) - before)
+        return sol
+
     monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", spy_dp)
     monkeypatch.setattr(opt_mod, "simultaneous_objective", spy_eval)
-    nelder_mead(data, nodes, D, cfg)
+    monkeypatch.setattr(opt_mod, "_finalize", spy_finalize)
+    sol = nelder_mead(data, nodes, D, cfg)
     monkeypatch.undo()
-    return solved, evals
+    (final,) = final
+    return solved, evals, final, sol
 
 
 class TestMarginCertificate:
@@ -308,7 +320,7 @@ class TestMarginCertificate:
     def test_skipped_evaluations_equal_the_dp(self, M, model, monkeypatch):
         data, nodes, D = opt_instance(40 + M, M=M)
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
-        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        solved, evals, final, sol = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
         skipped = [(lam, anchor) for lam, _, anchor in evals if anchor is not None]
         for lam, val, _ in evals:
             assert val == simultaneous_objective(lam, data, nodes, D, cfg)
@@ -317,8 +329,13 @@ class TestMarginCertificate:
             fresh = solve_weighted_trp_dp(w, D)
             assert fresh.route == anchor.route
             assert fresh.cost == float(w @ latency(anchor.route, D))
-        # every DP call but the final certificate was an evaluation
-        assert len(solved) - 1 == len(evals) - len(skipped) < len(evals)
+        # every DP call is an uncertified evaluation or the uncertified final
+        # route, and the final route is the DP's whether reused or solved
+        assert final in (0, 1)
+        assert len(solved) == len(evals) - len(skipped) + final
+        assert len(skipped) < len(evals)
+        redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
+        assert (sol.route, sol.traversal_cost) == (redo.route, redo.cost)
 
     def test_anchor_matches_the_dp_along_weight_rays(self, monkeypatch):
         # Anchored at w0, query weights that move one node's weight down to
@@ -342,21 +359,24 @@ class TestMarginCertificate:
                     w = w0.copy()
                     w[j] += step
                     anchor = opt_mod._RouteAnchor(D)
-                    anchor.cost(w0, D)
+                    anchor.route(w0)
                     before = len(calls)
-                    got = anchor.cost(w, D)
+                    route, lats = anchor.route(w)
                     reused += len(calls) == before
                     fresh = solve_weighted_trp_dp(w, D)
                     changed += fresh.route != route0
-                    assert got == fresh.cost, (seed, j, step)
+                    assert route == fresh.route, (seed, j, step)
+                    assert lats.tobytes() == fresh.latencies.tobytes(), (seed, j, step)
+                    assert float(w @ lats) == fresh.cost, (seed, j, step)
         assert reused > 50 and changed > 100
 
     @pytest.mark.parametrize("model", MODELS)
     def test_tied_routes_never_skip(self, model, monkeypatch):
         data, nodes, D = tied_instance(11, 8)
         cfg = MltrpConfig(c2=0.2, c1=0.5, cost_model=model)
-        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        solved, evals, final, _ = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
         assert all(anchor is None for _, _, anchor in evals)
+        assert final == 1
         assert len(solved) == len(evals) + 1
         assert all(min(sol.step_margins) <= TIE_TOL for sol in solved)
 
@@ -371,15 +391,15 @@ class MarginAnchor:
         self._reach = float(D.max(axis=1).sum())
         self._w0 = None
 
-    def cost(self, w, D):
+    def route(self, w):
         if self._w0 is not None:
             r = self._reach * float(np.abs(w - self._w0).sum())
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
-                return float(w @ self._lats)
-        sol = opt_mod.solve_weighted_trp_dp(w, D)
+                return self._route, self._lats
+        sol = opt_mod.solve_weighted_trp_dp(w, self._D)
         self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
-        self._lats = latency(sol.route, self._D)
-        return sol.cost
+        self._route, self._lats = sol.route, latency(sol.route, self._D)
+        return self._route, self._lats
 
 
 class TestStepCertificate:
@@ -390,13 +410,16 @@ class TestStepCertificate:
         # than the single margin, and every skipped point is the DP's answer.
         data, nodes, D = opt_instance(60 + M, M=M)
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
-        solved, evals = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        solved, evals, _, sol = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
         monkeypatch.setattr(opt_mod, "_RouteAnchor", MarginAnchor)
-        solved_margin, evals_margin = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        solved_margin, evals_margin, _, sol_margin = spy_nelder_mead(
+            monkeypatch, data, nodes, D, cfg
+        )
         assert [(lam.tolist(), val) for lam, val, _ in evals] == [
             (lam.tolist(), val) for lam, val, _ in evals_margin
         ]
         assert len(solved) < len(solved_margin)
+        assert (sol.route, sol.traversal_cost) == (sol_margin.route, sol_margin.traversal_cost)
         for lam, val, anchor in evals:
             assert val == simultaneous_objective(lam, data, nodes, D, cfg)
             if anchor is not None:
@@ -412,13 +435,51 @@ class TestStepCertificate:
         # answer for it, wherever the bad weight sits.
         w0, D = random_instance(M, M)
         anchor = opt_mod._RouteAnchor(D)
-        anchor.cost(w0, D)
+        anchor.route(w0)
+        ref = solve_weighted_trp_dp(w0, D)
         for j in range(M):
             w = w0.copy()
             w[j] = bad
             with pytest.raises(ValueError, match="weights contain non-finite values"):
-                anchor.cost(w, D)
-            assert anchor.cost(w0, D) == solve_weighted_trp_dp(w0, D).cost
+                anchor.route(w)
+            route, lats = anchor.route(w0)
+            assert (route, float(w0 @ lats)) == (ref.route, ref.cost)
+
+
+class TestOneRouteSource:
+    def test_opt_derives_no_latencies(self):
+        # Routes and their latencies come from the DP through the anchor.
+        assert not hasattr(opt_mod, "latency") and not hasattr(opt_mod, "_latency")
+
+    @pytest.mark.parametrize(
+        "solver, model, dp_calls",
+        [(nelder_mead, "cost1", 30), (alternating_minimization, "cost2", 4)],
+        ids=["nm", "am"],
+    )
+    def test_one_latency_per_dp_call(self, solver, model, dp_calls, monkeypatch):
+        # Pinned on one instance each: NM's final route and AM's repeated
+        # route at its final lam are certified by the anchor, so neither
+        # solve runs the DP twice at one lam.
+        data, nodes, D = opt_instance(2, M=7)
+        dp, lat = [], []
+        real_dp, real_lat = opt_mod.solve_weighted_trp_dp, core_mod._latency
+
+        def counting_dp(*a):
+            dp.append(1)
+            return real_dp(*a)
+
+        def counting_lat(*a):
+            lat.append(1)
+            return real_lat(*a)
+
+        monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
+        monkeypatch.setattr(core_mod, "_latency", counting_lat)
+        monkeypatch.setattr(trp_mod, "_latency", counting_lat)
+        sol = solver(data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
+        assert len(dp) == len(lat) == dp_calls
+        monkeypatch.undo()
+        redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
+        assert (sol.route, sol.traversal_cost) == (redo.route, redo.cost)
 
 
 class TestAlternating:
@@ -451,7 +512,7 @@ class TestAlternating:
         cfg = MltrpConfig(c2=0.2, c1=0.6)
         sol = alternating_minimization(small_blobs, nodes, D, cfg)
         assert len(descent_calls) == 1
-        assert len(dp_calls) == 2  # the single round plus the final certificate
+        assert len(dp_calls) == 2  # the single round, and the final lam it does not certify
         assert len(sol.trace) == 1
 
     @pytest.mark.parametrize("seed", range(6))

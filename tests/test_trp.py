@@ -20,6 +20,13 @@ def popcount(masks):
     return sum(BYTE_POPCOUNT[(masks >> shift) & 0xFF] for shift in (0, 8, 16))
 
 
+def latencies_agree(sol, w, D) -> bool:
+    """sol.latencies are core.latency's along sol.route, bit for bit, and
+    sol.cost is their weighted sum."""
+    lats = core_mod.latency(sol.route, D)
+    return sol.latencies.tobytes() == lats.tobytes() and sol.cost == float(w @ sol.latencies)
+
+
 def enumerate_routes(M):
     for tail in itertools.permutations(range(2, M + 1)):
         yield [1] + list(tail)
@@ -77,6 +84,14 @@ def loop_dp(w, D, fallbacks=None):
 
 
 class TestDp:
+    def test_latencies_are_read_only(self):
+        # The route anchor in opt shares them, so nobody may write to them.
+        w, D = random_instance(5, 5)
+        sol = solve_weighted_trp_dp(w, D)
+        assert not sol.latencies.flags.writeable
+        with pytest.raises(ValueError):
+            sol.latencies[0] = 0.0
+
     def test_two_node_closed_form(self):
         D = np.array([[0.0, 3.0], [7.0, 0.0]])
         w = [0.3, 0.8]
@@ -93,6 +108,7 @@ class TestDp:
         b = solve_weighted_trp_bruteforce(w, D)
         assert a.route == b.route
         assert a.cost == b.cost  # identical routes, identically recomputed cost
+        assert latencies_agree(a, w, D) and latencies_agree(b, w, D)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_self_certifying_optimality(self, seed):
@@ -186,6 +202,7 @@ class TestDp:
         assert sol.route == route
         assert sol.cost == cost
         assert sol.step_margins == gaps
+        assert latencies_agree(sol, w, D)
 
     @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])
     @pytest.mark.parametrize("seed", range(5))
@@ -209,12 +226,14 @@ class TestDp:
         assert sol.route == route
         assert sol.cost == cost
         assert sol.step_margins == gaps
+        assert latencies_agree(sol, w, D)
 
     @pytest.mark.parametrize("M", [13, 14])
     def test_matches_per_mask_loop_larger(self, M):
         w, D = random_instance(100 + M, M)
         sol = solve_weighted_trp_dp(w, D)
         assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D)
+        assert latencies_agree(sol, w, D)
 
     def test_pair_index_cache_across_node_counts(self):
         # The (set, free bit) index is cached for the most recent node count

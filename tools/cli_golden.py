@@ -9,18 +9,21 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Five runs are refused with
+sampler is reached as well as its inversion.  Eight runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
 graph with every distance 1e19 times as long, whose step counts exceed
-the binomial draw's 2**63 - 1, the bound with --train and an --m2 of 2,
-above every node's feature norm but below the largest training row's (the
-bound holds only for training rows within M2), simultaneous with --test
-but no --c1-grid (held-out data feeds only the sweep), and the six-node
-demo at --c1 1e308, whose objective overflows only after the demo's input
-CSVs are built (a refused run writes no file, so its folder must not
-exist).  A second,
+the binomial draw's 2**63 - 1, cost1 simulate on a copy of the five nodes
+where one node's features are 1.7e308, so its score overflows, the bound
+with --train and an --m2 of 2, above every node's feature norm but below
+the largest training row's (the bound holds only for training rows within
+M2), the bound with --train and an --m (the training set gives the sample
+size), simultaneous with --test but no --c1-grid (held-out data feeds only
+the sweep), a C1 sweep whose --test set has one class (its AUC is
+undefined), and the six-node demo at --c1 1e308, whose objective overflows
+only after the demo's input CSVs are built (a refused run writes no file,
+so its folder must not exist).  A second,
 14-node graph with integer distances and repeated node features, whose
 optimal routes tie, is routed and solved by Nelder-Mead under both cost
 models and bounded with --train, so the comparison also covers a large DP,
@@ -69,8 +72,9 @@ def write_inputs(folder: Path) -> None:
     distances, and ten in the plane with distinct features.  Each graph
     draws from its own seeded generator, so adding one changes no other.
     The five-node graph also has copies with four and 1e19 times its
-    distances, and a copy of its nodes whose third node has a first
-    feature of -1000."""
+    distances, and copies of its nodes whose third node has a first
+    feature of -1000 or whose second node has 1.7e308 for both features;
+    the test set has a copy of its positive rows alone."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -78,6 +82,7 @@ def write_inputs(folder: Path) -> None:
         y = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         X = np.column_stack([rng.normal(0.0, 1.0, (m, d)) + 1.2 * y[:, None], np.ones(m)])
         (folder / name).write_text(_labeled(X, y))
+    (folder / "test_one_class.csv").write_text(_labeled(X[y > 0], y[y > 0]))
     nodes = np.column_stack([rng.normal(0.0, 0.8, (M, d)), np.ones(M)])
     header = ",".join(f"f{k + 1}" for k in range(d + 1)) + "\n"
     (folder / "nodes.csv").write_text(header + _csv(nodes))
@@ -89,6 +94,9 @@ def write_inputs(folder: Path) -> None:
     underflow = nodes.copy()
     underflow[2, 0] = -1000.0
     (folder / "nodes_underflow.csv").write_text(header + _csv(underflow))
+    overflow = nodes.copy()
+    overflow[1, :d] = 1.7e308
+    (folder / "nodes_overflow.csv").write_text(header + _csv(overflow))
 
     # Nodes repeat three feature rows, so weights repeat and, with distances
     # 1-3, this seed's optimal routes tie (checked by swapping node pairs).
@@ -134,10 +142,17 @@ def invocations() -> dict:
     runs["simulate_overflow_cost1"] = ["simulate", "--train", "train.csv", "--nodes", "nodes.csv",
                                        "--distances", "dist_huge.csv", "--c2", "0.2",
                                        "--cost-model", "cost1", "--trials", "2000", "--seed", "3"]
+    runs["simulate_score_overflow_cost1"] = ["simulate", "--train", "train.csv", "--nodes",
+                                             "nodes_overflow.csv", "--distances", "dist.csv",
+                                             "--c2", "0.2", "--cost-model", "cost1", "--trials",
+                                             "2000", "--seed", "3"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
     runs["simultaneous_test_without_grid"] = ["simultaneous", *base, "--c1", "0.5", "--test",
                                               "test.csv"]
+    runs["simultaneous_sweep_one_class_test"] = ["simultaneous", *base, "--c1", "0.5",
+                                                 "--c1-grid", "0,0.25,1", "--test",
+                                                 "test_one_class.csv"]
     for which in ("four_node", "six_node"):
         for method in ("nm", "am"):
             runs[f"demo_{which}_{method}"] = ["demo", "--which", which, "--method", method]
@@ -151,6 +166,8 @@ def invocations() -> dict:
     runs["bound_void"] = ["bound", *graph, "--cg", "0.001", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_train_m2_low"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2",
                                   "0.2", "--m2", "2"]
+    runs["bound_train_m"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2",
+                             "--m", "1000000"]
     large = ["--nodes", "nodes14.csv", "--distances", "dist14.csv"]
     for model in ("cost1", "cost2"):
         runs[f"route14_{model}"] = ["route", "--train", "train.csv", *large, "--c2", "0.2",
