@@ -34,12 +34,9 @@ from .milp import (
 from .opt import (
     MltrpConfig,
     MltrpSolution,
-    alternating_minimization,
     c1_sweep,
-    nelder_mead,
     node_weights,
     route_string,
-    sequential_pipeline,
     simultaneous_objective,
     solve,
     sweep_csv,

@@ -3,15 +3,17 @@
 Subcommands cover the full workflow: fit a model, route a fitted model,
 optimize both jointly, export the routing MILP as LP text, replay the
 bundled demos, validate costs by simulation, and evaluate the deviation
-bound.  Each command returns {path: document}; main writes the documents
-atomically (a str as text, anything else as JSON) only after the command has
-returned, so a run that exits non-zero writes no file.  Outputs contain no
+bound.  Each command returns {path: document}, with null for a number that
+can be inf or nan; main renders every document (a str as text, anything
+else as standard JSON) and writes them atomically only after all are
+rendered, so a run that exits non-zero writes no file.  Outputs contain no
 timestamps or host details, so identical invocations produce identical
 bytes.  Exit codes: 0 on success, 2 for bad input, 1 for internal errors.
 """
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -31,6 +33,11 @@ from .opt import (
 )
 from .sim import SimConfig, simulate_route_cost
 from .trp import naive_route, solve_weighted_trp_dp
+
+
+def _json_number(x: float) -> float | None:
+    # JSON has no inf or nan; such a value is written as null.
+    return x if math.isfinite(x) else None
 
 
 def _mltrp_config(args, c1=0.0) -> MltrpConfig:
@@ -237,7 +244,8 @@ def cmd_simulate(args) -> dict:
     )
     return {
         Path(args.out_dir) / "simulation.json":
-            {**asdict(report), "route": list(sol.route), "route_string": route_string(sol.route)},
+            {**asdict(report), "z_score": _json_number(report.z_score), "route": list(sol.route),
+             "route_string": route_string(sol.route)},
     }
 
 
@@ -288,6 +296,8 @@ def cmd_bound(args) -> dict:
             "m": m,
             "dimension": inputs.d,
             **asdict(report),
+            "c_norm_inv": _json_number(report.c_norm_inv),
+            "z_prime": _json_number(report.z_prime),
         },
     }
 
@@ -385,9 +395,10 @@ def main(argv=None) -> int:
         for name in required:
             if getattr(args, name.replace("-", "_")) is None:
                 raise ValidationError(f"--{name} is required for this command")
-        docs = func(args)
-        for path, doc in docs.items():
-            (dataio.write_text if isinstance(doc, str) else dataio.write_json)(path, doc)
+        texts = {path: doc if isinstance(doc, str) else dataio.json_text(doc)
+                 for path, doc in func(args).items()}
+        for path, text in texts.items():
+            dataio.write_text(path, text)
         return 0
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

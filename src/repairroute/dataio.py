@@ -139,8 +139,9 @@ def write_text(path, text: str):
     _atomic_write(path, text)
 
 
-def write_json(path, obj):
-    """Atomically write a JSON document with sorted keys and a trailing newline.
-    numpy arrays and scalars are written as the lists and numbers of tolist()."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
-    _atomic_write(path, text + "\n")
+def json_text(obj) -> str:
+    """A JSON document with sorted keys and a trailing newline.  numpy arrays
+    and scalars are written as the lists and numbers of tolist(); an inf or
+    nan, which standard JSON cannot hold, raises ValueError."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=lambda o: o.tolist())
+    return text + "\n"

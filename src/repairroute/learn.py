@@ -178,14 +178,12 @@ def auc(scores, labels) -> float:
     if npos == 0 or nneg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0])
     srt = scores[order]
-    i = 0
-    while i < srt.shape[0]:
-        j = i
-        while j + 1 < srt.shape[0] and srt[j + 1] == srt[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks
-        i = j + 1
+    # Tie runs [first, last] of the sorted scores; each member's rank is the
+    # average of the run's 1-based ranks.
+    first = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    last = np.r_[first[1:], srt.shape[0]] - 1
+    ranks = np.empty(scores.shape[0])
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     u = ranks[pos].sum() - npos * (npos + 1) / 2.0
     return float(u / (npos * nneg))

@@ -4,16 +4,16 @@ The combined objective is TrainingError(lam) + C1 * RouteCost(route, lam),
 where the route cost is the weighted latency sum under node weights induced
 by lam, one weight function per cost model in COST_MODELS: sigmoid scores
 for cost1 (expected failure counts), softplus weights for cost2 (the convex
-stand-in for the early-failure cost).  Three drivers are provided:
+stand-in for the early-failure cost).  `solve` is the one entry point: it
+takes the warm start, builds the one route anchor and the final solution,
+and runs one of METHODS in between:
 
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
-* nelder_mead: direct simplex search on lam with the route re-optimized
-  exactly inside every evaluation (or certified unchanged by the per-step
-  gaps of the last exact solve);
-* alternating_minimization: alternate exact routing with damped Newton
-  descent on lam at the frozen route.
-
-`solve` dispatches on the method name, one of METHODS.
+* nm: nelder_mead, a downhill simplex over lam on the objective with the
+  route re-optimized exactly inside every evaluation (or certified
+  unchanged by the per-step gaps of the last exact solve);
+* am: alternating_minimization, exact routing alternated with damped
+  Newton descent on lam at the frozen route.
 """
 
 import math
@@ -188,75 +188,50 @@ class _RouteAnchor:
         return True
 
 
+def _route_term(c1: float, cost: float) -> float:
+    # C1 times a route cost; an overflow there is C1's, not the data's.
+    if math.isfinite(cost) and not math.isfinite(c1 * cost):
+        raise ValueError(f"C1 = {c1:g} times the route cost {cost:.6g} overflows")
+    return c1 * cost
+
+
 def simultaneous_objective(
     lam, data: LabeledDataset, nodes, D, cfg: MltrpConfig, *, anchor: _RouteAnchor | None = None
 ) -> float:
     """Combined objective with the route re-optimized exactly for this lam.
 
-    With an anchor (nelder_mead passes its own), the route and its latencies
+    With an anchor (solve passes its own for nm), the route and its latencies
     come from anchor.route, which skips the DP where its certificate shows
     that the DP would return the anchor's route again (see _RouteAnchor), so
     the value is the same bit for bit; D is then the anchor's.  Without one,
-    the DP runs on D.
+    the DP runs on D.  ValueError names C1 when C1 times the route cost
+    overflows.
     """
     te = training_error(lam, data, cfg.c2)
     w = node_weights(lam, nodes, cfg.cost_model)
     if anchor is None:
-        return te + cfg.c1 * solve_weighted_trp_dp(w, D).cost
-    return te + cfg.c1 * float(w @ anchor.route(w)[1])
+        return te + _route_term(cfg.c1, solve_weighted_trp_dp(w, D).cost)
+    return te + _route_term(cfg.c1, float(w @ anchor.route(w)[1]))
 
 
-def _finalize(lam, data, nodes, anchor: _RouteAnchor, cfg, trace, method) -> MltrpSolution:
-    lam = np.asarray(lam, dtype=float).ravel()
-    te = training_error(lam, data, cfg.c2)
-    w = node_weights(lam, nodes, cfg.cost_model)
-    route, lats = anchor.route(w)
-    cost = float(w @ lats)
-    return MltrpSolution(
-        lam=lam,
-        route=route,
-        training_error=te,
-        traversal_cost=cost,
-        combined_objective=te + cfg.c1 * cost,
-        trace=tuple(trace),
-        method=method,
-    )
+def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
+    """Downhill simplex minimizing the scalar function f from lam0; returns
+    the best vertex and the best value after each iteration.
 
-
-def sequential_pipeline(data: LabeledDataset, nodes, D, cfg: MltrpConfig) -> MltrpSolution:
-    """Fit first, route second; lam never sees the distances."""
-    fit = fit_logistic(data, cfg.c2)
-    sol = _finalize(fit.lam, data, nodes, _RouteAnchor(D), cfg, trace=(), method="sequential")
-    return replace(sol, trace=(sol.combined_objective,))
-
-
-def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> MltrpSolution:
-    """Downhill simplex on lam over the exact-inner-route objective.
-
-    The starting simplex sits at lam0 (the plain logistic fit when omitted)
-    plus one axis perturbation per coordinate, scaled by
-    _NM_SCALE * max(1, ||lam0||_inf).  Steps use the _NM_REFLECT,
-    _NM_EXPAND, _NM_CONTRACT and _NM_SHRINK coefficients.  The best vertex
-    never worsens; the search stops when the simplex diameter falls under
-    _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent, and the latter,
-    with the simplex still wider, is logged as a warning on the
-    "repairroute" logger.
-
-    Every evaluation, and the final route, is simultaneous_objective with
-    one shared anchor: the most recent evaluation that ran the exact DP,
-    whose per-step certificate (see _RouteAnchor) skips the DP wherever it
-    would return the anchor's route again.  Values, the trace and the result
-    are those of re-solving at every evaluation, bit for bit.  Vertices of
-    equal value keep their order (the sort is stable).
+    The starting simplex sits at lam0 plus one axis perturbation per
+    coordinate, scaled by _NM_SCALE * max(1, ||lam0||_inf).  Steps use the
+    _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT and _NM_SHRINK coefficients.  The
+    best vertex never worsens; the search stops when the simplex diameter
+    falls under _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent, and the
+    latter, with the simplex still wider, is logged as a warning on the
+    "repairroute" logger.  A non-finite value raises ValueError naming the
+    vertex.  Vertices of equal value keep their order (the sort is stable).
     """
-    if lam0 is None:
-        lam0 = fit_logistic(data, cfg.c2).lam
     lam0 = np.asarray(lam0, dtype=float).ravel()
     d = lam0.shape[0]
-    anchor = _RouteAnchor(D)
 
-    def f(v):
-        val = simultaneous_objective(v, data, nodes, D, cfg, anchor=anchor)
+    def value(v):
+        val = f(v)
         if not math.isfinite(val):
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
         return val
@@ -267,7 +242,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
         v = lam0.copy()
         v[j] += scale
         verts.append(v)
-    fvals = [f(v) for v in verts]
+    fvals = [value(v) for v in verts]
     evals = d + 1
     trace = []
     while True:
@@ -282,11 +257,11 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
         centroid = simplex[:-1].mean(axis=0)
         worst = verts[-1]
         xr = centroid + _NM_REFLECT * (centroid - worst)
-        fr = f(xr)
+        fr = value(xr)
         evals += 1
         if fr < fvals[0]:
             xe = centroid + _NM_EXPAND * (centroid - worst)
-            fe = f(xe)
+            fe = value(xe)
             evals += 1
             verts[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
@@ -296,14 +271,14 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
             # worst vertex, else on the worst vertex's side; shrink if that fails.
             outside = fr < fvals[-1]
             xc = centroid + (_NM_CONTRACT if outside else -_NM_CONTRACT) * (centroid - worst)
-            fc = f(xc)
+            fc = value(xc)
             evals += 1
             if (fc <= fr) if outside else (fc < fvals[-1]):
                 verts[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, d + 1):
                     verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
-                    fvals[i] = f(verts[i])
+                    fvals[i] = value(verts[i])
                 evals += d
     if diam >= _NM_DIAM_TOL:
         import logging  # here, not at the top: the import adds about 0.45 MiB RSS
@@ -312,7 +287,7 @@ def nelder_mead(data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> 
             "Nelder-Mead stopped after %d evaluations (budget %d) with simplex diameter %.3g",
             evals, _NM_MAX_EVALS, diam,
         )
-    return _finalize(verts[0], data, nodes, anchor, cfg, trace, method="nm")
+    return verts[0], trace
 
 
 def _fixed_route_objective(lam, lats, data, nodes, cfg: MltrpConfig) -> float:
@@ -334,30 +309,28 @@ def _fixed_route_hessian(lam, lats, data, nodes, cfg: MltrpConfig) -> np.ndarray
 
 
 def alternating_minimization(
-    data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None
-) -> MltrpSolution:
-    """Alternate exact routing with descent on lam at the frozen route.
+    lam, data: LabeledDataset, nodes: np.ndarray, anchor: _RouteAnchor, cfg: MltrpConfig
+) -> tuple[np.ndarray, list]:
+    """Alternate exact routing with descent on lam at the frozen route,
+    starting at lam; returns the final lam and the loss after each round.
 
     Each round first takes the exact route and its latencies for the current
-    weights from one shared anchor (see _RouteAnchor), then runs damped
-    Newton descent (learn.minimize_descent with the exact Hessian) on the
-    combined objective with that route frozen, warm-started at the current
-    lam.  Both half-steps can only lower the objective, up to
-    16 eps |f| rounding in the descent's last steps, so the recorded trace is
-    non-increasing to that precision.  A descent that stops unconverged is
-    logged as a warning on the "repairroute" logger.  The loop stops early
-    once the route repeats: the following lam step would start at its own
-    minimizer and move nowhere; otherwise _AM_ROUNDS rounds run.
+    weights from the anchor (see _RouteAnchor), then runs damped Newton
+    descent (learn.minimize_descent with the exact Hessian) on the combined
+    objective with that route frozen, warm-started at the current lam.  Both
+    half-steps can only lower the objective, up to 16 eps |f| rounding in the
+    descent's last steps, so the recorded trace is non-increasing to that
+    precision.  A descent that stops unconverged is logged as a warning on
+    the "repairroute" logger.  The loop stops early once the route repeats:
+    the following lam step would start at its own minimizer and move
+    nowhere; otherwise _AM_ROUNDS rounds run.  nodes is a 2-D float array.
     """
-    if lam0 is None:
-        lam0 = fit_logistic(data, cfg.c2).lam
-    lam = np.asarray(lam0, dtype=float).ravel()
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    anchor = _RouteAnchor(D)
     prev_route = None
     trace = []
     for rnd in range(1, _AM_ROUNDS + 1):
-        route, lats = anchor.route(node_weights(lam, nodes, cfg.cost_model))
+        w = node_weights(lam, nodes, cfg.cost_model)
+        route, lats = anchor.route(w)
+        _route_term(cfg.c1, float(w @ lats))
         if route == prev_route:
             break
         res = minimize_descent(
@@ -377,18 +350,47 @@ def alternating_minimization(
         lam = res.lam
         trace.append(res.loss)
         prev_route = route
-    return _finalize(lam, data, nodes, anchor, cfg, trace, method="am")
+    return lam, trace
 
 
 def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=None) -> MltrpSolution:
-    """Run one of METHODS; lam0 warm-starts nm and am and is unused by sequential."""
-    if method == "sequential":
-        return sequential_pipeline(data, nodes, D, cfg)
+    """Minimize the combined objective by one of METHODS; the one solver
+    entry point.
+
+    lam starts at lam0, or at the plain logistic fit when lam0 is omitted;
+    sequential always takes the fit (the C1 = 0 optimum) and stops there.
+    nm runs nelder_mead on simultaneous_objective and am runs
+    alternating_minimization, both from that start.  Every route, the final
+    one included, comes from one _RouteAnchor on D, which skips the DP where
+    its certificate shows the DP would return the anchor's route again, so
+    values, trace and result are those of re-solving every time, bit for
+    bit.  The solution's trace is the method's (sequential's is its combined
+    objective alone).  ValueError names C1 when C1 times a route cost
+    overflows.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if lam0 is None or method == "sequential":
+        lam0 = fit_logistic(data, cfg.c2).lam
+    lam = np.asarray(lam0, dtype=float).ravel()
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    anchor = _RouteAnchor(D)
+    trace = []
     if method == "nm":
-        return nelder_mead(data, nodes, D, cfg, lam0=lam0)
-    if method == "am":
-        return alternating_minimization(data, nodes, D, cfg, lam0=lam0)
-    raise ValueError(f"method must be one of {METHODS}")
+        lam, trace = nelder_mead(
+            lambda v: simultaneous_objective(v, data, nodes, D, cfg, anchor=anchor), lam
+        )
+    elif method == "am":
+        lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
+    te = training_error(lam, data, cfg.c2)
+    w = node_weights(lam, nodes, cfg.cost_model)
+    route, lats = anchor.route(w)
+    cost = float(w @ lats)
+    combined = te + _route_term(cfg.c1, cost)
+    return MltrpSolution(
+        lam=lam, route=route, training_error=te, traversal_cost=cost, combined_objective=combined,
+        trace=(combined,) if method == "sequential" else tuple(trace), method=method,
+    )
 
 
 @dataclass(frozen=True)
@@ -426,8 +428,6 @@ def c1_sweep(
     All grid points share the same warm start (the plain logistic fit), so
     rows differ only through C1.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
     grid = check_c1_grid(c1_grid)
     lam0 = fit_logistic(data, cfg.c2).lam
     rows = []
@@ -439,16 +439,10 @@ def c1_sweep(
             if test_data is not None
             else math.nan
         )
-        rows.append(
-            SweepRow(
-                c1=c1,
-                train_auc=train_auc,
-                test_auc=test_auc,
-                traversal_cost=sol.traversal_cost,
-                train_loss=sol.training_error,
-                route=sol.route,
-            )
-        )
+        rows.append(SweepRow(
+            c1=c1, train_auc=train_auc, test_auc=test_auc, traversal_cost=sol.traversal_cost,
+            train_loss=sol.training_error, route=sol.route,
+        ))
     return rows
 
 

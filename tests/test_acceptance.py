@@ -28,10 +28,8 @@ from repairroute.milp import build_milp
 from repairroute.opt import (
     MltrpConfig,
     _fixed_route_gradient,
-    alternating_minimization,
-    nelder_mead,
     node_weights,
-    sequential_pipeline,
+    solve,
 )
 from repairroute.sim import SimConfig, simulate_route_cost
 from repairroute.trp import solve_weighted_trp_dp
@@ -173,7 +171,7 @@ def test_05_am_monotonicity():
             _, D = random_instance(run, M)
             model = "cost1" if run % 2 == 0 else "cost2"
             cfg = MltrpConfig(c2=0.15, c1=1.0, cost_model=model)
-            sol = alternating_minimization(data, nodes, D, cfg)
+            sol = solve("am", data, nodes, D, cfg)
             diffs = np.diff(sol.trace)
             assert (diffs <= AM_TOL).all(), (run, sol.trace)
 
@@ -186,11 +184,11 @@ def test_06_decoupling_limit():
             nodes = rng.normal(size=(5, 2))
             _, D = random_instance(seed, 5)
             cfg = MltrpConfig(c2=0.25, c1=0.0)
-            seq = sequential_pipeline(data, nodes, D, cfg)
-            for solver in (nelder_mead, alternating_minimization):
-                sol = solver(data, nodes, D, cfg)
+            seq = solve("sequential", data, nodes, D, cfg)
+            for method in ("nm", "am"):
+                sol = solve(method, data, nodes, D, cfg)
                 assert abs(sol.training_error - seq.training_error) <= DECOUPLE_TOL, seed
-                assert sol.route == seq.route, (seed, solver.__name__)
+                assert sol.route == seq.route, (seed, method)
 
 
 def test_07_regularization_path():
@@ -282,8 +280,8 @@ def test_09_bound_numerics():
 def test_10_illustration_phenomenon():
     with criterion(10, "coupled objective reroutes around the outlying node"):
         inst = six_node(seed=0)
-        seq = sequential_pipeline(inst.train, inst.nodes, inst.D, inst.cfg)
-        sim = alternating_minimization(inst.train, inst.nodes, inst.D, inst.cfg)
+        seq = solve("sequential", inst.train, inst.nodes, inst.D, inst.cfg)
+        sim = solve("am", inst.train, inst.nodes, inst.D, inst.cfg)
         assert seq.route != sim.route
         p_seq = node_weights(seq.lam, inst.nodes, "cost1")
         p_sim = node_weights(sim.lam, inst.nodes, "cost1")

@@ -22,7 +22,7 @@ from repairroute.dataio import (
     load_distances_csv,
     load_labeled_csv,
     load_nodes_csv,
-    write_json,
+    json_text,
 )
 from repairroute.demo import INSTANCES
 import repairroute.opt as opt_mod
@@ -68,6 +68,17 @@ def problem(tmp_path, seed=0, M=5, d=2):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def read_standard_json(path):
+    """read_json, refusing the Infinity, -Infinity and NaN tokens that jq and
+    JavaScript reject."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def load_golden_tool():
@@ -173,14 +184,19 @@ class TestLoaders:
 
     def test_write_json_deterministic(self, tmp_path):
         doc = {"b": np.array([1.5, 2.5]), "a": np.float64(3.5), "c": [np.int64(2)]}
-        write_json(tmp_path / "x.json", doc)
+        (tmp_path / "x.json").write_text(json_text(doc))
         first = (tmp_path / "x.json").read_bytes()
-        write_json(tmp_path / "x.json", doc)
+        (tmp_path / "x.json").write_text(json_text(doc))
         assert (tmp_path / "x.json").read_bytes() == first
         parsed = json.loads(first)
         assert parsed == {"a": 3.5, "b": [1.5, 2.5], "c": [2]}
         assert first.endswith(b"\n")
         assert first.decode().index('"a"') < first.decode().index('"b"')
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_json_text_refuses_non_standard_numbers(self, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text({"a": [1.0, np.float64(bad)]})
 
 
 class TestTrain:
@@ -777,6 +793,62 @@ class TestBound:
         assert "does not exceed" in capsys.readouterr().err
 
 
+class TestC1Overflow:
+    @pytest.mark.parametrize("method", ["sequential", "nm", "am"])
+    def test_overflowing_c1_exits_two_naming_c1(self, method, tmp_path, capsys):
+        # Every input is moderate; only C1 times the route cost overflows.
+        (tp, np_, dp), *_ = problem(tmp_path, seed=2, M=3)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simultaneous", "--train", tp, "--nodes", np_, "--distances", dp,
+                         "--c2", "0.2", "--c1", "1e308", "--method", method,
+                         "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: C1 = 1e+308 times the route cost ")
+        assert err.endswith(" overflows\n")
+        assert not out.exists()
+
+
+class TestStandardJson:
+    def test_simulate_without_failures_writes_null_z_score(self, tmp_path):
+        # Every node's failure probability is about 1e-20, so no trial fails,
+        # the standard error is 0 and the report's z score is -inf.
+        data = blobs(4, per_side=10, d=2)
+        lam = fit_logistic(data, 0.2).lam
+        nodes = np.tile(-46.0 * lam / float(lam @ lam), (4, 1))
+        _, D = random_instance(4, 4)
+        tp, np_, dp = write_problem(tmp_path, data, nodes, D)
+        assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--trials", "100", "--out-dir", str(tmp_path / "out")]) == 0
+        doc = read_standard_json(tmp_path / "out" / "simulation.json")
+        assert doc["estimate"] == doc["std_error"] == 0.0
+        assert 0.0 < doc["analytic_discretized"] < 1e-15
+        assert doc["z_score"] is None
+
+    def test_bound_with_zero_features_writes_nulls(self, tmp_path):
+        # A zero constraint vector puts the half-space's plane at infinity.
+        _, D = random_instance(0, 4)
+        _, np_, dp = write_problem(tmp_path, blobs(0, per_side=2, d=2), np.zeros((4, 2)), D)
+        assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60", "--eps", "0.5",
+                     "--m1", "2.0", "--m2", "1.5", "--m", "400",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        doc = read_standard_json(tmp_path / "out" / "bound.json")
+        assert doc["c"] == [0.0, 0.0]
+        assert doc["c_norm_inv"] is None and doc["z_prime"] is None
+        assert doc["alpha"] == 1.0
+
+    @pytest.mark.parametrize("case", ["simulate_low_risk_cost1", "bound_zero_features"])
+    def test_golden_runs_write_standard_json(self, case, tmp_path, monkeypatch):
+        golden = load_golden_tool()
+        golden.write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(golden.invocations()[case] + ["--out-dir", "out"]) == 0
+        (path,) = (tmp_path / "out").iterdir()
+        doc = read_standard_json(path)
+        assert None in doc.values()
+
+
 class TestRejectedRunWritesNothing:
     @pytest.mark.parametrize("case", ["one_class_test", "one_class_train", "demo_am", "demo_nm"])
     def test_late_failure_leaves_no_out_dir(self, case, tmp_path, capsys):
@@ -797,6 +869,22 @@ class TestRejectedRunWritesNothing:
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_non_standard_number_in_a_later_document_leaves_no_out_dir(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # Every document is rendered before the first is written, so an inf
+        # that reaches the JSON backstop in the last one writes nothing.
+        def fake(args):
+            out = Path(args.out_dir)
+            return {out / "a.json": {"x": 1.0}, out / "b.txt": "text\n",
+                    out / "c.json": {"x": math.inf}}
+
+        _, help_text, flags, required = cli_mod._COMMANDS["train"]
+        monkeypatch.setitem(cli_mod._COMMANDS, "train", (fake, help_text, flags, required))
+        out = tmp_path / "out"
+        assert main(["train", "--train", "t.csv", "--c2", "0.1", "--out-dir", str(out)]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -247,6 +247,10 @@ class TestAuc:
     def test_all_tied_scores(self):
         assert auc([0.3, 0.3, 0.3, 0.3], [1, -1, 1, -1]) == 0.5
 
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, so the two share the average rank.
+        assert auc([0.0, -0.0, 1.0, -1.0], [1, -1, 1, -1]) == 0.875
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc([0.4, 0.6], [1, 1])

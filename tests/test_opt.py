@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ from repairroute.learn import auc, fit_logistic, training_error
 from repairroute.opt import (
     MltrpConfig,
     MltrpSolution,
-    alternating_minimization,
     c1_sweep,
     nelder_mead,
     node_weights,
     route_string,
-    sequential_pipeline,
     simultaneous_objective,
+    solve,
     sweep_csv,
     _WEIGHTS,
     _fixed_route_gradient,
@@ -175,8 +175,8 @@ class TestSequential:
     @pytest.mark.parametrize("seed", range(5))
     def test_c1_is_irrelevant(self, seed):
         data, nodes, D = opt_instance(seed)
-        a = sequential_pipeline(data, nodes, D, MltrpConfig(c2=0.2, c1=0.0))
-        b = sequential_pipeline(data, nodes, D, MltrpConfig(c2=0.2, c1=7.5))
+        a = solve("sequential", data, nodes, D, MltrpConfig(c2=0.2, c1=0.0))
+        b = solve("sequential", data, nodes, D, MltrpConfig(c2=0.2, c1=7.5))
         assert np.array_equal(a.lam, b.lam)
         assert a.route == b.route
         assert a.traversal_cost == b.traversal_cost
@@ -186,7 +186,7 @@ class TestSequential:
 
     def test_two_cluster_route_matches_brute_force(self):
         inst = six_node()
-        sol = sequential_pipeline(inst.train, inst.nodes, inst.D, inst.cfg)
+        sol = solve("sequential", inst.train, inst.nodes, inst.D, inst.cfg)
         w = node_weights(sol.lam, inst.nodes, inst.cfg.cost_model)
         assert sol.route == solve_weighted_trp_bruteforce(w, inst.D).route
         assert sol.method == "sequential"
@@ -194,7 +194,7 @@ class TestSequential:
     def test_degenerate_two_nodes(self, small_blobs):
         nodes = np.array([[0.5, 0.5], [-0.5, 1.0]])
         D = np.array([[0.0, 2.0], [3.0, 0.0]])
-        sol = sequential_pipeline(small_blobs, nodes, D, MltrpConfig(c2=0.5))
+        sol = solve("sequential", small_blobs, nodes, D, MltrpConfig(c2=0.5))
         assert sol.route == [1, 2]
 
 
@@ -204,9 +204,9 @@ class TestNelderMead:
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.3, c1=0.0)
         ref = fit_logistic(data, cfg.c2)
-        sol = nelder_mead(data, nodes, D, cfg)
+        sol = solve("nm", data, nodes, D, cfg)
         assert abs(sol.training_error - ref.loss) < 1e-4
-        assert sol.route == sequential_pipeline(data, nodes, D, cfg).route
+        assert sol.route == solve("sequential", data, nodes, D, cfg).route
 
     def test_flat_landscape_stays_at_start(self):
         data = LabeledDataset(
@@ -215,7 +215,7 @@ class TestNelderMead:
         )
         _, nodes, D = opt_instance(9)
         lam0 = np.array([0.3, -0.2])
-        sol = nelder_mead(data, nodes, D, MltrpConfig(c2=0.0, c1=0.0), lam0=lam0)
+        sol = solve("nm", data, nodes, D, MltrpConfig(c2=0.0, c1=0.0), lam0=lam0)
         assert np.array_equal(sol.lam, lam0)
         assert all(v == pytest.approx(10 * math.log(2.0), rel=1e-12) for v in sol.trace)
 
@@ -225,7 +225,7 @@ class TestNelderMead:
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
         lam0 = fit_logistic(data, cfg.c2).lam
-        sol = nelder_mead(data, nodes, D, cfg, lam0=lam0)
+        sol = solve("nm", data, nodes, D, cfg, lam0=lam0)
         start = simultaneous_objective(lam0, data, nodes, D, cfg)
         assert sol.combined_objective <= start + 1e-12
         assert all(b <= a for a, b in zip(sol.trace, sol.trace[1:]))
@@ -234,8 +234,8 @@ class TestNelderMead:
     def test_non_finite_vertex_is_reported(self, small_blobs):
         _, nodes, D = opt_instance(2)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            nelder_mead(
-                small_blobs, nodes, D, MltrpConfig(c2=0.5, c1=1.0), lam0=[1e200, 1e200]
+            solve(
+                "nm", small_blobs, nodes, D, MltrpConfig(c2=0.5, c1=1.0), lam0=[1e200, 1e200]
             )
 
     def test_budget_stop_is_logged(self, caplog, monkeypatch):
@@ -250,7 +250,7 @@ class TestNelderMead:
         monkeypatch.setattr(opt_mod, "simultaneous_objective", counting_eval)
         monkeypatch.setattr(opt_mod, "_NM_MAX_EVALS", 10)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
-            nelder_mead(data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+            solve("nm", data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
         records = [r for r in caplog.records if r.name == "repairroute"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
@@ -262,8 +262,69 @@ class TestNelderMead:
     def test_converged_search_logs_nothing(self, caplog):
         data, nodes, D = opt_instance(2)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
-            nelder_mead(data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+            solve("nm", data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
         assert not caplog.records
+
+
+class TestNelderMeadMinimizer:
+    """nelder_mead as a plain downhill simplex over a scalar function."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_finds_the_minimizer_of_a_convex_quadratic(self, seed, d, caplog):
+        rng = np.random.default_rng(seed + 10 * d)
+        B = rng.normal(size=(d, d))
+        A = B @ B.T + 0.5 * np.eye(d)
+        c = rng.normal(scale=2.0, size=d)
+        calls = []
+
+        def f(v):
+            calls.append(1)
+            return float((v - c) @ A @ (v - c)) + 3.0
+
+        with caplog.at_level(logging.DEBUG, logger="repairroute"):
+            lam, trace = nelder_mead(f, np.zeros(d))
+        assert np.abs(lam - c).max() < 1e-6
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == f(lam)
+        assert len(calls) < opt_mod._NM_MAX_EVALS
+        assert not caplog.records
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_names_the_vertex(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite objective at simplex vertex \[1\.0, 2\.0\]"):
+            nelder_mead(lambda v: bad, [1.0, 2.0])
+
+
+class TestC1Overflow:
+    MESSAGE = r"^C1 = 1e\+308 times the route cost [0-9.]+ overflows$"
+
+    @pytest.mark.parametrize("method", ["sequential", "nm", "am"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_method_names_c1(self, method, model):
+        # Training loss and route cost are both finite; only C1 times the
+        # cost overflows, and every method says so.
+        data, nodes, D = opt_instance(1)
+        cfg = MltrpConfig(c2=0.2, c1=1e308, cost_model=model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                solve(method, data, nodes, D, cfg)
+
+    def test_objective_names_c1_with_and_without_anchor(self):
+        data, nodes, D = opt_instance(2)
+        cfg = MltrpConfig(c2=0.2, c1=1e308)
+        lam = fit_logistic(data, cfg.c2).lam
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simultaneous_objective(lam, data, nodes, D, cfg)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simultaneous_objective(lam, data, nodes, D, cfg, anchor=opt_mod._RouteAnchor(D))
+
+    def test_large_finite_product_is_kept(self):
+        data, nodes, D = opt_instance(2)
+        sol = solve("sequential", data, nodes, D, MltrpConfig(c2=0.2, c1=1e300))
+        assert math.isfinite(sol.combined_objective)
+        assert sol.combined_objective == sol.training_error + 1e300 * sol.traversal_cost
 
 
 def tied_instance(seed, M):
@@ -281,13 +342,14 @@ def tied_instance(seed, M):
 
 
 def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
-    """Run nelder_mead, recording every DP solution, per evaluation (lam,
-    value, the anchor's solution if the DP was skipped else None), and the
-    DP calls of the final route (0 where the anchor certified it); returns
-    those three and the result, with the spies removed."""
-    solved, evals, final = [], [], []
+    """Solve by nm, recording every DP solution, per evaluation (lam, value,
+    the anchor's solution if the DP was skipped else None), and the DP calls
+    of the final route, those made after the simplex loop returns (0 where
+    the anchor certified it); returns those three and the result, with the
+    spies removed."""
+    solved, evals, looped = [], [], []
     real_dp, real_eval = opt_mod.solve_weighted_trp_dp, opt_mod.simultaneous_objective
-    real_finalize = opt_mod._finalize
+    real_nm = opt_mod.nelder_mead
 
     def spy_dp(w, D):
         solved.append(real_dp(w, D))
@@ -299,19 +361,18 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
         evals.append((lam.copy(), val, solved[-1] if len(solved) == before else None))
         return val
 
-    def spy_finalize(*a, **k):
-        before = len(solved)
-        sol = real_finalize(*a, **k)
-        final.append(len(solved) - before)
-        return sol
+    def spy_nm(*a, **k):
+        out = real_nm(*a, **k)
+        looped.append(len(solved))
+        return out
 
     monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", spy_dp)
     monkeypatch.setattr(opt_mod, "simultaneous_objective", spy_eval)
-    monkeypatch.setattr(opt_mod, "_finalize", spy_finalize)
-    sol = nelder_mead(data, nodes, D, cfg)
+    monkeypatch.setattr(opt_mod, "nelder_mead", spy_nm)
+    sol = solve("nm", data, nodes, D, cfg)
     monkeypatch.undo()
-    (final,) = final
-    return solved, evals, final, sol
+    (looped,) = looped
+    return solved, evals, len(solved) - looped, sol
 
 
 class TestMarginCertificate:
@@ -452,11 +513,11 @@ class TestOneRouteSource:
         assert not hasattr(opt_mod, "latency") and not hasattr(opt_mod, "_latency")
 
     @pytest.mark.parametrize(
-        "solver, model, dp_calls",
-        [(nelder_mead, "cost1", 30), (alternating_minimization, "cost2", 4)],
+        "method, model, dp_calls",
+        [("nm", "cost1", 30), ("am", "cost2", 4)],
         ids=["nm", "am"],
     )
-    def test_one_latency_per_dp_call(self, solver, model, dp_calls, monkeypatch):
+    def test_one_latency_per_dp_call(self, method, model, dp_calls, monkeypatch):
         # Pinned on one instance each: NM's final route and AM's repeated
         # route at its final lam are certified by the anchor, so neither
         # solve runs the DP twice at one lam.
@@ -475,7 +536,7 @@ class TestOneRouteSource:
         monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
         monkeypatch.setattr(core_mod, "_latency", counting_lat)
         monkeypatch.setattr(trp_mod, "_latency", counting_lat)
-        sol = solver(data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
+        sol = solve(method, data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
         assert len(dp) == len(lat) == dp_calls
         monkeypatch.undo()
         redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
@@ -488,9 +549,9 @@ class TestAlternating:
         monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
         cfg = MltrpConfig(c2=0.25, c1=0.0)
         ref = fit_logistic(small_blobs, cfg.c2)
-        sol = alternating_minimization(small_blobs, nodes, D, cfg)
+        sol = solve("am", small_blobs, nodes, D, cfg)
         assert np.array_equal(sol.lam, ref.lam)
-        assert sol.route == sequential_pipeline(small_blobs, nodes, D, cfg).route
+        assert sol.route == solve("sequential", small_blobs, nodes, D, cfg).route
 
     def test_single_round_counts(self, monkeypatch, small_blobs):
         _, nodes, D = opt_instance(8)
@@ -510,7 +571,7 @@ class TestAlternating:
         monkeypatch.setattr(opt_mod, "minimize_descent", counting_descent)
         monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
         cfg = MltrpConfig(c2=0.2, c1=0.6)
-        sol = alternating_minimization(small_blobs, nodes, D, cfg)
+        sol = solve("am", small_blobs, nodes, D, cfg)
         assert len(descent_calls) == 1
         assert len(dp_calls) == 2  # the single round, and the final lam it does not certify
         assert len(sol.trace) == 1
@@ -520,8 +581,8 @@ class TestAlternating:
     def test_trace_monotone_and_beats_sequential(self, seed, model):
         data, nodes, D = opt_instance(seed, M=6)
         cfg = MltrpConfig(c2=0.15, c1=1.2, cost_model=model)
-        sol = alternating_minimization(data, nodes, D, cfg)
-        seq = sequential_pipeline(data, nodes, D, cfg)
+        sol = solve("am", data, nodes, D, cfg)
+        seq = solve("sequential", data, nodes, D, cfg)
         diffs = np.diff(sol.trace)
         assert (diffs <= 1e-7).all()
         assert sol.combined_objective <= seq.combined_objective + 1e-9
@@ -539,7 +600,7 @@ class TestAlternating:
         monkeypatch.setattr(opt_mod, "minimize_descent", recording_descent)
         for run in range(20):
             data, nodes, D, cfg = am_check_instance(run)
-            alternating_minimization(data, nodes, D, cfg)
+            solve("am", data, nodes, D, cfg)
         assert len(results) >= 20
         assert all(r.converged for r in results), [r.grad_norm for r in results]
 
@@ -549,7 +610,7 @@ class TestAlternating:
         monkeypatch.setattr(learn_mod, "_MAX_ITERS", 1)
         cfg = MltrpConfig(c2=0.2, c1=1.0)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
-            alternating_minimization(data, nodes, D, cfg)
+            solve("am", data, nodes, D, cfg)
         records = [r for r in caplog.records if r.name == "repairroute"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
@@ -559,7 +620,7 @@ class TestAlternating:
     def test_converged_solve_logs_nothing(self, caplog, small_blobs):
         _, nodes, D = opt_instance(3)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
-            alternating_minimization(small_blobs, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
+            solve("am", small_blobs, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
         assert not caplog.records
 
     def test_early_stop_on_route_repeat(self, monkeypatch, small_blobs):
@@ -568,7 +629,7 @@ class TestAlternating:
         _, nodes, D = opt_instance(7)
         monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 50)
         cfg = MltrpConfig(c2=0.3, c1=0.0)
-        sol = alternating_minimization(small_blobs, nodes, D, cfg)
+        sol = solve("am", small_blobs, nodes, D, cfg)
         assert len(sol.trace) < 50
 
 
@@ -578,11 +639,7 @@ class TestSolutionInvariants:
     def test_certificate_and_objective_split(self, seed, method):
         data, nodes, D = opt_instance(seed)
         cfg = MltrpConfig(c2=0.2, c1=0.9)
-        sol = {
-            "sequential": sequential_pipeline,
-            "nm": nelder_mead,
-            "am": alternating_minimization,
-        }[method](data, nodes, D, cfg)
+        sol = solve(method, data, nodes, D, cfg)
         assert isinstance(sol, MltrpSolution)
         redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, cfg.cost_model), D)
         assert sol.route == redo.route
@@ -678,7 +735,7 @@ class TestSweep:
         _, nodes, D = opt_instance(2)
         cfg = MltrpConfig(c2=0.2)
         rows = c1_sweep(small_blobs, nodes, D, cfg, [0.0], method="am")
-        seq = sequential_pipeline(small_blobs, nodes, D, cfg)
+        seq = solve("sequential", small_blobs, nodes, D, cfg)
         row = rows[0]
         assert row.c1 == 0.0
         assert row.route == seq.route

@@ -9,7 +9,12 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Eight runs are refused with
+sampler is reached as well as its inversion.  Two runs write a null where
+standard JSON has no number: cost1 simulate on a copy of the five nodes
+whose failure probabilities are all about 1e-20, so no trial fails, the
+standard error is 0 and the z score is -inf, and the bound on a copy of the
+five nodes with all-zero features, whose constraint vector is 0, so the
+plane distance c_norm_inv and z_prime are inf.  Nine runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
@@ -21,9 +26,10 @@ the largest training row's (the bound holds only for training rows within
 M2), the bound with --train and an --m (the training set gives the sample
 size), simultaneous with --test but no --c1-grid (held-out data feeds only
 the sweep), a C1 sweep whose --test set has one class (its AUC is
-undefined), and the six-node demo at --c1 1e308, whose objective overflows
+undefined), the six-node demo at --c1 1e308, whose objective overflows
 only after the demo's input CSVs are built (a refused run writes no file,
-so its folder must not exist).  A second,
+so its folder must not exist), and sequential simultaneous at --c1 1e308,
+where C1 times the route cost overflows.  A second,
 14-node graph with integer distances and repeated node features, whose
 optimal routes tie, is routed and solved by Nelder-Mead under both cost
 models and bounded with --train, so the comparison also covers a large DP,
@@ -73,8 +79,9 @@ def write_inputs(folder: Path) -> None:
     draws from its own seeded generator, so adding one changes no other.
     The five-node graph also has copies with four and 1e19 times its
     distances, and copies of its nodes whose third node has a first
-    feature of -1000 or whose second node has 1.7e308 for both features;
-    the test set has a copy of its positive rows alone."""
+    feature of -1000, whose second node has 1.7e308 for both features,
+    whose every node has -13 for both features, or whose every feature is
+    0; the test set has a copy of its positive rows alone."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -97,6 +104,10 @@ def write_inputs(folder: Path) -> None:
     overflow = nodes.copy()
     overflow[1, :d] = 1.7e308
     (folder / "nodes_overflow.csv").write_text(header + _csv(overflow))
+    low_risk = nodes.copy()
+    low_risk[:, :d] = -13.0
+    (folder / "nodes_low_risk.csv").write_text(header + _csv(low_risk))
+    (folder / "nodes_zero.csv").write_text(header + _csv(np.zeros_like(nodes)))
 
     # Nodes repeat three feature rows, so weights repeat and, with distances
     # 1-3, this seed's optimal routes tie (checked by swapping node pairs).
@@ -146,6 +157,12 @@ def invocations() -> dict:
                                              "nodes_overflow.csv", "--distances", "dist.csv",
                                              "--c2", "0.2", "--cost-model", "cost1", "--trials",
                                              "2000", "--seed", "3"]
+    runs["simulate_low_risk_cost1"] = ["simulate", "--train", "train.csv", "--nodes",
+                                       "nodes_low_risk.csv", "--distances", "dist.csv", "--c2",
+                                       "0.2", "--cost-model", "cost1", "--trials", "2000", "--seed",
+                                       "3"]
+    runs["simultaneous_sequential_c1_overflow"] = ["simultaneous", *base, "--method", "sequential",
+                                                   "--c1", "1e308"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
     runs["simultaneous_test_without_grid"] = ["simultaneous", *base, "--c1", "0.5", "--test",
@@ -164,6 +181,9 @@ def invocations() -> dict:
     runs["bound_train"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2"]
     runs["bound_vacuous"] = ["bound", *graph, "--cg", "1000", "--m1", "2", "--m2", "2", "--m", "64"]
     runs["bound_void"] = ["bound", *graph, "--cg", "0.001", "--m1", "2", "--m2", "2", "--m", "64"]
+    runs["bound_zero_features"] = ["bound", "--nodes", "nodes_zero.csv", "--distances",
+                                   "dist.csv", "--eps", "0.5", "--cg", "2", "--m1", "2", "--m2",
+                                   "2", "--m", "64"]
     runs["bound_train_m2_low"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2",
                                   "0.2", "--m2", "2"]
     runs["bound_train_m"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2",
