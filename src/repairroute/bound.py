@@ -204,7 +204,14 @@ def generalization_bound(inputs: BoundInputs) -> BoundReport:
     Not clamped at one; values above one simply mean the bound is vacuous at
     these dimensions and sample size.  constraint_vacuous flags a budget so
     loose (Cg above the distance-floor mass) that it removes nothing.
+    ValueError names eps when the covering factor overflows.
     """
+    try:
+        covering = (32.0 * inputs.M1 * inputs.M2 / inputs.eps + 1.0) ** inputs.d
+    except OverflowError:  # a finite base whose power overflows
+        covering = math.inf
+    if not math.isfinite(covering):
+        raise ValueError(f"eps = {inputs.eps!r} makes the covering factor overflow")
     z = inputs.M1 * inputs.M2
     m1 = float(sigmoid(z) * sigmoid(-z))
     m0 = z * m1 + float(sigmoid(-z))
@@ -223,7 +230,6 @@ def generalization_bound(inputs: BoundInputs) -> BoundReport:
     pad = inputs.eps / (32.0 * inputs.M2)
     z_prime, r_prime = c_norm_inv + pad, inputs.M1 + pad
     a = halfspace_ball_fraction(z_prime, r_prime, inputs.d)
-    covering = (32.0 * inputs.M1 * inputs.M2 / inputs.eps + 1.0) ** inputs.d
     exp_factor = math.exp(-inputs.m * inputs.eps**2 / (512.0 * (inputs.M1 * inputs.M2) ** 2))
     return BoundReport(
         shortest_distances=dists,

@@ -34,7 +34,7 @@ def training_error(lam, data: LabeledDataset, C2: float) -> float:
     """Logistic loss sum log(1 + exp(-y_i lam.x_i)) plus C2 * ||lam||^2."""
     lam = np.asarray(lam, dtype=float).ravel()
     margins = data.labels * (data.features @ lam)
-    return float(np.sum(softplus(-margins)) + C2 * lam @ lam)
+    return float(np.add.reduce(softplus(-margins)) + C2 * lam @ lam)
 
 
 def training_gradient(lam, data: LabeledDataset, C2: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabeledDataset, as_distance_matrix, sigmoid, softplus
+from .core import LabeledDataset, as_weights, sigmoid, softplus
 from .learn import (
     auc,
     fit_logistic,
@@ -30,7 +30,7 @@ from .learn import (
     training_gradient,
     training_hessian,
 )
-from .trp import TIE_TOL, solve_weighted_trp_dp
+from .trp import TIE_TOL, _dp_matrix, _held_karp, solve_weighted_trp_dp
 
 # Per cost model: a node's routing weight w as a function of its score
 # z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
@@ -97,22 +97,34 @@ class MltrpSolution:
 def node_weights(lam, nodes, cost_model: str) -> np.ndarray:
     """Weights induced by the model at each node, from its score lam . x:
     failure probabilities sigmoid(lam . x) for cost1, failure rates
-    softplus(lam . x) for cost2.  The one place where scores become weights;
+    softplus(lam . x) for cost2.  The one place where scores become weights,
+    through _weights, which the solvers call on inputs that solve checked;
     ValueError names the first node whose score is not finite."""
     if cost_model not in COST_MODELS:
         raise ValueError(f"cost_model must be one of {COST_MODELS}")
+    return _weights(*_scores_input(lam, nodes), _WEIGHTS[cost_model][0])
+
+
+def _scores_input(lam, nodes) -> tuple[np.ndarray, np.ndarray]:
+    # lam as a float vector and nodes as a 2-D float array of its width.
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     lam = np.asarray(lam, dtype=float).ravel()
     if nodes.shape[1] != lam.shape[0]:
         raise ValueError(
             f"lambda has {lam.shape[0]} coefficients, node features have {nodes.shape[1]}"
         )
+    return lam, nodes
+
+
+def _weights(lam, nodes, weight) -> np.ndarray:
+    # node_weights on a lam and nodes that _scores_input checked, with the
+    # cost model's weight map.
     with np.errstate(over="ignore", invalid="ignore"):
         z = nodes @ lam
     if not np.isfinite(z).all():
         k = int(np.flatnonzero(~np.isfinite(z))[0])
         raise ValueError(f"node {k + 1} has a non-finite score lambda . x = {float(z[k])}")
-    return _WEIGHTS[cost_model][0](z)
+    return weight(z)
 
 
 class _RouteAnchor:
@@ -141,10 +153,14 @@ class _RouteAnchor:
     T ||d||_1 plus the same allowance is certified too.  Ties (g_s <= TIE_TOL)
     never qualify, nor do non-finite weights, which the DP rejects: they
     make the allowance inf or nan, and each comparison fails on nan.
+
+    D and the DP's node cap are checked once, at construction; an
+    uncertified route(w) checks w (core.as_weights) and runs the DP's
+    kernel, trp._held_karp, on them.
     """
 
     def __init__(self, D):
-        D = as_distance_matrix(D)
+        D = _dp_matrix(D)
         self._D = D
         self._rmax = D.max(axis=1).tolist()
         self._reach = sum(self._rmax)
@@ -155,7 +171,7 @@ class _RouteAnchor:
         else solved; the DP's cost there is float(w @ latencies)."""
         if self._w0 is not None and self._certifies((w - self._w0).tolist()):
             return self._sol.route, self._sol.latencies
-        sol = solve_weighted_trp_dp(w, self._D)
+        sol = _held_karp(as_weights(w, self._D.shape[0]), self._D)
         self._w0, self._sol = w, sol
         order = [i - 1 for i in sol.route]
         lats, rmax = sol.latencies.tolist(), self._rmax
@@ -200,17 +216,20 @@ def simultaneous_objective(
 ) -> float:
     """Combined objective with the route re-optimized exactly for this lam.
 
-    With an anchor (solve passes its own for nm), the route and its latencies
-    come from anchor.route, which skips the DP where its certificate shows
-    that the DP would return the anchor's route again (see _RouteAnchor), so
-    the value is the same bit for bit; D is then the anchor's.  Without one,
-    the DP runs on D.  ValueError names C1 when C1 times the route cost
+    With an anchor (solve passes its own for nm), lam and nodes are taken as
+    solve checked them, a float vector and a 2-D float array of its width,
+    and the route and its latencies come from anchor.route, which skips the
+    DP where its certificate shows that the DP would return the anchor's
+    route again (see _RouteAnchor), so the value is the same bit for bit; D
+    is then the anchor's.  Without one, every argument is checked and the
+    DP runs on D.  ValueError names C1 when C1 times the route cost
     overflows.
     """
     te = training_error(lam, data, cfg.c2)
-    w = node_weights(lam, nodes, cfg.cost_model)
     if anchor is None:
+        w = node_weights(lam, nodes, cfg.cost_model)
         return te + _route_term(cfg.c1, solve_weighted_trp_dp(w, D).cost)
+    w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
     return te + _route_term(cfg.c1, float(w @ anchor.route(w)[1]))
 
 
@@ -254,7 +273,7 @@ def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
         diam = float(np.abs(simplex[1:] - simplex[0]).max())
         if diam < _NM_DIAM_TOL or evals >= _NM_MAX_EVALS:
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1]) / d  # np.mean's arithmetic, without its wrapper
         worst = verts[-1]
         xr = centroid + _NM_REFLECT * (centroid - worst)
         fr = value(xr)
@@ -323,12 +342,13 @@ def alternating_minimization(
     precision.  A descent that stops unconverged is logged as a warning on
     the "repairroute" logger.  The loop stops early once the route repeats:
     the following lam step would start at its own minimizer and move
-    nowhere; otherwise _AM_ROUNDS rounds run.  nodes is a 2-D float array.
+    nowhere; otherwise _AM_ROUNDS rounds run.  lam is a float vector and
+    nodes a 2-D float array of its width.
     """
     prev_route = None
     trace = []
     for rnd in range(1, _AM_ROUNDS + 1):
-        w = node_weights(lam, nodes, cfg.cost_model)
+        w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
         route, lats = anchor.route(w)
         _route_term(cfg.c1, float(w @ lats))
         if route == prev_route:
@@ -364,7 +384,9 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     one included, comes from one _RouteAnchor on D, which skips the DP where
     its certificate shows the DP would return the anchor's route again, so
     values, trace and result are those of re-solving every time, bit for
-    bit.  The solution's trace is the method's (sequential's is its combined
+    bit.  The start's width against the node features is checked here, and
+    D by the anchor, once per solve; the loops run unchecked kernels.  The
+    solution's trace is the method's (sequential's is its combined
     objective alone).  ValueError names C1 when C1 times a route cost
     overflows.
     """
@@ -372,8 +394,7 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
         raise ValueError(f"method must be one of {METHODS}")
     if lam0 is None or method == "sequential":
         lam0 = fit_logistic(data, cfg.c2).lam
-    lam = np.asarray(lam0, dtype=float).ravel()
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    lam, nodes = _scores_input(lam0, nodes)
     anchor = _RouteAnchor(D)
     trace = []
     if method == "nm":
@@ -383,7 +404,7 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     elif method == "am":
         lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
     te = training_error(lam, data, cfg.c2)
-    w = node_weights(lam, nodes, cfg.cost_model)
+    w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
     route, lats = anchor.route(w)
     cost = float(w @ lats)
     combined = te + _route_term(cfg.c1, cost)

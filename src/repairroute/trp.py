@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _latency, as_distance_matrix, as_weights
+from .core import as_distance_matrix, as_weights
 
 TIE_TOL = 1e-12
 
@@ -132,7 +132,7 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     same product, sum and minimum, over the same terms in the same order, as
     in a per-set loop, so the tables equal one bit for bit.  The route is
     then rebuilt in Python floats, looking entries up through the cached
-    `pos`.
+    `pos`, and the same walk adds up the latencies along it.
 
     The rebuild evaluates the completion total acc + leg + g of every free
     node at every step.  Any route other than the one returned first leaves
@@ -149,12 +149,21 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     for the most recent M (int32 sets, pos and nxt, uint16 member rows,
     uint8 free columns: 1.9 MiB at 16 nodes and 37 MiB at 20).
     """
+    D = _dp_matrix(D)
+    return _held_karp(as_weights(w, D.shape[0]), D)
+
+
+def _dp_matrix(D) -> np.ndarray:
+    """D checked by core.as_distance_matrix and against the DP's node cap."""
     D = as_distance_matrix(D)
-    w = as_weights(w, D.shape[0])
-    M = D.shape[0]
-    if M > _DP_MAX_NODES:
-        raise ValueError(f"exact DP supports at most {_DP_MAX_NODES} nodes, got {M}")
-    n = M - 1  # bit k of a mask marks node k+2 (1-based) as visited
+    if D.shape[0] > _DP_MAX_NODES:
+        raise ValueError(f"exact DP supports at most {_DP_MAX_NODES} nodes, got {D.shape[0]}")
+    return D
+
+
+def _held_karp(w, D) -> TrpSolution:
+    """solve_weighted_trp_dp on weights and a _dp_matrix the caller checked."""
+    n = D.shape[0] - 1  # bit k of a mask marks node k+2 (1-based) as visited
     full = (1 << n) - 1
     wtot = float(w.sum())
 
@@ -187,13 +196,15 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     # leaves none within it, the first node of least completion.  Every free
     # node is evaluated, so the least completion not taken at a step is the
     # best route that first leaves there.  free_nodes is ascending, so the
-    # visited bits below k, k's row in the next table, number k - i.
+    # visited bits below k, k's row in the next table, number k - i.  The
+    # arrival times add the legs left to right from -0.0, the identity of
+    # IEEE addition, so they are np.cumsum's bit for bit (core.latency).
     limit = c_star + TIE_TOL
     step_margins = []
     Dl = D.tolist()
     free_nodes = list(range(n))
-    mask, last, acc = 0, 0, 0.0
-    order = [0]
+    mask, last, acc, arrive = 0, 0, 0.0, -0.0
+    order, lats = [0], [0.0] * (n + 1)
     for s in range(1, n + 1):
         t, c, row = tables[s], coef.item(mask), Dl[last]
         best = None  # (total, k, leg) of the node taken
@@ -211,12 +222,15 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
         step_margins.append(other - c_star)
         _, k, leg = best
         acc += leg
+        arrive += row[k + 1]
         mask |= 1 << k
         last = k + 1
+        lats[last] = arrive
         order.append(last)
         free_nodes.remove(k)
 
-    lats = _latency(np.array(order), D)  # core.latency without re-checking its inputs
+    lats[0] = arrive + Dl[last][0]  # node 1 waits for the closed tour
+    lats = np.array(lats)
     lats.flags.writeable = False
     return TrpSolution(
         route=[i + 1 for i in order],

@@ -300,8 +300,10 @@ class TestRoute:
 
     @pytest.mark.parametrize("model", ["cost1", "cost2"])
     @pytest.mark.parametrize(
-        "command", [["route"], ["simultaneous", "--method", "sequential"], ["simulate"]],
-        ids=["route", "simultaneous", "simulate"],
+        "command",
+        [["route"], ["simultaneous", "--method", "sequential"], ["simultaneous", "--method", "nm"],
+         ["simultaneous", "--method", "am"], ["simulate"]],
+        ids=["route", "simultaneous", "simultaneous_nm", "simultaneous_am", "simulate"],
     )
     def test_overflowing_score_exits_two(self, tmp_path, capsys, command, model):
         # Node 2's features are near the largest double and the fitted lam is
@@ -791,6 +793,18 @@ class TestBound:
                      "--eps", "0.5", "--m1", "2.0", "--m2", "1.5", "--m", "100",
                      "--out-dir", str(tmp_path)]) == 2
         assert "does not exceed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-320"], ids=["power_overflows", "base_is_inf"])
+    def test_tiny_eps_exits_two_naming_eps(self, tmp_path, capsys, eps):
+        # (32 M1 M2 / eps + 1)^d overflows: at 1e-200 in the power, at the
+        # denormal 1e-320 already in the base.
+        np_, dp, *_ = self.make_files(tmp_path, seed=3)
+        out = tmp_path / "out"
+        assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60", "--eps", eps,
+                     "--m1", "2", "--m2", "2", "--m", "64", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: eps = {eps} makes the covering factor overflow\n"
+        assert not out.exists()
 
 
 class TestC1Overflow:

@@ -348,7 +348,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
     the anchor certified it); returns those three and the result, with the
     spies removed."""
     solved, evals, looped = [], [], []
-    real_dp, real_eval = opt_mod.solve_weighted_trp_dp, opt_mod.simultaneous_objective
+    real_dp, real_eval = opt_mod._held_karp, opt_mod.simultaneous_objective
     real_nm = opt_mod.nelder_mead
 
     def spy_dp(w, D):
@@ -366,7 +366,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
         looped.append(len(solved))
         return out
 
-    monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", spy_dp)
+    monkeypatch.setattr(opt_mod, "_held_karp", spy_dp)
     monkeypatch.setattr(opt_mod, "simultaneous_objective", spy_eval)
     monkeypatch.setattr(opt_mod, "nelder_mead", spy_nm)
     sol = solve("nm", data, nodes, D, cfg)
@@ -403,13 +403,13 @@ class TestMarginCertificate:
         # zero and up by one: the rays cross route changes, and every answer
         # must equal the DP's, whether reused or solved.
         calls = []
-        real_dp = opt_mod.solve_weighted_trp_dp
+        real_dp = opt_mod._held_karp
 
         def counting_dp(w, D):
             calls.append(1)
             return real_dp(w, D)
 
-        monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
+        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
         reused = changed = 0
         for seed in range(12):
             M = 4 + seed % 3
@@ -457,7 +457,7 @@ class MarginAnchor:
             r = self._reach * float(np.abs(w - self._w0).sum())
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
                 return self._route, self._lats
-        sol = opt_mod.solve_weighted_trp_dp(w, self._D)
+        sol = opt_mod._held_karp(w, self._D)
         self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
         self._route, self._lats = sol.route, latency(sol.route, self._D)
         return self._route, self._lats
@@ -507,6 +507,13 @@ class TestStepCertificate:
             assert (route, float(w0 @ lats)) == (ref.route, ref.cost)
 
 
+class TestAnchorChecks:
+    def test_node_cap_is_checked_at_construction(self):
+        D = np.ones((21, 21)) - np.eye(21)
+        with pytest.raises(ValueError, match=r"^exact DP supports at most 20 nodes, got 21$"):
+            opt_mod._RouteAnchor(D)
+
+
 class TestOneRouteSource:
     def test_opt_derives_no_latencies(self):
         # Routes and their latencies come from the DP through the anchor.
@@ -517,13 +524,14 @@ class TestOneRouteSource:
         [("nm", "cost1", 30), ("am", "cost2", 4)],
         ids=["nm", "am"],
     )
-    def test_one_latency_per_dp_call(self, method, model, dp_calls, monkeypatch):
+    def test_no_latency_call_in_a_solve(self, method, model, dp_calls, monkeypatch):
         # Pinned on one instance each: NM's final route and AM's repeated
         # route at its final lam are certified by the anchor, so neither
-        # solve runs the DP twice at one lam.
+        # solve runs the DP twice at one lam, and the DP's rebuild walk sums
+        # the latencies itself.
         data, nodes, D = opt_instance(2, M=7)
         dp, lat = [], []
-        real_dp, real_lat = opt_mod.solve_weighted_trp_dp, core_mod._latency
+        real_dp, real_lat = opt_mod._held_karp, core_mod._latency
 
         def counting_dp(*a):
             dp.append(1)
@@ -533,11 +541,11 @@ class TestOneRouteSource:
             lat.append(1)
             return real_lat(*a)
 
-        monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
+        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
         monkeypatch.setattr(core_mod, "_latency", counting_lat)
-        monkeypatch.setattr(trp_mod, "_latency", counting_lat)
         sol = solve(method, data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
-        assert len(dp) == len(lat) == dp_calls
+        assert len(dp) == dp_calls
+        assert not lat and not hasattr(trp_mod, "_latency")
         monkeypatch.undo()
         redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
         assert (sol.route, sol.traversal_cost) == (redo.route, redo.cost)
@@ -556,7 +564,7 @@ class TestAlternating:
     def test_single_round_counts(self, monkeypatch, small_blobs):
         _, nodes, D = opt_instance(8)
         dp_calls, descent_calls = [], []
-        real_dp = opt_mod.solve_weighted_trp_dp
+        real_dp = opt_mod._held_karp
         real_descent = opt_mod.minimize_descent
 
         def counting_dp(*a, **k):
@@ -567,7 +575,7 @@ class TestAlternating:
             descent_calls.append(1)
             return real_descent(*a, **k)
 
-        monkeypatch.setattr(opt_mod, "solve_weighted_trp_dp", counting_dp)
+        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
         monkeypatch.setattr(opt_mod, "minimize_descent", counting_descent)
         monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
         cfg = MltrpConfig(c2=0.2, c1=0.6)

@@ -235,6 +235,24 @@ class TestDp:
         assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D)
         assert latencies_agree(sol, w, D)
 
+    @pytest.mark.parametrize("kind", ["asymmetric", "twin", "negative_zero_legs"])
+    @pytest.mark.parametrize("M", range(2, 13))
+    def test_kernel_matches_the_public_dp(self, M, kind):
+        # The kernel runs on inputs its caller checked, and its rebuild walk
+        # sums the latencies: core.latency's bit for bit, also where the first
+        # leg is -0.0, which np.cumsum keeps and 0.0 + -0.0 would not.
+        w, D = random_instance(500 + M, M, integer=kind == "twin")
+        if kind == "twin":
+            w[-1] = w[-2]
+            twin_last_node(D)
+        elif kind == "negative_zero_legs":
+            D[0, 1:] = -0.0
+        sol = solve_weighted_trp_dp(w, D)
+        ker = trp_mod._held_karp(w, D)
+        assert (ker.route, ker.cost, ker.step_margins) == (sol.route, sol.cost, sol.step_margins)
+        assert ker.latencies.tobytes() == sol.latencies.tobytes()
+        assert latencies_agree(ker, w, D)
+
     def test_pair_index_cache_across_node_counts(self):
         # The (set, free bit) index is cached for the most recent node count
         # only; switching M back and forth must rebuild it, never reuse it.

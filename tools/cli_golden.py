@@ -14,7 +14,7 @@ standard JSON has no number: cost1 simulate on a copy of the five nodes
 whose failure probabilities are all about 1e-20, so no trial fails, the
 standard error is 0 and the z score is -inf, and the bound on a copy of the
 five nodes with all-zero features, whose constraint vector is 0, so the
-plane distance c_norm_inv and z_prime are inf.  Nine runs are refused with
+plane distance c_norm_inv and z_prime are inf.  Eleven runs are refused with
 exit code 2: export-milp on a copy of the five nodes where one node's
 score is so low that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
@@ -28,8 +28,10 @@ size), simultaneous with --test but no --c1-grid (held-out data feeds only
 the sweep), a C1 sweep whose --test set has one class (its AUC is
 undefined), the six-node demo at --c1 1e308, whose objective overflows
 only after the demo's input CSVs are built (a refused run writes no file,
-so its folder must not exist), and sequential simultaneous at --c1 1e308,
-where C1 times the route cost overflows.  A second,
+so its folder must not exist), sequential simultaneous at --c1 1e308,
+where C1 times the route cost overflows, and the bound at --eps 1e-200 and
+at --eps 1e-320, where the covering factor (32 M1 M2 / eps + 1)^d
+overflows (at 1e-320 its base is already inf).  A second,
 14-node graph with integer distances and repeated node features, whose
 optimal routes tie, is routed and solved by Nelder-Mead under both cost
 models and bounded with --train, so the comparison also covers a large DP,
@@ -188,6 +190,9 @@ def invocations() -> dict:
                                   "0.2", "--m2", "2"]
     runs["bound_train_m"] = ["bound", *graph, "--cg", "5", "--train", "train.csv", "--c2", "0.2",
                              "--m", "1000000"]
+    for name, eps in (("bound_tiny_eps", "1e-200"), ("bound_denormal_eps", "1e-320")):
+        runs[name] = ["bound", "--nodes", "nodes.csv", "--distances", "dist.csv", "--eps", eps,
+                      "--cg", "2", "--m1", "2", "--m2", "2", "--m", "64"]
     large = ["--nodes", "nodes14.csv", "--distances", "dist14.csv"]
     for model in ("cost1", "cost2"):
         runs[f"route14_{model}"] = ["route", "--train", "train.csv", *large, "--c2", "0.2",
