@@ -204,14 +204,17 @@ def generalization_bound(inputs: BoundInputs) -> BoundReport:
     Not clamped at one; values above one simply mean the bound is vacuous at
     these dimensions and sample size.  constraint_vacuous flags a budget so
     loose (Cg above the distance-floor mass) that it removes nothing.
-    ValueError names eps when the covering factor overflows.
+    ValueError names M1, M2, eps and d when the covering factor overflows.
     """
     try:
         covering = (32.0 * inputs.M1 * inputs.M2 / inputs.eps + 1.0) ** inputs.d
     except OverflowError:  # a finite base whose power overflows
         covering = math.inf
     if not math.isfinite(covering):
-        raise ValueError(f"eps = {inputs.eps!r} makes the covering factor overflow")
+        raise ValueError(
+            f"M1 = {float(inputs.M1)!r}, M2 = {float(inputs.M2)!r}, eps = {float(inputs.eps)!r} "
+            f"and d = {inputs.d} make the covering factor (32 M1 M2 / eps + 1)^d overflow"
+        )
     z = inputs.M1 * inputs.M2
     m1 = float(sigmoid(z) * sigmoid(-z))
     m0 = z * m1 + float(sigmoid(-z))

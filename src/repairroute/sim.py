@@ -12,7 +12,11 @@ unless the node expects more than about 30 failures before its repair) the
 counts are read from a table of the inversion's exact thresholds, one
 lookup per uniform of the node's stream, so they equal Generator.binomial's
 draw for draw; numpy's other branch (BTPE) is still called as is.  The
-first-failure draws are Generator.geometric's.
+first-failure cost needs only whether a node's first failure comes by its
+visit, so each trial compares one draw of numpy's geometric sampler (a
+uniform, or a standard exponential below p = 1/3) with that sampler's exact
+threshold for the step count (_first_failures); the indicators equal
+Generator.geometric's draw for draw, without forming the draws.
 """
 
 import math
@@ -28,6 +32,8 @@ _GUIDE = 1024
 # Trials drawn per batch, so the lookup's temporaries stay bounded.
 _CHUNK = 16384
 _GRID = 2.0**53  # numpy's uniforms are multiples of 1 / _GRID in [0, 1)
+# numpy's geometric sampler searches for p at or above this and inverts below.
+_GEOMETRIC_SEARCH = 0.333333333333333333333333
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.steps_per_unit < 1:
-            raise ValueError("steps_per_unit must be >= 1")
+        if not 1 <= self.steps_per_unit < 2**63:
+            raise ValueError("steps_per_unit must be an integer from 1 to 2**63 - 1")
         if not 0 <= int(self.seed) < 2**63:
             raise ValueError("seed must be a nonnegative 63-bit integer")
 
@@ -52,7 +58,10 @@ def _rng(seed: int, stream: int):
 def _steps(lat: float, k: int) -> int:
     if lat < 0 or not math.isfinite(lat):
         raise ValueError("latency must be finite and nonnegative")
-    return int(math.floor(lat * k))
+    steps = lat * k
+    if steps == math.inf:
+        raise ValueError(f"latency {lat!r} at {k} steps per unit overflows the step count")
+    return int(math.floor(steps))
 
 
 def _inversion_thresholds(n: int, p: float) -> np.ndarray:
@@ -132,6 +141,44 @@ def _binomial(gen, n: int, p: float, size: int) -> np.ndarray:
     return out
 
 
+def _first_failures(gen, n: int, p: float, size: int) -> np.ndarray:
+    """gen.geometric(p, size=size) <= n for n >= 1 and 0 < p <= 1, from the same draws.
+
+    numpy's geometric sampler has two branches.  For p >= 1/3 it searches:
+    it takes one uniform U and returns the first X with U <= sum_X, where
+    sum_1 = prod = p and each step sets prod *= q, sum += prod (q = 1 - p).
+    sum never decreases, so X <= n exactly when U <= sum_n, computed here
+    with the same recurrence; once the next term leaves sum unchanged every
+    later one does too, so the recurrence stops there (within about 100
+    steps for q <= 2/3).  Below 1/3 it inverts: X = ceil(E / c) with E a
+    standard exponential and c = -log1p(-p).  ceil(z) <= n exactly when
+    z <= n, and the rounded E / c increases with E, so X <= n exactly when
+    E <= t, the largest double whose rounded t / c is at most n, found by
+    stepping from n * c (Python compares a float with an int exactly).
+    Each trial reads the one uniform or exponential that numpy's draw reads,
+    so gen ends in the same state and the result equals numpy's for
+    n < 2**63 - 1.  numpy caps a draw at 2**63 - 1, so from there on its
+    comparison counts every first failure as landing; the threshold stays
+    exact.
+    """
+    if p >= _GEOMETRIC_SEARCH:
+        q = 1.0 - p
+        prod = total = p
+        for _ in range(n - 1):
+            prod *= q
+            if total + prod == total:
+                break
+            total += prod
+        return gen.random(size) <= total
+    c = -math.log1p(-p)
+    t = n * c
+    while t / c > n:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) / c <= n:
+        t = math.nextafter(t, math.inf)
+    return gen.standard_exponential(size) <= t
+
+
 @dataclass(frozen=True)
 class SimRouteReport:
     model: str
@@ -153,9 +200,11 @@ def simulate_route_cost(route, D, cfg: SimConfig, probs, model: str = "cost1") -
     `analytic` uses the exact latencies while `analytic_discretized` matches
     the floored process the trials draw from, and the z score is taken
     against the latter so any flooring gap is reported rather than folded
-    into the noise.  Each node's draws come from its own stream (_binomial
-    for the count cost, Generator.geometric for the first-failure cost), and
-    equal numpy's own samplers bit for bit.
+    into the noise.  Each node's draws come from its own stream and equal
+    numpy's own samplers bit for bit: the count cost's are _binomial's, and
+    the first-failure cost's indicators are exact threshold comparisons on
+    the uniforms or exponentials Generator.geometric would read
+    (_first_failures), exact also past numpy's 2**63 - 1 cap.
     """
     if model not in COST_MODELS:
         raise ValueError(f"model must be one of {COST_MODELS}")
@@ -191,7 +240,7 @@ def simulate_route_cost(route, D, cfg: SimConfig, probs, model: str = "cost1") -
         else:
             p_step = -math.expm1(math.log1p(-pi) / k) if pi < 1.0 else 1.0
             if p_step > 0.0 and steps > 0:
-                totals += gen.geometric(p_step, size=cfg.trials) <= steps
+                totals += _first_failures(gen, steps, p_step, cfg.trials)
             analytic += first_failure(lat[node], pi)
             analytic_disc += first_failure(steps, p_step)
     est = float(totals.mean())

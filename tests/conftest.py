@@ -88,7 +88,10 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
 def loop_simulate_route_cost(route, D, cfg, model, probs) -> SimRouteReport:
     """Reference: simulate_route_cost's per-node loop with every draw taken
     from numpy's own samplers (Generator.binomial for the count cost,
-    Generator.geometric for the first-failure cost), on the same streams."""
+    Generator.geometric for the first-failure cost), on the same streams.
+    numpy saturates a geometric draw at 2**63 - 1, so past that many steps
+    this reference counts every first failure as landing; the package's
+    threshold comparison does not."""
     D = as_distance_matrix(D)
     p = as_weights(probs, D.shape[0])
     lat = latency(route, D)

@@ -648,6 +648,46 @@ class TestSimulate:
         assert ("2**63 - 1" in err) == (code == 2)
         assert (tmp_path / "simulation.json").exists() == (code == 0)
 
+    def test_first_failures_past_numpys_cap(self, tmp_path):
+        # At 2**62 steps per unit every node of the golden five-node route is
+        # reached after more than 2**63 - 1 steps, where numpy's geometric draw
+        # saturates and would count every later first failure as landing.
+        load_golden_tool().write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--train", str(tmp_path / "train.csv"), "--nodes",
+                     str(tmp_path / "nodes.csv"), "--distances", str(tmp_path / "dist.csv"),
+                     "--c2", "0.2", "--cost-model", "cost2", "--trials", "2000", "--seed", "3",
+                     "--steps-per-unit", str(2**62), "--out-dir", str(out)]) == 0
+        doc = read_json(out / "simulation.json")
+        assert doc["steps_per_unit"] == 2**62
+        assert abs(doc["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    def test_steps_per_unit_past_63_bits_exits_two(self, tmp_path, capsys, model):
+        (tp, np_, dp), *_ = problem(tmp_path, seed=3, M=4)
+        out = tmp_path / "out"
+        assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--cost-model", model, "--trials", "10", "--steps-per-unit", str(10**400),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: steps_per_unit must be an integer from 1 to 2**63 - 1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    def test_step_count_past_a_float_exits_two(self, tmp_path, capsys, model):
+        # Latencies of 1e300 units at 2**62 steps per unit: no float holds the count.
+        data = blobs(3, per_side=10, d=2)
+        D = np.full((3, 3), 1e300)
+        np.fill_diagonal(D, 0.0)
+        tp, np_, dp = write_problem(tmp_path, data, np.zeros((3, 2)), D)
+        out = tmp_path / "out"
+        assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                     "--cost-model", model, "--trials", "10", "--steps-per-unit", str(2**62),
+                     "--out-dir", str(out)]) == 2
+        assert "overflows the step count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_trials_exit_two(self, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=3, M=4)
         assert main(["simulate", "--train", tp, "--nodes", np_, "--distances", dp,
@@ -803,7 +843,22 @@ class TestBound:
         assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60", "--eps", eps,
                      "--m1", "2", "--m2", "2", "--m", "64", "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: eps = {eps} makes the covering factor overflow\n"
+        assert err == (
+            f"error: M1 = 2.0, M2 = 2.0, eps = {eps} and d = 2 make the covering factor "
+            "(32 M1 M2 / eps + 1)^d overflow\n"
+        )
+        assert not out.exists()
+
+    def test_huge_caps_exit_two_naming_every_input(self, tmp_path, capsys):
+        # eps is moderate; M1 * M2 alone sends the covering factor's base to inf.
+        np_, dp, *_ = self.make_files(tmp_path, seed=3)
+        out = tmp_path / "out"
+        assert main(["bound", "--nodes", np_, "--distances", dp, "--cg", "60", "--eps", "0.5",
+                     "--m1", "1e300", "--m2", "1e300", "--m", "64", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: M1 = 1e+300, M2 = 1e+300, eps = 0.5 and d = 2 make the covering factor "
+            "(32 M1 M2 / eps + 1)^d overflow\n"
+        )
         assert not out.exists()
 
 

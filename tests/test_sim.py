@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -41,6 +43,19 @@ class TestConfig:
             SimConfig(steps_per_unit=0)
         with pytest.raises(ValueError):
             SimConfig(seed=-1)
+
+    def test_steps_per_unit_is_63_bit(self):
+        assert SimConfig(steps_per_unit=2**63 - 1).steps_per_unit == 2**63 - 1
+        for bad in (2**63, 10**400):
+            with pytest.raises(ValueError, match="steps_per_unit"):
+                SimConfig(steps_per_unit=bad)
+
+    def test_overflowing_step_count_is_refused(self):
+        # A finite latency whose step count is no float: 1e300 * 2**62.
+        cfg = SimConfig(trials=10, steps_per_unit=2**62)
+        for model in ("cost1", "cost2"):
+            with pytest.raises(ValueError, match="overflows the step count"):
+                one_wait(0.5, 1e300, cfg, model=model)
 
 
 class TestExpectedFailures:
@@ -256,7 +271,8 @@ class TestBinomialTable:
 
 
 class ListGenerator:
-    """Stands in for a Generator: random() hands out a fixed list in order."""
+    """Stands in for a Generator: random() and standard_exponential() hand
+    out a fixed list in order."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -264,9 +280,11 @@ class ListGenerator:
 
     def random(self, size):
         out = self.values[self.used : self.used + size]
-        assert len(out) == size, "ran out of uniforms"
+        assert len(out) == size, "ran out of values"
         self.used += size
         return np.array(out)
+
+    standard_exponential = random
 
 
 def numpy_inversion(values, n, p):
@@ -321,6 +339,103 @@ class TestBinomialRestarts:
         assert sim_mod._binomial(gen, n, p, len(draws)).tolist() == draws
         assert gen.used == used
         assert (used > len(draws)) == restarts
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+THIRD = 0.3333333333333333  # the double nearest 1/3, where numpy's search starts
+
+
+def numpy_geometric(value, p):
+    """numpy's random_geometric for one draw, transcribed: `value` is the
+    uniform the search branch reads (p >= 1/3) or the standard exponential
+    the inversion branch reads; draws past 2**63 - 1 saturate there."""
+    if p >= THIRD:
+        x, prod, total, q = 1, p, p, 1.0 - p
+        while value > total:
+            prod *= q
+            total += prod
+            x += 1
+        return x
+    return min(math.ceil(-value / math.log1p(-p)), 2**63 - 1)
+
+
+def doubles_around(x, k=4):
+    """x with the k doubles below it and the k above it, in order."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestFirstFailures:
+    @pytest.mark.parametrize(
+        "p",
+        [THIRD, math.nextafter(THIRD, 1.0), math.nextafter(THIRD, 0.0), 1.0, 0.5, 0.9, 0.2,
+         0.05, 1e-9, 1e-310],
+        ids=["third", "above_third", "below_third", "one", "half", "high", "mid", "low", "tiny",
+             "subnormal"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**6, 2**62])
+    def test_equals_numpy(self, p, n):
+        # The deadline catches a search whose recurrence would run all n steps.
+        a, b = pcg(n % 1000), pcg(n % 1000)
+        with deadline(10):
+            got = sim_mod._first_failures(a, n, p, 3001)
+        want = b.geometric(p, size=3001) <= n
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert a.random() == b.random()  # same stream consumed
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 1e-9, 1e-310])
+    @pytest.mark.parametrize("n", [1, 3, 10**6, 2**53 + 1, 2**62])
+    def test_inversion_threshold_is_exact(self, p, n):
+        # Exponentials on either side of n * c, the threshold's starting
+        # guess, where the rounded E / c crosses n.
+        values = doubles_around(n * -math.log1p(-p))
+        want = [numpy_geometric(e, p) <= n for e in values]
+        assert any(want) and not all(want)
+        gen = ListGenerator(values)
+        assert sim_mod._first_failures(gen, n, p, len(values)).tolist() == want
+        assert gen.used == len(values)
+
+    @pytest.mark.parametrize("p", [THIRD, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_search_threshold_is_exact(self, p, n):
+        # Uniforms on either side of the partial sum numpy's search reaches
+        # after n terms; every one lies below that search's limit, so its loop ends.
+        total, prod = p, p
+        for _ in range(n - 1):
+            prod *= 1.0 - p
+            total += prod
+        values = [u for u in doubles_around(total) if u < 1.0]
+        want = [numpy_geometric(u, p) <= n for u in values]
+        assert any(want) and (p == 1.0 or not all(want))
+        gen = ListGenerator(values)
+        assert sim_mod._first_failures(gen, n, p, len(values)).tolist() == want
+
+    def test_exact_past_numpys_cap(self):
+        # numpy caps a draw at 2**63 - 1, so `geometric(p) <= n` holds for every
+        # draw once n >= 2**63 - 1; the threshold keeps the true probability.
+        n, p = 2**64, 2.0**-64
+        got = sim_mod._first_failures(pcg(1), n, p, 20_000).mean()
+        assert abs(got - -math.expm1(n * math.log1p(-p))) <= 4 * math.sqrt(0.25 / 20_000)
+        assert (pcg(1).geometric(p, size=20_000) <= n).all()
 
 
 class TestMatchesNumpyLoop:

@@ -9,14 +9,18 @@ also under cost2), and the bound with explicit caps, with --train, with a
 vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
-sampler is reached as well as its inversion.  Two runs write a null where
+sampler is reached as well as its inversion.  A cost2 simulate at 2**62
+steps per unit reaches every node after more than 2**63 - 1 steps, past
+where numpy's geometric draw saturates, so the first-failure indicators'
+exact thresholds are compared there too.  Two runs write a null where
 standard JSON has no number: cost1 simulate on a copy of the five nodes
 whose failure probabilities are all about 1e-20, so no trial fails, the
 standard error is 0 and the z score is -inf, and the bound on a copy of the
 five nodes with all-zero features, whose constraint vector is 0, so the
-plane distance c_norm_inv and z_prime are inf.  Eleven runs are refused with
-exit code 2: export-milp on a copy of the five nodes where one node's
-score is so low that its weight underflows to 0 (a zero-weight node would
+plane distance c_norm_inv and z_prime are inf.  Twelve runs are refused with
+exit code 2: simulate at 10**400 steps per unit (above 2**63 - 1),
+export-milp on a copy of the five nodes where one node's score is so low
+that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
 graph with every distance 1e19 times as long, whose step counts exceed
 the binomial draw's 2**63 - 1, cost1 simulate on a copy of the five nodes
@@ -163,6 +167,10 @@ def invocations() -> dict:
                                        "nodes_low_risk.csv", "--distances", "dist.csv", "--c2",
                                        "0.2", "--cost-model", "cost1", "--trials", "2000", "--seed",
                                        "3"]
+    runs["simulate_fine_cost2"] = ["simulate", *base, "--cost-model", "cost2", "--trials", "2000",
+                                   "--seed", "3", "--steps-per-unit", str(2**62)]
+    runs["simulate_steps_overflow"] = ["simulate", *base, "--trials", "2000", "--seed", "3",
+                                       "--steps-per-unit", str(10**400)]
     runs["simultaneous_sequential_c1_overflow"] = ["simultaneous", *base, "--method", "sequential",
                                                    "--c1", "1e308"]
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
