@@ -30,7 +30,7 @@ from .learn import (
     training_gradient,
     training_hessian,
 )
-from .trp import TIE_TOL, _dp_matrix, _held_karp, solve_weighted_trp_dp
+from .trp import TIE_TOL, _dp_matrix, _gather_legs, _held_karp, solve_weighted_trp_dp
 
 # Per cost model: a node's routing weight w as a function of its score
 # z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
@@ -156,7 +156,13 @@ class _RouteAnchor:
 
     D and the DP's node cap are checked once, at construction; an
     uncertified route(w) checks w (core.as_weights) and runs the DP's
-    kernel, trp._held_karp, on them.
+    kernel, trp._held_karp, on them.  From the second uncertified call on,
+    the kernel fills from D's kept legs (trp._gather_legs, gathered on that
+    call and read-only) instead of gathering them from D on every call, with
+    the same result bit for bit.  They take (M-1)(M-2) * 2^M bytes, 72 KiB
+    at M = 10, 2.4 MiB at 14 and 13.1 MiB at 16, and are kept only within
+    trp._LEGS_MAX_BYTES (M <= 16); a solve that runs the DP once, as
+    sequential does, gathers none.
     """
 
     def __init__(self, D):
@@ -165,13 +171,19 @@ class _RouteAnchor:
         self._rmax = D.max(axis=1).tolist()
         self._reach = sum(self._rmax)
         self._w0 = None
+        self._dp_calls = 0
+        self._legs = None
 
     def route(self, w) -> tuple[list[int], np.ndarray]:
         """(route, latencies) of the DP at weights w: reused when certified,
         else solved; the DP's cost there is float(w @ latencies)."""
         if self._w0 is not None and self._certifies((w - self._w0).tolist()):
             return self._sol.route, self._sol.latencies
-        sol = _held_karp(as_weights(w, self._D.shape[0]), self._D)
+        w_dp = as_weights(w, self._D.shape[0])
+        self._dp_calls += 1
+        if self._dp_calls == 2:
+            self._legs = _gather_legs(self._D)
+        sol = _held_karp(w_dp, self._D, self._legs)
         self._w0, self._sol = w, sol
         order = [i - 1 for i in sol.route]
         lats, rmax = sol.latencies.tolist(), self._rmax

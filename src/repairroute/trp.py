@@ -17,6 +17,14 @@ is empty), with the sets on the fast axis.  The index that links the layers
 free nodes' columns, each mask's column `pos` and each successor entry's
 flat position `nxt` in the next layer) depends only on M and the step size,
 and is cached for the most recent M.
+
+Memory beyond one call's tables (see solve_weighted_trp_dp): a caller that
+runs the kernel many times on one D may keep that D's fill legs
+(`_gather_legs`), the D entry of every (set, last node, next node) candidate
+of every fill step, (M-1)(M-2) * 2^M bytes: 72 KiB at 10 nodes, 2.4 MiB at
+14 and 13.1 MiB at 16.  They are gathered only within _LEGS_MAX_BYTES, so
+for M <= 16; opt._RouteAnchor keeps them from its second DP call on.  The
+public solver runs once per D and keeps none.
 """
 
 import functools
@@ -34,6 +42,9 @@ _DP_MAX_NODES = 20
 # at least), so the tables and the cached index stay the DP's only large
 # allocations.
 _FILL_ROWS = 1024
+# Cap on the bytes of one D's kept fill legs (_gather_legs): 16 MiB admits
+# M <= 16 (13.1 MiB), not M = 17 (30 MiB).
+_LEGS_MAX_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -161,8 +172,39 @@ def _dp_matrix(D) -> np.ndarray:
     return D
 
 
-def _held_karp(w, D) -> TrpSolution:
-    """solve_weighted_trp_dp on weights and a _dp_matrix the caller checked."""
+def _gather_legs(D):
+    """The fill legs of _held_karp on a _dp_matrix D, or None past
+    _LEGS_MAX_BYTES.
+
+    Returns (fill_rows, legs): the _FILL_ROWS of the step layout they follow,
+    and per layer, per fill step, the read-only flat.take(rows + cols) that
+    the step would gather, D[member, free] for every (set, last node, free
+    node) candidate.  Together they take (M-1)(M-2) * 2^M bytes plus
+    8 (M - 1) for layer 0."""
+    n = D.shape[0] - 1
+    _, _, layers = _layers(n, _FILL_ROWS)
+    nbytes = sum(8 * (n - s) * math.prod(shape) for s, (_, shape, _) in enumerate(layers))
+    if nbytes > _LEGS_MAX_BYTES:
+        return None
+    flat = D.ravel()
+    legs = []
+    for _, _, steps in layers:
+        layer = []
+        for _, rows, cols, _ in steps:
+            leg = flat.take(rows + cols)
+            leg.flags.writeable = False
+            layer.append(leg)
+        legs.append(tuple(layer))
+    return _FILL_ROWS, tuple(legs)
+
+
+def _held_karp(w, D, legs=None) -> TrpSolution:
+    """solve_weighted_trp_dp on weights and a _dp_matrix the caller checked.
+
+    legs, when given, is _gather_legs(D): each fill step then multiplies
+    its kept legs, in the step layout they were gathered for, instead of
+    gathering them from D again; the products are the same, so the tables,
+    and all the solution, equal those without them bit for bit."""
     n = D.shape[0] - 1  # bit k of a mask marks node k+2 (1-based) as visited
     full = (1 << n) - 1
     wtot = float(w.sum())
@@ -176,16 +218,20 @@ def _held_karp(w, D) -> TrpSolution:
     del subw
 
     flat = D.ravel()
-    pos, sets, layers = _layers(n, _FILL_ROWS)
+    fill_rows, kept = (_FILL_ROWS, None) if legs is None else legs
+    pos, sets, layers = _layers(n, fill_rows)
     coefs = coef.take(sets)
     # tables[s][i, pos[S]] = g[S, S's i-th lowest node]; g[{}, 1] when s = 0
     tables = [None] * n + [(D[1:, 0] * w[0])[:, None]]
     for s in range(n - 1, -1, -1):
         span, shape, steps = layers[s]
         c, prev, t = coefs[span], tables[s + 1], np.empty(shape)
-        for cut, rows, cols, nxt in steps:
-            cand = flat.take(rows + cols)
-            cand *= c[cut]
+        for q, (cut, rows, cols, nxt) in enumerate(steps):
+            if kept is None:
+                cand = flat.take(rows + cols)
+                cand *= c[cut]
+            else:
+                cand = kept[s][q] * c[cut]
             cand += prev.take(nxt)
             np.minimum.reduce(cand, axis=0, out=t[:, cut])
         tables[s] = t

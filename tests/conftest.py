@@ -31,6 +31,13 @@ def random_instance(seed, M, low=1.0, high=10.0, wlow=0.05, whigh=1.0, integer=F
     return w, D
 
 
+def legs_nbytes(M):
+    """Bytes of one D's kept fill legs (trp._gather_legs): one double per
+    (set, last node, free node) candidate, (M-1)(M-2) * 2^M bytes, plus
+    layer 0's M - 1."""
+    return (M - 1) * (M - 2) * 2**M + 8 * (M - 1)
+
+
 def twin_last_node(D):
     """Make the last node of D the twin of the one before it (same row, same
     column), in place, so that swapping the two in any route ties when

@@ -30,7 +30,13 @@ from repairroute.opt import (
 )
 from repairroute.trp import TIE_TOL, solve_weighted_trp_dp
 
-from conftest import blobs, random_instance, solve_weighted_trp_bruteforce, twin_last_node
+from conftest import (
+    blobs,
+    legs_nbytes,
+    random_instance,
+    solve_weighted_trp_bruteforce,
+    twin_last_node,
+)
 
 # Both cost models; cost2 routes by its softplus surrogate weights, which its
 # case id names.
@@ -351,8 +357,8 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
     real_dp, real_eval = opt_mod._held_karp, opt_mod.simultaneous_objective
     real_nm = opt_mod.nelder_mead
 
-    def spy_dp(w, D):
-        solved.append(real_dp(w, D))
+    def spy_dp(w, D, legs=None):
+        solved.append(real_dp(w, D, legs))
         return solved[-1]
 
     def spy_eval(lam, *a, **k):
@@ -405,9 +411,9 @@ class TestMarginCertificate:
         calls = []
         real_dp = opt_mod._held_karp
 
-        def counting_dp(w, D):
+        def counting_dp(w, D, legs=None):
             calls.append(1)
-            return real_dp(w, D)
+            return real_dp(w, D, legs)
 
         monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
         reused = changed = 0
@@ -549,6 +555,79 @@ class TestOneRouteSource:
         monkeypatch.undo()
         redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
         assert (sol.route, sol.traversal_cost) == (redo.route, redo.cost)
+
+
+class TestKeptLegs:
+    """The anchor keeps D's fill legs from its second uncertified DP call on."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        # (legs passed to the kernel, per DP call), gathers made
+        passed, gathered = [], []
+        real_dp, real_gather = opt_mod._held_karp, opt_mod._gather_legs
+
+        def spy_dp(w, D, legs=None):
+            passed.append(legs)
+            return real_dp(w, D, legs)
+
+        def spy_gather(D):
+            gathered.append(real_gather(D))
+            return gathered[-1]
+
+        monkeypatch.setattr(opt_mod, "_held_karp", spy_dp)
+        monkeypatch.setattr(opt_mod, "_gather_legs", spy_gather)
+        return passed, gathered
+
+    def test_gathered_on_the_second_uncertified_call(self, monkeypatch):
+        passed, gathered = self.spy(monkeypatch)
+        w0, D = random_instance(3, 8)
+        anchor = opt_mod._RouteAnchor(D)
+        anchor.route(w0)
+        anchor.route(w0.copy())  # certified: no DP call
+        assert passed == [None] and gathered == []
+        for k in range(1, 4):
+            w = w0.copy()
+            w[k] = 5.0
+            route, lats = anchor.route(w)
+            fresh = solve_weighted_trp_dp(w, D)
+            assert route == fresh.route and lats.tobytes() == fresh.latencies.tobytes()
+        assert len(passed) == 4 and len(gathered) == 1
+        assert passed[0] is None and all(legs is gathered[0] for legs in passed[1:])
+        assert gathered[0] is not None
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sequential_gathers_none(self, model, monkeypatch):
+        passed, gathered = self.spy(monkeypatch)
+        data, nodes, D = opt_instance(4, M=9)
+        solve("sequential", data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
+        assert passed == [None] and gathered == []
+
+    def test_none_kept_past_the_budget(self, monkeypatch):
+        data, nodes, D = opt_instance(5, M=8)
+        monkeypatch.setattr(trp_mod, "_LEGS_MAX_BYTES", legs_nbytes(8) - 1)
+        passed, gathered = self.spy(monkeypatch)
+        solve("nm", data, nodes, D, MltrpConfig(c2=0.2, c1=0.8))
+        assert len(passed) > 2 and gathered == [None]
+        assert all(legs is None for legs in passed)
+
+    @pytest.mark.parametrize("method", ["nm", "am"])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("M", [6, 10])
+    def test_solutions_equal_those_without_legs(self, M, model, method, monkeypatch):
+        data, nodes, D = opt_instance(80 + M, M=M)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        passed, _ = self.spy(monkeypatch)
+        kept = solve(method, data, nodes, D, cfg)
+        assert any(legs is not None for legs in passed)
+        monkeypatch.setattr(trp_mod, "_LEGS_MAX_BYTES", 0)
+        del passed[:]
+        bare = solve(method, data, nodes, D, cfg)
+        assert all(legs is None for legs in passed)
+        assert kept.lam.tobytes() == bare.lam.tobytes()
+        assert kept.trace == bare.trace and kept.route == bare.route
+        assert (kept.training_error, kept.traversal_cost, kept.combined_objective) == (
+            bare.training_error, bare.traversal_cost, bare.combined_objective
+        )
 
 
 class TestAlternating:

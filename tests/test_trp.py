@@ -10,7 +10,7 @@ from repairroute.bound import shortest_distances
 from repairroute.core import cost1, standard_trp_cost
 from repairroute.trp import TIE_TOL, naive_route, solve_weighted_trp_dp
 
-from conftest import random_instance, solve_weighted_trp_bruteforce, twin_last_node
+from conftest import legs_nbytes, random_instance, solve_weighted_trp_bruteforce, twin_last_node
 
 
 BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
@@ -355,6 +355,76 @@ class TestDp:
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             solve_weighted_trp_dp([-0.1, 1.0], D)
+
+
+class TestKeptLegs:
+    @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random", "equal_weights", "zero_weights", "integer_distances", "twin", "negative_zero_legs"],
+    )
+    @pytest.mark.parametrize("M", range(2, 13))
+    def test_match_the_gathering_kernel(self, M, kind, fill_rows, monkeypatch):
+        # The same legs serve every weight vector on their D, and each gives
+        # the kernel's solution without them, bit for bit.
+        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        w, D = random_instance(700 + M, M, integer=kind in ("integer_distances", "twin"))
+        if kind == "equal_weights":
+            w = np.full(M, 0.3)
+        elif kind == "zero_weights":
+            w[1:] = 0.0
+        elif kind == "twin":
+            w[-1] = w[-2]
+            twin_last_node(D)
+        elif kind == "negative_zero_legs":
+            D[0, 1:] = -0.0
+        D = trp_mod._dp_matrix(D)
+        legs = trp_mod._gather_legs(D)
+        for weights in (w, w[::-1].copy(), np.full(M, 0.7)):
+            ref = trp_mod._held_karp(weights, D)
+            got = trp_mod._held_karp(weights, D, legs)
+            assert (got.route, got.cost, got.step_margins) == (ref.route, ref.cost, ref.step_margins)
+            assert got.latencies.tobytes() == ref.latencies.tobytes()
+            assert latencies_agree(got, weights, D)
+
+    @pytest.mark.parametrize("M", [2, 3, 7, 12])
+    def test_are_read_only_and_sized(self, M):
+        w, D = random_instance(M, M)
+        fill_rows, legs = trp_mod._gather_legs(trp_mod._dp_matrix(D))
+        assert fill_rows == trp_mod._FILL_ROWS
+        arrays = [leg for layer in legs for leg in layer]
+        assert sum(leg.nbytes for leg in arrays) == legs_nbytes(M)
+        assert all(not leg.flags.writeable for leg in arrays)
+        with pytest.raises(ValueError):
+            arrays[-1][0, 0, 0] = 1.0
+
+    def test_follow_the_step_layout_they_were_gathered_for(self, monkeypatch):
+        # Gathered with 3-row steps, used after _FILL_ROWS changes back, and
+        # the other way round: the kernel fills in the legs' own steps.
+        w, D = random_instance(9, 9)
+        D = trp_mod._dp_matrix(D)
+        ref = trp_mod._held_karp(w, D)
+        for gather_rows, run_rows in ((3, trp_mod._FILL_ROWS), (trp_mod._FILL_ROWS, 3)):
+            monkeypatch.setattr(trp_mod, "_FILL_ROWS", gather_rows)
+            legs = trp_mod._gather_legs(D)
+            assert legs[0] == gather_rows
+            monkeypatch.setattr(trp_mod, "_FILL_ROWS", run_rows)
+            got = trp_mod._held_karp(w, D, legs)
+            assert (got.route, got.cost, got.step_margins) == (ref.route, ref.cost, ref.step_margins)
+            assert got.latencies.tobytes() == ref.latencies.tobytes()
+
+    def test_budget(self, monkeypatch):
+        # None past _LEGS_MAX_BYTES; the shipped budget admits 16 nodes, not 17.
+        _, D = random_instance(1, 8)
+        D = trp_mod._dp_matrix(D)
+        monkeypatch.setattr(trp_mod, "_LEGS_MAX_BYTES", legs_nbytes(8) - 1)
+        assert trp_mod._gather_legs(D) is None
+        monkeypatch.setattr(trp_mod, "_LEGS_MAX_BYTES", legs_nbytes(8))
+        assert trp_mod._gather_legs(D) is not None
+        monkeypatch.undo()
+        assert legs_nbytes(16) <= trp_mod._LEGS_MAX_BYTES < legs_nbytes(17)
+        _, D = random_instance(1, 17)
+        assert trp_mod._gather_legs(trp_mod._dp_matrix(D)) is None
 
 
 class TestMargin:
