@@ -37,7 +37,6 @@ from .opt import (
     c1_sweep,
     node_weights,
     route_string,
-    simultaneous_objective,
     solve,
     sweep_csv,
 )

@@ -8,7 +8,9 @@ can be inf or nan; main renders every document (a str as text, anything
 else as standard JSON) and writes them atomically only after all are
 rendered, so a run that exits non-zero writes no file.  Outputs contain no
 timestamps or host details, so identical invocations produce identical
-bytes.  Exit codes: 0 on success, 2 for bad input, 1 for internal errors.
+bytes.  Exit codes: 0 on success, 2 for bad input (an input that cannot be
+read or an output path that cannot be written included), 1 for internal
+errors.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import dataio
 from .bound import BoundInputs, generalization_bound
-from .core import cost1, cost2_exact, latency, standard_trp_cost
+from .core import _cost2_exact, latency, standard_trp_cost
 from .dataio import ValidationError
 from .demo import INSTANCES
 from .learn import auc, fit_logistic
@@ -58,31 +60,32 @@ def _model_dict(fit, c2: float, data) -> dict:
     }
 
 
-def _route_costs(route, lam, nodes, D) -> dict:
-    # A route with both failure costs under the model lam: the expected
-    # failure count (cost1) and the early-failure probability (cost2_exact).
-    return {
-        "route": list(route),
-        "route_string": route_string(route),
-        "cost1": cost1(route, node_weights(lam, nodes, "cost1"), D),
-        "cost2_exact": cost2_exact(route, node_weights(lam, nodes, "cost2"), D),
-    }
+def _route_doc(route, lam, nodes, D, cost_model: str | None = None) -> dict:
+    # A route under the model lam with both failure costs, the expected
+    # failure count (cost1) and the early-failure probability (cost2_exact),
+    # priced from its latencies and each model's weights, each taken once.
+    # Given the cost model it was routed by, also its latencies, weights and
+    # unweighted cost, and the naive route by those weights, priced alike.
+    p, rates = (node_weights(lam, nodes, model) for model in COST_MODELS)
 
+    def costs(route, lat):
+        return {"route": list(route), "route_string": route_string(route),
+                "cost1": float(p @ lat), "cost2_exact": _cost2_exact(lat, rates)}
 
-def _route_dict(route, lam, nodes, D, cost_model: str) -> dict:
-    w = node_weights(lam, nodes, cost_model)
+    lat = latency(route, D)
+    doc = {**costs(route, lat), "probabilities": p}
+    if cost_model is None:
+        return doc
+    w = p if cost_model == "cost1" else rates
     naive = naive_route(w)
+    naive_lat = latency(naive, D)
     return {
-        **_route_costs(route, lam, nodes, D),
-        "latencies_by_node": latency(route, D),
+        **doc,
+        "latencies_by_node": lat,
         "weights": w,
-        "probabilities": node_weights(lam, nodes, "cost1"),
-        "weighted_latency_cost": cost1(route, w, D),
+        "weighted_latency_cost": float(w @ lat),
         "standard_trp_cost": standard_trp_cost(route, D),
-        "naive": {
-            **_route_costs(naive, lam, nodes, D),
-            "weighted_latency_cost": cost1(naive, w, D),
-        },
+        "naive": {**costs(naive, naive_lat), "weighted_latency_cost": float(w @ naive_lat)},
     }
 
 
@@ -120,7 +123,7 @@ def cmd_route(args) -> dict:
     out = Path(args.out_dir)
     return {
         out / "model.json": _model_dict(fit, args.c2, data),
-        out / "route.json": _route_dict(route, fit.lam, nodes, D, cfg.cost_model),
+        out / "route.json": _route_doc(route, fit.lam, nodes, D, cfg.cost_model),
     }
 
 
@@ -165,7 +168,7 @@ def cmd_simultaneous(args) -> dict:
             "combined_objective": sol.combined_objective,
             "trace": list(sol.trace),
         },
-        out / "route.json": _route_dict(sol.route, sol.lam, nodes, D, cfg.cost_model),
+        out / "route.json": _route_doc(sol.route, sol.lam, nodes, D, cfg.cost_model),
     }
     if grid is not None:
         rows = c1_sweep(data, nodes, D, cfg, grid, method=args.method, test_data=test)
@@ -202,14 +205,10 @@ def cmd_demo(args) -> dict:
     seq = solve("sequential", data, nodes, D, cfg)
     sim_sol = solve(args.method, data, nodes, D, cfg)
 
-    def _summary(sol):
-        return {
-            **_route_costs(sol.route, sol.lam, nodes, D),
-            "training_error": sol.training_error,
-            "probabilities": node_weights(sol.lam, nodes, "cost1"),
-        }
-
-    s_seq, s_sim = _summary(seq), _summary(sim_sol)
+    s_seq, s_sim = (
+        {**_route_doc(sol.route, sol.lam, nodes, D), "training_error": sol.training_error}
+        for sol in (seq, sim_sol)
+    )
     shift = np.abs(np.asarray(s_seq["probabilities"]) - np.asarray(s_sim["probabilities"]))
     return {
         out / "train.csv": "\n".join(train_rows) + "\n",
@@ -400,7 +399,9 @@ def main(argv=None) -> int:
         for path, text in texts.items():
             dataio.write_text(path, text)
         return 0
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # An OSError here is an input that cannot be read or an output path
+        # that cannot be written; its message names the path.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

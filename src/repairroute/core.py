@@ -156,7 +156,11 @@ def cost2_exact(route, w, D) -> float:
     """
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
-    lat = latency(route, D)
+    return _cost2_exact(latency(route, D), w)
+
+
+def _cost2_exact(lat, w) -> float:
+    """:func:`cost2_exact` from a route's latencies and checked rates."""
     per_node = np.where(lat > 0, -np.expm1(-lat * w), 0.0)
     return float(per_node.sum())
 

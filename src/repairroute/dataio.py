@@ -1,6 +1,6 @@
 """CSV and JSON input/output with strict validation and atomic writes.
 
-File formats:
+File formats, all UTF-8 text:
 
 * labeled data: header row of feature names ending in a `label` column;
   labels are -1 or +1;
@@ -42,8 +42,11 @@ def _read_rows(path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: file is empty")
     return rows

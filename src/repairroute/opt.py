@@ -30,7 +30,7 @@ from .learn import (
     training_gradient,
     training_hessian,
 )
-from .trp import TIE_TOL, _dp_matrix, _gather_legs, _held_karp, solve_weighted_trp_dp
+from .trp import TIE_TOL, _dp_matrix, _gather_legs, _held_karp
 
 # Per cost model: a node's routing weight w as a function of its score
 # z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
@@ -223,24 +223,12 @@ def _route_term(c1: float, cost: float) -> float:
     return c1 * cost
 
 
-def simultaneous_objective(
-    lam, data: LabeledDataset, nodes, D, cfg: MltrpConfig, *, anchor: _RouteAnchor | None = None
-) -> float:
-    """Combined objective with the route re-optimized exactly for this lam.
-
-    With an anchor (solve passes its own for nm), lam and nodes are taken as
-    solve checked them, a float vector and a 2-D float array of its width,
-    and the route and its latencies come from anchor.route, which skips the
-    DP where its certificate shows that the DP would return the anchor's
-    route again (see _RouteAnchor), so the value is the same bit for bit; D
-    is then the anchor's.  Without one, every argument is checked and the
-    DP runs on D.  ValueError names C1 when C1 times the route cost
-    overflows.
-    """
+def _objective(lam, data: LabeledDataset, nodes, anchor: _RouteAnchor, cfg: MltrpConfig) -> float:
+    # The combined objective with the route re-optimized exactly for lam,
+    # as anchor.route gives it (see _RouteAnchor), on a lam and nodes that
+    # solve checked.  ValueError names C1 when C1 times the route cost
+    # overflows.
     te = training_error(lam, data, cfg.c2)
-    if anchor is None:
-        w = node_weights(lam, nodes, cfg.cost_model)
-        return te + _route_term(cfg.c1, solve_weighted_trp_dp(w, D).cost)
     w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
     return te + _route_term(cfg.c1, float(w @ anchor.route(w)[1]))
 
@@ -391,7 +379,7 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
 
     lam starts at lam0, or at the plain logistic fit when lam0 is omitted;
     sequential always takes the fit (the C1 = 0 optimum) and stops there.
-    nm runs nelder_mead on simultaneous_objective and am runs
+    nm runs nelder_mead on _objective and am runs
     alternating_minimization, both from that start.  Every route, the final
     one included, comes from one _RouteAnchor on D, which skips the DP where
     its certificate shows the DP would return the anchor's route again, so
@@ -410,9 +398,7 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     anchor = _RouteAnchor(D)
     trace = []
     if method == "nm":
-        lam, trace = nelder_mead(
-            lambda v: simultaneous_objective(v, data, nodes, D, cfg, anchor=anchor), lam
-        )
+        lam, trace = nelder_mead(lambda v: _objective(v, data, nodes, anchor, cfg), lam)
     elif method == "am":
         lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
     te = training_error(lam, data, cfg.c2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repairroute.cli as cli_mod
+import repairroute.core as core_mod
 from repairroute.cli import main
 from repairroute.core import (
     LabeledDataset, cost1, cost2_exact, latency, sigmoid, softplus, standard_trp_cost,
@@ -28,8 +29,8 @@ from repairroute.demo import INSTANCES
 import repairroute.opt as opt_mod
 import repairroute.learn as learn_mod
 from repairroute.learn import fit_logistic, training_gradient
-from repairroute.opt import MltrpConfig, node_weights, solve
-from repairroute.trp import solve_weighted_trp_dp
+from repairroute.opt import MltrpConfig, node_weights, route_string, solve
+from repairroute.trp import naive_route, solve_weighted_trp_dp
 
 from conftest import blobs, random_instance
 
@@ -81,13 +82,37 @@ def read_standard_json(path):
         return json.load(fh, parse_constant=_refuse_constant)
 
 
-def load_golden_tool():
-    """Import tools/cli_golden.py as a module."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "cli_golden.py"
-    spec = importlib.util.spec_from_file_location("cli_golden", path)
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
-    return golden
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every binding the package holds."""
+    real, calls = getattr(module, name), []
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "repairroute" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def assert_priced(doc, route, lam, nodes, D):
+    """Both failure costs of a route document (route.json's and demo's),
+    equal bit for bit to the public functions at lam."""
+    p, rates = node_weights(lam, nodes, "cost1"), node_weights(lam, nodes, "cost2")
+    assert doc["route"] == route
+    assert doc["route_string"] == route_string(route)
+    assert doc["cost1"] == cost1(route, p, D)
+    assert doc["cost2_exact"] == cost2_exact(route, rates, D)
+
+
+def load_tool(name):
+    """Import tools/<name>.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 class TestLoaders:
@@ -161,6 +186,14 @@ class TestLoaders:
         p.write_text("f1,label\n")
         with pytest.raises(ValidationError, match="no data rows"):
             load_labeled_csv(p)
+
+    @pytest.mark.parametrize("load", [load_labeled_csv, load_nodes_csv, load_distances_csv])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, load):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"0,1\n\xff,0\n")
+        with pytest.raises(ValidationError) as exc:
+            load(p)
+        assert str(exc.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xff")
 
     def test_nodes_reject_label_column(self, tmp_path):
         p = tmp_path / "n.csv"
@@ -283,6 +316,49 @@ class TestRoute:
         assert doc["cost1"] == pytest.approx(cost1(route, sigmoid(nodes @ fit.lam), D), rel=1e-10)
         rates = node_weights(fit.lam, nodes, "cost2")
         assert doc["cost2_exact"] == pytest.approx(cost2_exact(route, rates, D), rel=1e-10)
+
+    @pytest.mark.parametrize("seed,M", [(0, 4), (1, 5), (2, 7), (3, 9), (4, 11), (5, 14)])
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    @pytest.mark.parametrize("command", ["route", "simultaneous"])
+    def test_every_pricing_field_equals_the_public_functions(self, tmp_path, seed, M, model,
+                                                             command):
+        (tp, np_, dp), data, nodes, D = problem(tmp_path, seed=seed, M=M)
+        extra = ["--c1", "0.5"] if command == "simultaneous" else []
+        assert main([command, "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.3",
+                     "--cost-model", model, *extra, "--out-dir", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "route.json")
+        lam_doc = "solution.json" if command == "simultaneous" else "model.json"
+        lam = np.array(read_json(tmp_path / lam_doc)["lambda"])
+        route = doc["route"]
+        w = node_weights(lam, nodes, model)
+        if command == "route":
+            assert route == solve_weighted_trp_dp(w, D).route
+        else:
+            assert route == read_json(tmp_path / "solution.json")["route"]
+        assert_priced(doc, route, lam, nodes, D)
+        assert doc["probabilities"] == node_weights(lam, nodes, "cost1").tolist()
+        assert doc["weights"] == w.tolist()
+        assert doc["latencies_by_node"] == latency(route, D).tolist()
+        assert doc["weighted_latency_cost"] == cost1(route, w, D)
+        assert doc["standard_trp_cost"] == standard_trp_cost(route, D)
+        naive = naive_route(w)
+        assert_priced(doc["naive"], naive, lam, nodes, D)
+        assert doc["naive"]["weighted_latency_cost"] == cost1(naive, w, D)
+
+    def test_prices_from_one_latency_vector_per_route(self, tmp_path, monkeypatch):
+        # One route run: the fit, the DP and route.json with its naive route.
+        # Each route's latencies are computed once, each model's weights once
+        # beside the DP's, and D is checked on loading, by the DP, by the two
+        # latencies and by the unweighted cost.
+        (tp, np_, dp), *_ = problem(tmp_path, seed=1, M=6)
+        lat = count_calls(monkeypatch, core_mod, "_latency")
+        weights = count_calls(monkeypatch, opt_mod, "node_weights")
+        checks = count_calls(monkeypatch, core_mod, "as_distance_matrix")
+        assert main(["route", "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.3",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(lat) == 2
+        assert len(weights) <= 3
+        assert len(checks) <= 5
 
     def test_dimension_mismatches_exit_two(self, tmp_path, capsys):
         (tp, np_, dp), *_ = problem(tmp_path, seed=0, M=5, d=2)
@@ -585,6 +661,21 @@ class TestDemo:
         assert summary["simultaneous"]["route"] == list(sol.route)
         assert summary["simultaneous"]["training_error"] == sol.training_error
 
+    @pytest.mark.parametrize("which", sorted(INSTANCES))
+    @pytest.mark.parametrize("model", ["cost1", "cost2"])
+    @pytest.mark.parametrize("method", ["nm", "am"])
+    def test_route_documents_equal_the_public_functions(self, tmp_path, which, model, method):
+        assert main(["demo", "--which", which, "--cost-model", model, "--method", method,
+                     "--out-dir", str(tmp_path)]) == 0
+        inst = INSTANCES[which](seed=0)
+        cfg = replace(inst.cfg, cost_model=model)
+        for name, how in (("sequential", "sequential"), ("simultaneous", method)):
+            doc = read_json(tmp_path / f"{name}.json")
+            sol = solve(how, inst.train, inst.nodes, inst.D, cfg)
+            assert_priced(doc, sol.route, sol.lam, inst.nodes, inst.D)
+            assert doc["training_error"] == sol.training_error
+            assert doc["probabilities"] == node_weights(sol.lam, inst.nodes, "cost1").tolist()
+
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -652,7 +743,7 @@ class TestSimulate:
         # At 2**62 steps per unit every node of the golden five-node route is
         # reached after more than 2**63 - 1 steps, where numpy's geometric draw
         # saturates and would count every later first failure as landing.
-        load_golden_tool().write_inputs(tmp_path)
+        load_tool("cli_golden").write_inputs(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--train", str(tmp_path / "train.csv"), "--nodes",
                      str(tmp_path / "nodes.csv"), "--distances", str(tmp_path / "dist.csv"),
@@ -909,13 +1000,45 @@ class TestStandardJson:
 
     @pytest.mark.parametrize("case", ["simulate_low_risk_cost1", "bound_zero_features"])
     def test_golden_runs_write_standard_json(self, case, tmp_path, monkeypatch):
-        golden = load_golden_tool()
+        golden = load_tool("cli_golden")
         golden.write_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert main(golden.invocations()[case] + ["--out-dir", "out"]) == 0
         (path,) = (tmp_path / "out").iterdir()
         doc = read_standard_json(path)
         assert None in doc.values()
+
+
+class TestUnusablePaths:
+    """An input that cannot be read, or an output path that cannot be
+    written, is bad input: exit 2 naming the path, and no file written."""
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--train", str(tmp_path), "--c2", "0.1", "--out-dir", str(out)]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_dir_at_or_under_a_file(self, tmp_path, capsys, under):
+        tp = tmp_path / "t.csv"
+        tp.write_text(M2_TRAIN)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out = blocker / "x" if under else blocker
+        assert main(["train", "--train", str(tp), "--c2", "0.1", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "t.csv"]
+        assert blocker.read_text() == "keep\n"
+
+    def test_stdin_is_still_an_input(self, tmp_path):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["train", "--train", "/dev/stdin", "--c2", "0.1", "--out-dir", str(tmp_path)]
+        subprocess.run([sys.executable, "-m", "repairroute.cli", *argv], input=M2_TRAIN,
+                       env=env, text=True, check=True)
+        assert read_json(tmp_path / "model.json")["converged"] is True
 
 
 class TestRejectedRunWritesNothing:
@@ -1070,7 +1193,7 @@ class TestParser:
         assert not any(tmp_path.iterdir())
 
     def test_golden_invocations_parse(self):
-        golden = load_golden_tool()
+        golden = load_tool("cli_golden")
         parser = cli_mod.build_parser()
         for name, argv in golden.invocations().items():
             args = parser.parse_args(argv + ["--out-dir", "out"])
@@ -1096,21 +1219,51 @@ class TestGoldenTool:
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_prints_usage_and_writes_nothing(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert load_golden_tool().main([flag]) == 0
+        assert load_tool("cli_golden").main([flag]) == 0
         assert "python3 tools/cli_golden.py OUT_DIR" in capsys.readouterr().out
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["-x"], ["--out"], [], ["a", "b"]])
     def test_other_flags_and_arg_counts_exit_two(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert load_golden_tool().main(argv) == 2
+        assert load_tool("cli_golden").main(argv) == 2
         assert "OUT_DIR" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_non_empty_out_dir_exits_two_untouched(self, tmp_path, capsys):
         (tmp_path / "stale").mkdir()
         (tmp_path / "stale" / "route.json").write_text("old\n")
-        assert load_golden_tool().main([str(tmp_path)]) == 2
+        assert load_tool("cli_golden").main([str(tmp_path)]) == 2
         assert "not a new or empty directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["route.json", "stale"]
         assert (tmp_path / "stale" / "route.json").read_text() == "old\n"
+
+
+class TestCodeLinesTool:
+    def test_counts_code_but_not_blanks_comments_or_docstrings(self):
+        text = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment keeps the line
+
+
+class A:
+    """Class docstring."""
+
+    # a comment line
+    def f(self):
+        """Function docstring."""
+        return """a string
+that is code"""
+'''
+        # import, class, def, and the return's two lines
+        assert load_tool("code_lines").code_lines(text) == 5
+
+    def test_prints_each_module_and_the_total(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "a.py").write_text("x = 1\n\ny = 2\n")
+        (tmp_path / "b.py").write_text('"""Doc."""\n# note\nz = 3\n')
+        tool = load_tool("code_lines")
+        monkeypatch.setattr(tool, "SRC", tmp_path)
+        assert tool.main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines] == [["2", "a.py"], ["1", "b.py"], ["3", "total"]]

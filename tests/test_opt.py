@@ -20,10 +20,10 @@ from repairroute.opt import (
     nelder_mead,
     node_weights,
     route_string,
-    simultaneous_objective,
     solve,
     sweep_csv,
     _WEIGHTS,
+    _objective,
     _fixed_route_gradient,
     _fixed_route_hessian,
     _fixed_route_objective,
@@ -58,6 +58,17 @@ def walk_cost(route, w, D):
 def loss_oracle(lam, data, c2):
     margins = data.labels * (data.features @ lam)
     return float(np.logaddexp(0.0, -margins).sum() + c2 * np.dot(lam, lam))
+
+
+def reference_objective(lam, data, nodes, D, cfg):
+    """The combined objective from the public parts, the DP run on D."""
+    w = node_weights(lam, nodes, cfg.cost_model)
+    return training_error(lam, data, cfg.c2) + cfg.c1 * solve_weighted_trp_dp(w, D).cost
+
+
+def fresh_objective(lam, data, nodes, D, cfg):
+    """opt._objective on a new route anchor, so its DP runs."""
+    return _objective(lam, data, nodes, opt_mod._RouteAnchor(D), cfg)
 
 
 def am_check_instance(run):
@@ -145,9 +156,9 @@ class TestSimultaneousObjective:
         _, nodes, D = opt_instance(5)
         lam = np.array([0.2, 0.9])
         cfg = MltrpConfig(c2=0.4, c1=0.0)
-        assert simultaneous_objective(lam, small_blobs, nodes, D, cfg) == pytest.approx(
-            loss_oracle(lam, small_blobs, 0.4), rel=1e-12
-        )
+        got = fresh_objective(lam, small_blobs, nodes, D, cfg)
+        assert got == pytest.approx(loss_oracle(lam, small_blobs, 0.4), rel=1e-12)
+        assert got == reference_objective(lam, small_blobs, nodes, D, cfg)
 
     def test_identical_features_reduce_to_standard_trp(self, small_blobs):
         _, _, D = opt_instance(6, M=5)
@@ -159,9 +170,10 @@ class TestSimultaneousObjective:
             standard_trp_cost([1] + list(tail), D)
             for tail in itertools.permutations(range(2, 6))
         )
-        got = simultaneous_objective(lam, small_blobs, nodes, D, cfg)
+        got = fresh_objective(lam, small_blobs, nodes, D, cfg)
         expect = loss_oracle(lam, small_blobs, 0.1) + 3.0 * w * best_std
         assert got == pytest.approx(expect, rel=1e-12)
+        assert got == reference_objective(lam, small_blobs, nodes, D, cfg)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_inner_min_matches_permutation_oracle(self, seed):
@@ -173,8 +185,9 @@ class TestSimultaneousObjective:
             walk_cost([1] + list(tail), w, D)
             for tail in itertools.permutations(range(2, 7))
         )
-        got = simultaneous_objective(lam, data, nodes, D, cfg)
+        got = fresh_objective(lam, data, nodes, D, cfg)
         assert got == pytest.approx(loss_oracle(lam, data, 0.2) + 1.3 * best, rel=1e-11)
+        assert got == reference_objective(lam, data, nodes, D, cfg)
 
 
 class TestSequential:
@@ -232,7 +245,7 @@ class TestNelderMead:
         cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
         lam0 = fit_logistic(data, cfg.c2).lam
         sol = solve("nm", data, nodes, D, cfg, lam0=lam0)
-        start = simultaneous_objective(lam0, data, nodes, D, cfg)
+        start = reference_objective(lam0, data, nodes, D, cfg)
         assert sol.combined_objective <= start + 1e-12
         assert all(b <= a for a, b in zip(sol.trace, sol.trace[1:]))
         assert sol.method == "nm"
@@ -247,13 +260,13 @@ class TestNelderMead:
     def test_budget_stop_is_logged(self, caplog, monkeypatch):
         data, nodes, D = opt_instance(2)
         evals = []
-        real_eval = opt_mod.simultaneous_objective
+        real_eval = opt_mod._objective
 
         def counting_eval(*a, **k):
             evals.append(1)
             return real_eval(*a, **k)
 
-        monkeypatch.setattr(opt_mod, "simultaneous_objective", counting_eval)
+        monkeypatch.setattr(opt_mod, "_objective", counting_eval)
         monkeypatch.setattr(opt_mod, "_NM_MAX_EVALS", 10)
         with caplog.at_level(logging.WARNING, logger="repairroute"):
             solve("nm", data, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
@@ -317,14 +330,15 @@ class TestC1Overflow:
             with pytest.raises(ValueError, match=self.MESSAGE):
                 solve(method, data, nodes, D, cfg)
 
-    def test_objective_names_c1_with_and_without_anchor(self):
+    def test_objective_names_c1_whether_the_anchor_solves_or_reuses(self):
         data, nodes, D = opt_instance(2)
         cfg = MltrpConfig(c2=0.2, c1=1e308)
         lam = fit_logistic(data, cfg.c2).lam
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            simultaneous_objective(lam, data, nodes, D, cfg)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            simultaneous_objective(lam, data, nodes, D, cfg, anchor=opt_mod._RouteAnchor(D))
+        anchor = opt_mod._RouteAnchor(D)
+        for _ in range(2):  # the first call runs the DP; the second reuses its route
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                _objective(lam, data, nodes, anchor, cfg)
+        assert anchor._dp_calls == 1
 
     def test_large_finite_product_is_kept(self):
         data, nodes, D = opt_instance(2)
@@ -354,7 +368,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
     the anchor certified it); returns those three and the result, with the
     spies removed."""
     solved, evals, looped = [], [], []
-    real_dp, real_eval = opt_mod._held_karp, opt_mod.simultaneous_objective
+    real_dp, real_eval = opt_mod._held_karp, opt_mod._objective
     real_nm = opt_mod.nelder_mead
 
     def spy_dp(w, D, legs=None):
@@ -373,7 +387,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
         return out
 
     monkeypatch.setattr(opt_mod, "_held_karp", spy_dp)
-    monkeypatch.setattr(opt_mod, "simultaneous_objective", spy_eval)
+    monkeypatch.setattr(opt_mod, "_objective", spy_eval)
     monkeypatch.setattr(opt_mod, "nelder_mead", spy_nm)
     sol = solve("nm", data, nodes, D, cfg)
     monkeypatch.undo()
@@ -390,7 +404,7 @@ class TestMarginCertificate:
         solved, evals, final, sol = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
         skipped = [(lam, anchor) for lam, _, anchor in evals if anchor is not None]
         for lam, val, _ in evals:
-            assert val == simultaneous_objective(lam, data, nodes, D, cfg)
+            assert val == reference_objective(lam, data, nodes, D, cfg)
         for lam, anchor in skipped:
             w = node_weights(lam, nodes, model)
             fresh = solve_weighted_trp_dp(w, D)
@@ -488,7 +502,7 @@ class TestStepCertificate:
         assert len(solved) < len(solved_margin)
         assert (sol.route, sol.traversal_cost) == (sol_margin.route, sol_margin.traversal_cost)
         for lam, val, anchor in evals:
-            assert val == simultaneous_objective(lam, data, nodes, D, cfg)
+            assert val == reference_objective(lam, data, nodes, D, cfg)
             if anchor is not None:
                 w = node_weights(lam, nodes, model)
                 fresh = solve_weighted_trp_dp(w, D)
