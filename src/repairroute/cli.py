@@ -5,12 +5,12 @@ optimize both jointly, export the routing MILP as LP text, replay the
 bundled demos, validate costs by simulation, and evaluate the deviation
 bound.  Each command returns {path: document}, with null for a number that
 can be inf or nan; main renders every document (a str as text, anything
-else as standard JSON) and writes them atomically only after all are
-rendered, so a run that exits non-zero writes no file.  Outputs contain no
-timestamps or host details, so identical invocations produce identical
-bytes.  Exit codes: 0 on success, 2 for bad input (an input that cannot be
-read or an output path that cannot be written included), 1 for internal
-errors.
+else as standard JSON) and, once all are rendered, writes them all or none
+(dataio.write_texts), so a run that exits non-zero writes no file.  Outputs
+contain no timestamps or host details, so identical invocations produce
+identical bytes.  Exit codes: 0 on success, 2 for bad input (an input that
+cannot be read or an output path that cannot be written included), 1 for
+internal errors.
 """
 
 import argparse
@@ -203,7 +203,10 @@ def cmd_demo(args) -> dict:
     dist_rows = [",".join(repr(v) for v in row) for row in D.tolist()]
 
     seq = solve("sequential", data, nodes, D, cfg)
-    sim_sol = solve(args.method, data, nodes, D, cfg)
+    # seq.lam is the deterministic fit that solve would otherwise redo, and
+    # a second sequential solve would return seq again.
+    sim_sol = (seq if args.method == "sequential"
+               else solve(args.method, data, nodes, D, cfg, seq.lam))
 
     s_seq, s_sim = (
         {**_route_doc(sol.route, sol.lam, nodes, D), "training_error": sol.training_error}
@@ -279,13 +282,10 @@ def cmd_bound(args) -> dict:
     if m is None:
         raise ValidationError("supply --m or --train to set the sample size")
     m2 = args.m2 if args.m2 is not None else float(np.linalg.norm(rows, axis=1).max())
-    try:
-        inputs = BoundInputs(M1=m1, M2=m2, Cg=args.cg, eps=args.eps, m=m, nodes=nodes, D=D)
-        # BoundInputs has checked the node rows, so only a training row can fail here.
-        inputs.check_norms(rows, "training")
-        report = generalization_bound(inputs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    inputs = BoundInputs(M1=m1, M2=m2, Cg=args.cg, eps=args.eps, m=m, nodes=nodes, D=D)
+    # BoundInputs has checked the node rows, so only a training row can fail here.
+    inputs.check_norms(rows, "training")
+    report = generalization_bound(inputs)
     return {
         Path(args.out_dir) / "bound.json": {
             "M1": m1,
@@ -394,10 +394,8 @@ def main(argv=None) -> int:
         for name in required:
             if getattr(args, name.replace("-", "_")) is None:
                 raise ValidationError(f"--{name} is required for this command")
-        texts = {path: doc if isinstance(doc, str) else dataio.json_text(doc)
-                 for path, doc in func(args).items()}
-        for path, text in texts.items():
-            dataio.write_text(path, text)
+        dataio.write_texts({path: doc if isinstance(doc, str) else dataio.json_text(doc)
+                            for path, doc in func(args).items()})
         return 0
     except (ValueError, OSError) as exc:
         # An OSError here is an input that cannot be read or an output path

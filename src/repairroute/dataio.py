@@ -8,15 +8,16 @@ File formats, all UTF-8 text:
 * distances: M rows of M comma-separated numbers, no header.
 
 Parse errors carry 1-based line numbers and, where it helps, column names.
-All writers go through a temp file in the target directory followed by an
-atomic rename, and emit no timestamps, so reruns produce identical bytes.
+write_texts writes all of a run's outputs or none: each through a temp file
+beside its target, renamed into place once all are written, with the mode
+that the umask gives a new file.  Nothing written carries a timestamp, so
+reruns produce identical bytes.
 """
 
 import csv
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -123,23 +124,38 @@ def load_distances_csv(path) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _atomic_write(path, data: str):
+def _atomic_write(path, text: str, tmps: list):
+    # Writes text to a new temp file beside path, listed in tmps as soon as
+    # it exists.  Mode "x" creates it as open creates any new file, with mode
+    # 0o666 less the umask, and never reuses an existing file.
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    with open(tmp, "x") as fh:
+        tmps.append(tmp)
+        fh.write(text)
+
+
+def write_texts(texts: dict):
+    """Write every {path: text} or none.  A target that is a directory is
+    refused (ValidationError naming it) before anything is written; each
+    text then goes to a temp file beside its target, and the temp files
+    replace their targets only after all are written.  On any failure every
+    temp file is removed, so no target changes, unless a rename itself
+    fails: the targets renamed before it keep their new text."""
+    for path in texts:
+        if Path(path).is_dir():
+            raise ValidationError(f"output path is a directory: {path}")
+    tmps = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            _atomic_write(path, text, tmps)
+        for tmp, path in zip(tmps, texts):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def write_text(path, text: str):
-    """Atomically write text; the target never holds partial content."""
-    _atomic_write(path, text)
 
 
 def json_text(obj) -> str:

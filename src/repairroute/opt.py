@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabeledDataset, as_weights, sigmoid, softplus
+from .core import LabeledDataset, sigmoid, softplus
 from .learn import (
     auc,
     fit_logistic,
@@ -30,7 +30,7 @@ from .learn import (
     training_gradient,
     training_hessian,
 )
-from .trp import TIE_TOL, _dp_matrix, _gather_legs, _held_karp
+from .trp import _RouteAnchor
 
 # Per cost model: a node's routing weight w as a function of its score
 # z = lam . x, then w'(z) and w''(z).  cost2 routes by the softplus
@@ -127,110 +127,23 @@ def _weights(lam, nodes, weight) -> np.ndarray:
     return weight(z)
 
 
-class _RouteAnchor:
-    """The route of the most recent DP call, reused while it provably stays
-    the route the DP would return.  route(w) serves every route the solvers
-    use, with the latencies the DP computed for it.
-
-    Say the DP returned route p = (p_0 = node 1, p_1, ..., p_n) with
-    arrival times a_i (a_0 = 0) and per-step gaps g_s (TrpSolution.
-    step_margins) at weights w0, and let d = w - w0.  A route q that first
-    leaves p at step s visits p_1..p_{s-1} at p's times; every other node j
-    (p_s..p_n, and node 1, whose latency is the tour length) it reaches
-    after a_{s-1} and by H_s = a_{s-1} + rmax(p_{s-1}) + sum_{i>=s}
-    rmax(p_i), rmax(j) = max_k D[j, k], since q leaves p_{s-1} and each of
-    p_s..p_n once, by a leg no longer than that node's longest; p's own
-    latencies lie in the same range.  Hence
-        cost(q, w) - cost(p, w) = cost(q, w0) - cost(p, w0) + d . (lat(q) - lat(p))
-                                >= g_s - r_s,
-        r_s = sum_{j in {p_s..p_n, 1}} d_j+ (lat_j - a_{s-1}) + d_j- (H_s - lat_j),
-    with lat = lat(p) and d+ = max(d, 0), d- = max(-d, 0).  While every
-    g_s - r_s exceeds TIE_TOL plus a rounding allowance of
-    1e-9 (1 + cost(p, w0) + T ||d||_1), T = sum_j rmax(j), no other route
-    can enter the DP's tie band, so the DP would return p again, at cost
-    w @ lat(p): its own expression, so the value agrees bit for bit.  As
-    r_s <= T ||d||_1, every point where the margin min_s g_s exceeds
-    T ||d||_1 plus the same allowance is certified too.  Ties (g_s <= TIE_TOL)
-    never qualify, nor do non-finite weights, which the DP rejects: they
-    make the allowance inf or nan, and each comparison fails on nan.
-
-    D and the DP's node cap are checked once, at construction; an
-    uncertified route(w) checks w (core.as_weights) and runs the DP's
-    kernel, trp._held_karp, on them.  From the second uncertified call on,
-    the kernel fills from D's kept legs (trp._gather_legs, gathered on that
-    call and read-only) instead of gathering them from D on every call, with
-    the same result bit for bit.  They take (M-1)(M-2) * 2^M bytes, 72 KiB
-    at M = 10, 2.4 MiB at 14 and 13.1 MiB at 16, and are kept only within
-    trp._LEGS_MAX_BYTES (M <= 16); a solve that runs the DP once, as
-    sequential does, gathers none.
-    """
-
-    def __init__(self, D):
-        D = _dp_matrix(D)
-        self._D = D
-        self._rmax = D.max(axis=1).tolist()
-        self._reach = sum(self._rmax)
-        self._w0 = None
-        self._dp_calls = 0
-        self._legs = None
-
-    def route(self, w) -> tuple[list[int], np.ndarray]:
-        """(route, latencies) of the DP at weights w: reused when certified,
-        else solved; the DP's cost there is float(w @ latencies)."""
-        if self._w0 is not None and self._certifies((w - self._w0).tolist()):
-            return self._sol.route, self._sol.latencies
-        w_dp = as_weights(w, self._D.shape[0])
-        self._dp_calls += 1
-        if self._dp_calls == 2:
-            self._legs = _gather_legs(self._D)
-        sol = _held_karp(w_dp, self._D, self._legs)
-        self._w0, self._sol = w, sol
-        order = [i - 1 for i in sol.route]
-        lats, rmax = sol.latencies.tolist(), self._rmax
-        # One (node p_s, lat(p_s), a_{s-1}, H_s, g_s) per step s, last step
-        # first, after node 1, which joins every step's sums and has no gap.
-        steps, reach = [(0, lats[0], 0.0, 0.0, math.inf)], 0.0
-        for s in range(len(order) - 1, 0, -1):
-            j, prev = order[s], order[s - 1]
-            reach += rmax[j]
-            a = lats[prev] if s > 1 else 0.0
-            steps.append((j, lats[j], a, a + rmax[prev] + reach, sol.step_margins[s - 1]))
-        self._steps = steps
-        return sol.route, sol.latencies
-
-    def _certifies(self, dw) -> bool:
-        # g_s - r_s > tol at every step, with r_s's sums over {p_s..p_n, 1}
-        # accumulated from the last step back; nan fails every comparison.
-        tol = TIE_TOL + 1e-9 * (1.0 + self._sol.cost + self._reach * sum(map(abs, dw)))
-        up = up_lat = down = down_lat = 0.0
-        for j, lat, a, h, gap in self._steps:
-            d = dw[j]
-            if d > 0:
-                up += d
-                up_lat += d * lat
-            else:
-                down -= d
-                down_lat -= d * lat
-            if not gap - (up_lat - a * up + h * down - down_lat) > tol:
-                return False
-        return True
-
-
-def _route_term(c1: float, cost: float) -> float:
-    # C1 times a route cost; an overflow there is C1's, not the data's.
-    if math.isfinite(cost) and not math.isfinite(c1 * cost):
-        raise ValueError(f"C1 = {c1:g} times the route cost {cost:.6g} overflows")
-    return c1 * cost
+def _anchored_route(lam, nodes, anchor: _RouteAnchor, cfg: MltrpConfig):
+    # (route, latencies, cost, C1 * cost) of the exact route for lam's
+    # weights, as anchor.route gives it (see trp._RouteAnchor), on a lam and
+    # nodes that solve checked.  ValueError names C1 when C1 times the route
+    # cost overflows: the overflow is C1's, not the data's.
+    w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
+    route, lats = anchor.route(w)
+    cost = float(w @ lats)
+    term = cfg.c1 * cost
+    if math.isfinite(cost) and not math.isfinite(term):
+        raise ValueError(f"C1 = {cfg.c1:g} times the route cost {cost:.6g} overflows")
+    return route, lats, cost, term
 
 
 def _objective(lam, data: LabeledDataset, nodes, anchor: _RouteAnchor, cfg: MltrpConfig) -> float:
-    # The combined objective with the route re-optimized exactly for lam,
-    # as anchor.route gives it (see _RouteAnchor), on a lam and nodes that
-    # solve checked.  ValueError names C1 when C1 times the route cost
-    # overflows.
-    te = training_error(lam, data, cfg.c2)
-    w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
-    return te + _route_term(cfg.c1, float(w @ anchor.route(w)[1]))
+    # The combined objective with the route re-optimized exactly for lam.
+    return training_error(lam, data, cfg.c2) + _anchored_route(lam, nodes, anchor, cfg)[3]
 
 
 def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
@@ -334,7 +247,7 @@ def alternating_minimization(
     starting at lam; returns the final lam and the loss after each round.
 
     Each round first takes the exact route and its latencies for the current
-    weights from the anchor (see _RouteAnchor), then runs damped Newton
+    weights from the anchor (see trp._RouteAnchor), then runs damped Newton
     descent (learn.minimize_descent with the exact Hessian) on the combined
     objective with that route frozen, warm-started at the current lam.  Both
     half-steps can only lower the objective, up to 16 eps |f| rounding in the
@@ -348,9 +261,7 @@ def alternating_minimization(
     prev_route = None
     trace = []
     for rnd in range(1, _AM_ROUNDS + 1):
-        w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
-        route, lats = anchor.route(w)
-        _route_term(cfg.c1, float(w @ lats))
+        route, lats, _, _ = _anchored_route(lam, nodes, anchor, cfg)
         if route == prev_route:
             break
         res = minimize_descent(
@@ -402,10 +313,8 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     elif method == "am":
         lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
     te = training_error(lam, data, cfg.c2)
-    w = _weights(lam, nodes, _WEIGHTS[cfg.cost_model][0])
-    route, lats = anchor.route(w)
-    cost = float(w @ lats)
-    combined = te + _route_term(cfg.c1, cost)
+    route, _, cost, term = _anchored_route(lam, nodes, anchor, cfg)
+    combined = te + term
     return MltrpSolution(
         lam=lam, route=route, training_error=te, traversal_cost=cost, combined_objective=combined,
         trace=(combined,) if method == "sequential" else tuple(trace), method=method,

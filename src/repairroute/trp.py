@@ -15,16 +15,22 @@ size s, holding g[S, j] only for the last nodes j in S (node 1 alone when S
 is empty), with the sets on the fast axis.  The index that links the layers
 (`_layers`: the sets, the D offsets of their members' rows and of their
 free nodes' columns, each mask's column `pos` and each successor entry's
-flat position `nxt` in the next layer) depends only on M and the step size,
-and is cached for the most recent M.
+flat position `nxt` in the next layer) depends only on M, and is cached for
+the most recent M.
 
 Memory beyond one call's tables (see solve_weighted_trp_dp): a caller that
 runs the kernel many times on one D may keep that D's fill legs
 (`_gather_legs`), the D entry of every (set, last node, next node) candidate
 of every fill step, (M-1)(M-2) * 2^M bytes: 72 KiB at 10 nodes, 2.4 MiB at
 14 and 13.1 MiB at 16.  They are gathered only within _LEGS_MAX_BYTES, so
-for M <= 16; opt._RouteAnchor keeps them from its second DP call on.  The
+for M <= 16; _RouteAnchor keeps them from its second DP call on.  The
 public solver runs once per D and keeps none.
+
+_RouteAnchor serves the solvers of the combined objective (opt), which
+route every evaluation exactly: it returns the route of its most recent DP
+call while the per-step gaps of that call's rebuild walk certify that the
+DP would return it again, so the walk's tie rule and the certificate's
+allowance live here together.
 """
 
 import functools
@@ -62,7 +68,7 @@ class TrpSolution:
 
 
 @functools.lru_cache(maxsize=1)
-def _layers(n, fill_rows):
+def _layers(n):
     """Index of the subset DP over n bits, kept for the most recent call.
 
     Returns (pos, sets, layers).  pos (int32, length 2^n) gives each mask's
@@ -71,7 +77,7 @@ def _layers(n, fill_rows):
     layers[s], for each size s < n, is (span, shape, steps): the layer's
     slice of `sets`, its table's shape (max(s, 1), C(n, s)), and its fill
     steps.  A step (cut, rows, cols, nxt) covers the columns `cut`, at most
-    fill_rows * (n + 1) candidates and at least one set, through views of
+    _FILL_ROWS * (n + 1) candidates and at least one set, through views of
     three arrays per layer, for column r and free row j:
       rows  uint16 (1, max(s, 1), .): row i is (b + 1) * (n + 1), the flat
             offset in D of the row of the set's i-th lowest bit b, a last
@@ -116,7 +122,7 @@ def _layers(n, fill_rows):
         rank = free.astype(np.int32) - np.arange(n - s, dtype=np.int32)[:, None]
         nxt += rank * math.comb(n, s + 1)
         rows.flags.writeable = cols.flags.writeable = nxt.flags.writeable = False
-        width = max(1, fill_rows * (n + 1) // (rows.shape[0] * (n - s)))
+        width = max(1, _FILL_ROWS * (n + 1) // (rows.shape[0] * (n - s)))
         steps = []
         for a in range(0, sets.size, width):
             cut = slice(a, a + width)
@@ -176,13 +182,12 @@ def _gather_legs(D):
     """The fill legs of _held_karp on a _dp_matrix D, or None past
     _LEGS_MAX_BYTES.
 
-    Returns (fill_rows, legs): the _FILL_ROWS of the step layout they follow,
-    and per layer, per fill step, the read-only flat.take(rows + cols) that
-    the step would gather, D[member, free] for every (set, last node, free
+    Per layer, per fill step, the read-only flat.take(rows + cols) that the
+    step would gather, D[member, free] for every (set, last node, free
     node) candidate.  Together they take (M-1)(M-2) * 2^M bytes plus
     8 (M - 1) for layer 0."""
     n = D.shape[0] - 1
-    _, _, layers = _layers(n, _FILL_ROWS)
+    _, _, layers = _layers(n)
     nbytes = sum(8 * (n - s) * math.prod(shape) for s, (_, shape, _) in enumerate(layers))
     if nbytes > _LEGS_MAX_BYTES:
         return None
@@ -195,16 +200,16 @@ def _gather_legs(D):
             leg.flags.writeable = False
             layer.append(leg)
         legs.append(tuple(layer))
-    return _FILL_ROWS, tuple(legs)
+    return tuple(legs)
 
 
 def _held_karp(w, D, legs=None) -> TrpSolution:
     """solve_weighted_trp_dp on weights and a _dp_matrix the caller checked.
 
     legs, when given, is _gather_legs(D): each fill step then multiplies
-    its kept legs, in the step layout they were gathered for, instead of
-    gathering them from D again; the products are the same, so the tables,
-    and all the solution, equal those without them bit for bit."""
+    its kept legs instead of gathering them from D again; the products are
+    the same, so the tables, and all the solution, equal those without them
+    bit for bit."""
     n = D.shape[0] - 1  # bit k of a mask marks node k+2 (1-based) as visited
     full = (1 << n) - 1
     wtot = float(w.sum())
@@ -218,8 +223,7 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
     del subw
 
     flat = D.ravel()
-    fill_rows, kept = (_FILL_ROWS, None) if legs is None else legs
-    pos, sets, layers = _layers(n, fill_rows)
+    pos, sets, layers = _layers(n)
     coefs = coef.take(sets)
     # tables[s][i, pos[S]] = g[S, S's i-th lowest node]; g[{}, 1] when s = 0
     tables = [None] * n + [(D[1:, 0] * w[0])[:, None]]
@@ -227,11 +231,11 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
         span, shape, steps = layers[s]
         c, prev, t = coefs[span], tables[s + 1], np.empty(shape)
         for q, (cut, rows, cols, nxt) in enumerate(steps):
-            if kept is None:
+            if legs is None:
                 cand = flat.take(rows + cols)
                 cand *= c[cut]
             else:
-                cand = kept[s][q] * c[cut]
+                cand = legs[s][q] * c[cut]
             cand += prev.take(nxt)
             np.minimum.reduce(cand, axis=0, out=t[:, cut])
         tables[s] = t
@@ -284,6 +288,95 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
         latencies=lats,
         step_margins=tuple(step_margins),
     )
+
+
+class _RouteAnchor:
+    """The route of the most recent DP call, reused while it provably stays
+    the route the DP would return.  route(w) serves every route the solvers
+    use, with the latencies the DP computed for it.
+
+    Say the DP returned route p = (p_0 = node 1, p_1, ..., p_n) with
+    arrival times a_i (a_0 = 0) and per-step gaps g_s (TrpSolution.
+    step_margins) at weights w0, and let d = w - w0.  A route q that first
+    leaves p at step s visits p_1..p_{s-1} at p's times; every other node j
+    (p_s..p_n, and node 1, whose latency is the tour length) it reaches
+    after a_{s-1} and by H_s = a_{s-1} + rmax(p_{s-1}) + sum_{i>=s}
+    rmax(p_i), rmax(j) = max_k D[j, k], since q leaves p_{s-1} and each of
+    p_s..p_n once, by a leg no longer than that node's longest; p's own
+    latencies lie in the same range.  Hence
+        cost(q, w) - cost(p, w) = cost(q, w0) - cost(p, w0) + d . (lat(q) - lat(p))
+                                >= g_s - r_s,
+        r_s = sum_{j in {p_s..p_n, 1}} d_j+ (lat_j - a_{s-1}) + d_j- (H_s - lat_j),
+    with lat = lat(p) and d+ = max(d, 0), d- = max(-d, 0).  While every
+    g_s - r_s exceeds TIE_TOL plus a rounding allowance of
+    1e-9 (1 + cost(p, w0) + T ||d||_1), T = sum_j rmax(j), no other route
+    can enter the DP's tie band, so the DP would return p again, at cost
+    w @ lat(p): its own expression, so the value agrees bit for bit.  As
+    r_s <= T ||d||_1, every point where the margin min_s g_s exceeds
+    T ||d||_1 plus the same allowance is certified too.  Ties (g_s <= TIE_TOL)
+    never qualify, nor do non-finite weights, which the DP rejects: they
+    make the allowance inf or nan, and each comparison fails on nan.
+
+    D and the DP's node cap are checked once, at construction; an
+    uncertified route(w) checks w (core.as_weights) and runs the DP's
+    kernel, _held_karp, on them.  From the second uncertified call on,
+    the kernel fills from D's kept legs (_gather_legs, gathered on that
+    call and read-only) instead of gathering them from D on every call, with
+    the same result bit for bit.  They take (M-1)(M-2) * 2^M bytes, 72 KiB
+    at M = 10, 2.4 MiB at 14 and 13.1 MiB at 16, and are kept only within
+    _LEGS_MAX_BYTES (M <= 16); a solve that runs the DP once, as
+    sequential does, gathers none.
+    """
+
+    def __init__(self, D):
+        D = _dp_matrix(D)
+        self._D = D
+        self._rmax = D.max(axis=1).tolist()
+        self._reach = sum(self._rmax)
+        self._w0 = None
+        self._dp_calls = 0
+        self._legs = None
+
+    def route(self, w) -> tuple[list[int], np.ndarray]:
+        """(route, latencies) of the DP at weights w: reused when certified,
+        else solved; the DP's cost there is float(w @ latencies)."""
+        if self._w0 is not None and self._certifies((w - self._w0).tolist()):
+            return self._sol.route, self._sol.latencies
+        w_dp = as_weights(w, self._D.shape[0])
+        self._dp_calls += 1
+        if self._dp_calls == 2:
+            self._legs = _gather_legs(self._D)
+        sol = _held_karp(w_dp, self._D, self._legs)
+        self._w0, self._sol = w, sol
+        order = [i - 1 for i in sol.route]
+        lats, rmax = sol.latencies.tolist(), self._rmax
+        # One (node p_s, lat(p_s), a_{s-1}, H_s, g_s) per step s, last step
+        # first, after node 1, which joins every step's sums and has no gap.
+        steps, reach = [(0, lats[0], 0.0, 0.0, math.inf)], 0.0
+        for s in range(len(order) - 1, 0, -1):
+            j, prev = order[s], order[s - 1]
+            reach += rmax[j]
+            a = lats[prev] if s > 1 else 0.0
+            steps.append((j, lats[j], a, a + rmax[prev] + reach, sol.step_margins[s - 1]))
+        self._steps = steps
+        return sol.route, sol.latencies
+
+    def _certifies(self, dw) -> bool:
+        # g_s - r_s > tol at every step, with r_s's sums over {p_s..p_n, 1}
+        # accumulated from the last step back; nan fails every comparison.
+        tol = TIE_TOL + 1e-9 * (1.0 + self._sol.cost + self._reach * sum(map(abs, dw)))
+        up = up_lat = down = down_lat = 0.0
+        for j, lat, a, h, gap in self._steps:
+            d = dw[j]
+            if d > 0:
+                up += d
+                up_lat += d * lat
+            else:
+                down -= d
+                down_lat -= d * lat
+            if not gap - (up_lat - a * up + h * down - down_lat) > tol:
+                return False
+        return True
 
 
 def naive_route(w) -> list[int]:

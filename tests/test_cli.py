@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import pytest
 
 import repairroute.cli as cli_mod
 import repairroute.core as core_mod
+import repairroute.dataio as dataio_mod
 from repairroute.cli import main
 from repairroute.core import (
     LabeledDataset, cost1, cost2_exact, latency, sigmoid, softplus, standard_trp_cost,
@@ -686,6 +688,15 @@ class TestDemo:
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("method", ["am", "nm", "sequential"])
+    def test_fits_once(self, method, tmp_path, monkeypatch):
+        # The joint solve starts from the sequential solve's fit, not a
+        # refit, and sequential reuses that solve whole.
+        fits = count_calls(monkeypatch, learn_mod, "fit_logistic")
+        assert main(["demo", "--which", "four_node", "--method", method,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(fits) == 1
+
     def test_emitted_files_load_back(self, tmp_path):
         assert main(["demo", "--which", "six_node", "--out-dir", str(tmp_path)]) == 0
         data = load_labeled_csv(tmp_path / "train.csv")
@@ -1078,6 +1089,77 @@ class TestRejectedRunWritesNothing:
         assert main(["train", "--train", "t.csv", "--c2", "0.1", "--out-dir", str(out)]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
+
+
+class FailingWrite:
+    """A file opened for writing whose write raises the error a full disk
+    gives; closing it closes the real file."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+class TestAllOrNothingWrites:
+    """main writes every output of a run or none (dataio.write_texts)."""
+
+    def route_argv(self, tmp_path, out):
+        (tp, np_, dp), _, _, _ = problem(tmp_path, seed=1)
+        return ["route", "--train", tp, "--nodes", np_, "--distances", dp, "--c2", "0.2",
+                "--out-dir", str(out)]
+
+    def test_directory_target_exits_two_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "route.json").mkdir(parents=True)
+        assert main(self.route_argv(tmp_path, out)) == 2
+        assert f"error: output path is a directory: {out / 'route.json'}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["route.json"]
+        assert not any((out / "route.json").iterdir())
+
+    def test_failed_second_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = self.route_argv(tmp_path, out)
+        created = []
+
+        def failing_open(file, mode="r", *a, **k):
+            fh = open(file, mode, *a, **k)
+            if mode == "x":
+                created.append(Path(file))
+                if len(created) == 2:
+                    return FailingWrite(fh)
+            return fh
+
+        monkeypatch.setattr(dataio_mod, "open", failing_open, raising=False)
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(created) == 2 and all(p.parent == out for p in created)
+        assert not any(out.iterdir())
+
+    def test_existing_output_is_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "route.json").write_text("old\n")
+        assert main(self.route_argv(tmp_path, out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["model.json", "route.json"]
+        assert read_json(out / "route.json")["route"][0] == 1
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_modes_follow_the_umask(self, umask, mode, tmp_path):
+        old = os.umask(umask)
+        try:
+            dataio_mod.write_texts({tmp_path / "a.json": "{}\n", tmp_path / "b.txt": "b\n"})
+        finally:
+            os.umask(old)
+        for name in ("a.json", "b.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
 # The flags each command requires, in the order main checks them.

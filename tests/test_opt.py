@@ -368,7 +368,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
     the anchor certified it); returns those three and the result, with the
     spies removed."""
     solved, evals, looped = [], [], []
-    real_dp, real_eval = opt_mod._held_karp, opt_mod._objective
+    real_dp, real_eval = trp_mod._held_karp, opt_mod._objective
     real_nm = opt_mod.nelder_mead
 
     def spy_dp(w, D, legs=None):
@@ -386,7 +386,7 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
         looped.append(len(solved))
         return out
 
-    monkeypatch.setattr(opt_mod, "_held_karp", spy_dp)
+    monkeypatch.setattr(trp_mod, "_held_karp", spy_dp)
     monkeypatch.setattr(opt_mod, "_objective", spy_eval)
     monkeypatch.setattr(opt_mod, "nelder_mead", spy_nm)
     sol = solve("nm", data, nodes, D, cfg)
@@ -423,13 +423,13 @@ class TestMarginCertificate:
         # zero and up by one: the rays cross route changes, and every answer
         # must equal the DP's, whether reused or solved.
         calls = []
-        real_dp = opt_mod._held_karp
+        real_dp = trp_mod._held_karp
 
         def counting_dp(w, D, legs=None):
             calls.append(1)
             return real_dp(w, D, legs)
 
-        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
+        monkeypatch.setattr(trp_mod, "_held_karp", counting_dp)
         reused = changed = 0
         for seed in range(12):
             M = 4 + seed % 3
@@ -477,7 +477,7 @@ class MarginAnchor:
             r = self._reach * float(np.abs(w - self._w0).sum())
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
                 return self._route, self._lats
-        sol = opt_mod._held_karp(w, self._D)
+        sol = trp_mod._held_karp(w, self._D)
         self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
         self._route, self._lats = sol.route, latency(sol.route, self._D)
         return self._route, self._lats
@@ -539,6 +539,12 @@ class TestOneRouteSource:
         # Routes and their latencies come from the DP through the anchor.
         assert not hasattr(opt_mod, "latency") and not hasattr(opt_mod, "_latency")
 
+    @pytest.mark.parametrize("name", ["_held_karp", "_gather_legs", "_dp_matrix", "TIE_TOL"])
+    def test_opt_binds_no_dp_internals(self, name):
+        # The anchor lives beside the DP; opt reaches the DP only through it.
+        assert opt_mod._RouteAnchor is trp_mod._RouteAnchor
+        assert not hasattr(opt_mod, name)
+
     @pytest.mark.parametrize(
         "method, model, dp_calls",
         [("nm", "cost1", 30), ("am", "cost2", 4)],
@@ -551,7 +557,7 @@ class TestOneRouteSource:
         # the latencies itself.
         data, nodes, D = opt_instance(2, M=7)
         dp, lat = [], []
-        real_dp, real_lat = opt_mod._held_karp, core_mod._latency
+        real_dp, real_lat = trp_mod._held_karp, core_mod._latency
 
         def counting_dp(*a):
             dp.append(1)
@@ -561,7 +567,7 @@ class TestOneRouteSource:
             lat.append(1)
             return real_lat(*a)
 
-        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
+        monkeypatch.setattr(trp_mod, "_held_karp", counting_dp)
         monkeypatch.setattr(core_mod, "_latency", counting_lat)
         sol = solve(method, data, nodes, D, MltrpConfig(c2=0.2, c1=0.8, cost_model=model))
         assert len(dp) == dp_calls
@@ -578,7 +584,7 @@ class TestKeptLegs:
     def spy(monkeypatch):
         # (legs passed to the kernel, per DP call), gathers made
         passed, gathered = [], []
-        real_dp, real_gather = opt_mod._held_karp, opt_mod._gather_legs
+        real_dp, real_gather = trp_mod._held_karp, trp_mod._gather_legs
 
         def spy_dp(w, D, legs=None):
             passed.append(legs)
@@ -588,22 +594,24 @@ class TestKeptLegs:
             gathered.append(real_gather(D))
             return gathered[-1]
 
-        monkeypatch.setattr(opt_mod, "_held_karp", spy_dp)
-        monkeypatch.setattr(opt_mod, "_gather_legs", spy_gather)
+        monkeypatch.setattr(trp_mod, "_held_karp", spy_dp)
+        monkeypatch.setattr(trp_mod, "_gather_legs", spy_gather)
         return passed, gathered
 
     def test_gathered_on_the_second_uncertified_call(self, monkeypatch):
-        passed, gathered = self.spy(monkeypatch)
         w0, D = random_instance(3, 8)
+        queries = []
+        for k in range(1, 4):
+            w = w0.copy()
+            w[k] = 5.0
+            queries.append((w, solve_weighted_trp_dp(w, D)))  # before the spy sees DP calls
+        passed, gathered = self.spy(monkeypatch)
         anchor = opt_mod._RouteAnchor(D)
         anchor.route(w0)
         anchor.route(w0.copy())  # certified: no DP call
         assert passed == [None] and gathered == []
-        for k in range(1, 4):
-            w = w0.copy()
-            w[k] = 5.0
+        for w, fresh in queries:
             route, lats = anchor.route(w)
-            fresh = solve_weighted_trp_dp(w, D)
             assert route == fresh.route and lats.tobytes() == fresh.latencies.tobytes()
         assert len(passed) == 4 and len(gathered) == 1
         assert passed[0] is None and all(legs is gathered[0] for legs in passed[1:])
@@ -657,7 +665,7 @@ class TestAlternating:
     def test_single_round_counts(self, monkeypatch, small_blobs):
         _, nodes, D = opt_instance(8)
         dp_calls, descent_calls = [], []
-        real_dp = opt_mod._held_karp
+        real_dp = trp_mod._held_karp
         real_descent = opt_mod.minimize_descent
 
         def counting_dp(*a, **k):
@@ -668,7 +676,7 @@ class TestAlternating:
             descent_calls.append(1)
             return real_descent(*a, **k)
 
-        monkeypatch.setattr(opt_mod, "_held_karp", counting_dp)
+        monkeypatch.setattr(trp_mod, "_held_karp", counting_dp)
         monkeypatch.setattr(opt_mod, "minimize_descent", counting_descent)
         monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
         cfg = MltrpConfig(c2=0.2, c1=0.6)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -18,6 +19,14 @@ BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
 def popcount(masks):
     return sum(BYTE_POPCOUNT[(masks >> shift) & 0xFF] for shift in (0, 8, 16))
+
+
+def use_fill_rows(monkeypatch, fill_rows):
+    """Make the DP's fill steps fill_rows rows deep: _FILL_ROWS patched with a
+    fresh _layers cache, so undoing the patch restores the shipped cache and
+    no layout of another depth stays cached for later tests."""
+    monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+    monkeypatch.setattr(trp_mod, "_layers", functools.lru_cache(maxsize=1)(trp_mod._layers.__wrapped__))
 
 
 def latencies_agree(sol, w, D) -> bool:
@@ -191,7 +200,7 @@ class TestDp:
     @pytest.mark.parametrize("M", range(2, 13))
     def test_matches_per_mask_loop_exactly(self, M, kind, fill_rows, monkeypatch):
         # fill_rows=3 splits every step of the layered fill into small pieces.
-        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        use_fill_rows(monkeypatch, fill_rows)
         w, D = random_instance(100 + M, M, integer=kind == "integer_distances")
         if kind == "equal_weights":
             w = np.full(M, 0.3)
@@ -216,7 +225,7 @@ class TestDp:
         # completion (M = 6, 9 and 12 reach that branch for some of these
         # seeds).  Equal weights on integer distances make those completions
         # tie, which checks that the first of them is taken.
-        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        use_fill_rows(monkeypatch, fill_rows)
         w, D = random_instance(300 + seed, M, integer=kind == "tied")
         if kind == "tied":
             w = np.full(M, 0.3)
@@ -277,7 +286,7 @@ class TestDp:
     @staticmethod
     def check_pair_index(n):
         fill_rows = trp_mod._FILL_ROWS
-        pos, all_sets, layers = trp_mod._layers(n, fill_rows)
+        pos, all_sets, layers = trp_mod._layers(n)
         assert len(layers) == n
         assert pos.dtype == all_sets.dtype == np.int32 and pos.shape == (1 << n,)
         assert pos[(1 << n) - 1] == 0  # the full set is alone in its layer
@@ -335,7 +344,7 @@ class TestDp:
         # At 16 nodes the cached index plus the tables took 5.42 MiB with the
         # (C(15, s), 16) tables (index 1.42 MiB, tables 4.00 MiB).
         n = 15
-        pos, all_sets, layers = trp_mod._layers(n, trp_mod._FILL_ROWS)
+        pos, all_sets, layers = trp_mod._layers(n)
         index = pos.nbytes + all_sets.nbytes + sum(
             a.nbytes for _, _, steps in layers for step in steps for a in step[1:]
         )
@@ -367,7 +376,7 @@ class TestKeptLegs:
     def test_match_the_gathering_kernel(self, M, kind, fill_rows, monkeypatch):
         # The same legs serve every weight vector on their D, and each gives
         # the kernel's solution without them, bit for bit.
-        monkeypatch.setattr(trp_mod, "_FILL_ROWS", fill_rows)
+        use_fill_rows(monkeypatch, fill_rows)
         w, D = random_instance(700 + M, M, integer=kind in ("integer_distances", "twin"))
         if kind == "equal_weights":
             w = np.full(M, 0.3)
@@ -390,28 +399,12 @@ class TestKeptLegs:
     @pytest.mark.parametrize("M", [2, 3, 7, 12])
     def test_are_read_only_and_sized(self, M):
         w, D = random_instance(M, M)
-        fill_rows, legs = trp_mod._gather_legs(trp_mod._dp_matrix(D))
-        assert fill_rows == trp_mod._FILL_ROWS
+        legs = trp_mod._gather_legs(trp_mod._dp_matrix(D))
         arrays = [leg for layer in legs for leg in layer]
         assert sum(leg.nbytes for leg in arrays) == legs_nbytes(M)
         assert all(not leg.flags.writeable for leg in arrays)
         with pytest.raises(ValueError):
             arrays[-1][0, 0, 0] = 1.0
-
-    def test_follow_the_step_layout_they_were_gathered_for(self, monkeypatch):
-        # Gathered with 3-row steps, used after _FILL_ROWS changes back, and
-        # the other way round: the kernel fills in the legs' own steps.
-        w, D = random_instance(9, 9)
-        D = trp_mod._dp_matrix(D)
-        ref = trp_mod._held_karp(w, D)
-        for gather_rows, run_rows in ((3, trp_mod._FILL_ROWS), (trp_mod._FILL_ROWS, 3)):
-            monkeypatch.setattr(trp_mod, "_FILL_ROWS", gather_rows)
-            legs = trp_mod._gather_legs(D)
-            assert legs[0] == gather_rows
-            monkeypatch.setattr(trp_mod, "_FILL_ROWS", run_rows)
-            got = trp_mod._held_karp(w, D, legs)
-            assert (got.route, got.cost, got.step_margins) == (ref.route, ref.cost, ref.step_margins)
-            assert got.latencies.tobytes() == ref.latencies.tobytes()
 
     def test_budget(self, monkeypatch):
         # None past _LEGS_MAX_BYTES; the shipped budget admits 16 nodes, not 17.

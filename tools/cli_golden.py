@@ -17,8 +17,10 @@ standard JSON has no number: cost1 simulate on a copy of the five nodes
 whose failure probabilities are all about 1e-20, so no trial fails, the
 standard error is 0 and the z score is -inf, and the bound on a copy of the
 five nodes with all-zero features, whose constraint vector is 0, so the
-plane distance c_norm_inv and z_prime are inf.  Twelve runs are refused with
-exit code 2: simulate at 10**400 steps per unit (above 2**63 - 1),
+plane distance c_norm_inv and z_prime are inf.  Thirteen runs are refused
+with exit code 2: route into a folder whose route.json is already a
+directory (the refusal names that path, relative to OUT_DIR/inputs, and
+the run must leave no model.json or temp file beside it), simulate at 10**400 steps per unit (above 2**63 - 1),
 export-milp on a copy of the five nodes where one node's score is so low
 that its weight underflows to 0 (a zero-weight node would
 let the flow model close a subtour), cost1 simulate on the five-node
@@ -173,6 +175,7 @@ def invocations() -> dict:
                                        "--steps-per-unit", str(10**400)]
     runs["simultaneous_sequential_c1_overflow"] = ["simultaneous", *base, "--method", "sequential",
                                                    "--c1", "1e308"]
+    runs["route_blocked_output"] = ["route", *base]  # main makes its route.json a directory
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
     runs["simultaneous_test_without_grid"] = ["simultaneous", *base, "--c1", "0.5", "--test",
@@ -235,6 +238,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     from repairroute.cli import main as cli_main
 
+    (out / "route_blocked_output" / "route.json").mkdir(parents=True)
     log = []
     cwd = os.getcwd()
     os.chdir(inputs)
