@@ -11,7 +11,8 @@ and runs one of METHODS in between:
 * sequential: fit, then route the fitted weights (the C1 = 0 baseline);
 * nm: nelder_mead, a downhill simplex over lam on the objective with the
   route re-optimized exactly inside every evaluation (or certified
-  unchanged by the per-step gaps of the last exact solve);
+  unchanged by the per-step gaps of the last exact solve), finished by
+  am's fixed-route descent once the simplex is small and on one route;
 * am: alternating_minimization, exact routing alternated with damped
   Newton descent on lam at the frozen route.
 """
@@ -46,11 +47,13 @@ _WEIGHTS = {
 COST_MODELS = tuple(_WEIGHTS)
 METHODS = ("sequential", "nm", "am")
 
-# Nelder-Mead: evaluation budget, simplex-diameter stop, start-simplex size
-# relative to max(1, ||lam0||_inf), and the standard coefficients of Nelder
-# & Mead (1965).
+# Nelder-Mead: evaluation budget, simplex-diameter stop, the diameter
+# relative to max(1, ||lam_best||_inf) below which a simplex on one route
+# tries the fixed-route finish, start-simplex size relative to
+# max(1, ||lam0||_inf), and the standard coefficients of Nelder & Mead (1965).
 _NM_MAX_EVALS = 2000
 _NM_DIAM_TOL = 1e-8
+_NM_FINISH_DIAM = 1e-2
 _NM_SCALE = 0.1
 _NM_REFLECT = 1.0
 _NM_EXPAND = 2.0
@@ -146,7 +149,7 @@ def _objective(lam, data: LabeledDataset, nodes, anchor: _RouteAnchor, cfg: Mltr
     return training_error(lam, data, cfg.c2) + _anchored_route(lam, nodes, anchor, cfg)[3]
 
 
-def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
+def nelder_mead(f, lam0, piece=None, descend=None) -> tuple[np.ndarray, list]:
     """Downhill simplex minimizing the scalar function f from lam0; returns
     the best vertex and the best value after each iteration.
 
@@ -158,15 +161,30 @@ def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
     latter, with the simplex still wider, is logged as a warning on the
     "repairroute" logger.  A non-finite value raises ValueError naming the
     vertex.  Vertices of equal value keep their order (the sort is stable).
+
+    Given piece and descend, as solve gives them, the search may also
+    finish on one smooth piece of f.  piece() names the piece of f's most
+    recent evaluation by a value that compares with == (solve: the exact
+    route there), and descend(lam, p) returns the end of a descent on piece
+    p's smooth extension from lam, or None when it did not converge (solve:
+    the fixed-route damped Newton descent of alternating_minimization).
+    After each sort, once every vertex lies on one piece, the diameter is
+    below _NM_FINISH_DIAM * max(1, ||lam_best||_inf) and that piece has not
+    been tried, the search descends from the best vertex and evaluates f at
+    the end.  It stops there, with that value last in the trace, only if
+    the descent converged, the end lies on the same piece, and its value is
+    not above the best vertex's; otherwise the piece is marked tried and the
+    simplex goes on as if nothing happened.
     """
     lam0 = np.asarray(lam0, dtype=float).ravel()
     d = lam0.shape[0]
+    where = piece or (lambda: None)
 
     def value(v):
         val = f(v)
         if not math.isfinite(val):
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
-        return val
+        return val, where()
 
     scale = _NM_SCALE * max(1.0, float(np.abs(lam0).max()))
     verts = [lam0.copy()]
@@ -174,43 +192,58 @@ def nelder_mead(f, lam0) -> tuple[np.ndarray, list]:
         v = lam0.copy()
         v[j] += scale
         verts.append(v)
-    fvals = [value(v) for v in verts]
+    fvals, pieces = map(list, zip(*map(value, verts)))
     evals = d + 1
-    trace = []
+    trace, tried = [], []
     while True:
         idx = sorted(range(d + 1), key=fvals.__getitem__)
         verts = [verts[i] for i in idx]
         fvals = [fvals[i] for i in idx]
+        pieces = [pieces[i] for i in idx]
         trace.append(fvals[0])
         simplex = np.array(verts)
         diam = float(np.abs(simplex[1:] - simplex[0]).max())
         if diam < _NM_DIAM_TOL or evals >= _NM_MAX_EVALS:
             break
+        if (
+            descend is not None
+            and pieces.count(pieces[0]) == d + 1
+            and diam < _NM_FINISH_DIAM * max(1.0, float(np.abs(simplex[0]).max()))
+            and pieces[0] not in tried
+        ):
+            tried.append(pieces[0])
+            end = descend(verts[0], pieces[0])
+            if end is not None:
+                fe, pe = value(end)
+                evals += 1
+                if pe == pieces[0] and fe <= fvals[0]:
+                    trace.append(fe)
+                    return end, trace
         centroid = np.add.reduce(simplex[:-1]) / d  # np.mean's arithmetic, without its wrapper
         worst = verts[-1]
         xr = centroid + _NM_REFLECT * (centroid - worst)
-        fr = value(xr)
+        fr, pr = value(xr)
         evals += 1
         if fr < fvals[0]:
             xe = centroid + _NM_EXPAND * (centroid - worst)
-            fe = value(xe)
+            fe, pe = value(xe)
             evals += 1
-            verts[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
+            verts[-1], fvals[-1], pieces[-1] = (xe, fe, pe) if fe < fr else (xr, fr, pr)
         elif fr < fvals[-2]:
-            verts[-1], fvals[-1] = xr, fr
+            verts[-1], fvals[-1], pieces[-1] = xr, fr, pr
         else:
             # Contract on the reflected side when the reflection beat the
             # worst vertex, else on the worst vertex's side; shrink if that fails.
             outside = fr < fvals[-1]
             xc = centroid + (_NM_CONTRACT if outside else -_NM_CONTRACT) * (centroid - worst)
-            fc = value(xc)
+            fc, pc = value(xc)
             evals += 1
             if (fc <= fr) if outside else (fc < fvals[-1]):
-                verts[-1], fvals[-1] = xc, fc
+                verts[-1], fvals[-1], pieces[-1] = xc, fc, pc
             else:
                 for i in range(1, d + 1):
                     verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
-                    fvals[i] = value(verts[i])
+                    fvals[i], pieces[i] = value(verts[i])
                 evals += d
     if diam >= _NM_DIAM_TOL:
         import logging  # here, not at the top: the import adds about 0.45 MiB RSS
@@ -240,6 +273,17 @@ def _fixed_route_hessian(lam, lats, data, nodes, cfg: MltrpConfig) -> np.ndarray
     return training_hessian(lam, data, cfg.c2) + cfg.c1 * (nodes.T @ ((lats * wcurv)[:, None] * nodes))
 
 
+def _route_descent(lam, lats, data, nodes, cfg: MltrpConfig):
+    # Damped Newton descent (learn.minimize_descent with the exact Hessian)
+    # on _fixed_route_objective at the route whose latencies are lats, from lam.
+    return minimize_descent(
+        lambda v: _fixed_route_objective(v, lats, data, nodes, cfg),
+        lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
+        lam,
+        hess=lambda v: _fixed_route_hessian(v, lats, data, nodes, cfg),
+    )
+
+
 def alternating_minimization(
     lam, data: LabeledDataset, nodes: np.ndarray, anchor: _RouteAnchor, cfg: MltrpConfig
 ) -> tuple[np.ndarray, list]:
@@ -264,12 +308,7 @@ def alternating_minimization(
         route, lats, _, _ = _anchored_route(lam, nodes, anchor, cfg)
         if route == prev_route:
             break
-        res = minimize_descent(
-            lambda v: _fixed_route_objective(v, lats, data, nodes, cfg),
-            lambda v: _fixed_route_gradient(v, lats, data, nodes, cfg),
-            lam,
-            hess=lambda v: _fixed_route_hessian(v, lats, data, nodes, cfg),
-        )
+        res = _route_descent(lam, lats, data, nodes, cfg)
         if not res.converged:
             import logging  # here, not at the top: the import adds about 0.45 MiB RSS
 
@@ -290,8 +329,9 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
 
     lam starts at lam0, or at the plain logistic fit when lam0 is omitted;
     sequential always takes the fit (the C1 = 0 optimum) and stops there.
-    nm runs nelder_mead on _objective and am runs
-    alternating_minimization, both from that start.  Every route, the final
+    nm runs nelder_mead on _objective, with the exact route of each
+    evaluation as its piece and _route_descent as its fixed-route finish,
+    and am runs alternating_minimization, both from that start.  Every route, the final
     one included, comes from one _RouteAnchor on D, which skips the DP where
     its certificate shows the DP would return the anchor's route again, so
     values, trace and result are those of re-solving every time, bit for
@@ -309,7 +349,21 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     anchor = _RouteAnchor(D)
     trace = []
     if method == "nm":
-        lam, trace = nelder_mead(lambda v: _objective(v, data, nodes, anchor, cfg), lam)
+        lats_of = {}  # route -> its latencies, for every route NM has met
+
+        def route_now():
+            # The anchor's most recent answer is the route of its latest DP call.
+            route = tuple(anchor._sol.route)
+            lats_of[route] = anchor._sol.latencies
+            return route
+
+        def descend(v, route):
+            res = _route_descent(v, lats_of[route], data, nodes, cfg)
+            return res.lam if res.converged else None
+
+        lam, trace = nelder_mead(
+            lambda v: _objective(v, data, nodes, anchor, cfg), lam, route_now, descend
+        )
     elif method == "am":
         lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
     te = training_error(lam, data, cfg.c2)
@@ -354,13 +408,18 @@ def c1_sweep(
     """Trace the accuracy/cost trade-off over a grid of C1 values.
 
     All grid points share the same warm start (the plain logistic fit), so
-    rows differ only through C1.
+    rows differ only through C1.  Under sequential neither the fit nor its
+    route depends on C1, so one solve, at the grid's largest C1 (which
+    checks C1 times the route cost for overflow), serves every row.
     """
     grid = check_c1_grid(c1_grid)
-    lam0 = fit_logistic(data, cfg.c2).lam
+    if method == "sequential":
+        sols = [solve(method, data, nodes, D, replace(cfg, c1=max(grid)))] * len(grid)
+    else:
+        lam0 = fit_logistic(data, cfg.c2).lam
+        sols = (solve(method, data, nodes, D, replace(cfg, c1=c1), lam0) for c1 in grid)
     rows = []
-    for c1 in grid:
-        sol = solve(method, data, nodes, D, replace(cfg, c1=c1), lam0)
+    for c1, sol in zip(grid, sols):
         train_auc = auc(data.features @ sol.lam, data.labels)
         test_auc = (
             auc(test_data.features @ sol.lam, test_data.labels)

@@ -2,13 +2,16 @@
 
 solve_weighted_trp_dp minimizes cost1(route, w, D) over all routes that
 start at node 1, visit every node once, and close back at node 1.  Ties
-within an absolute tolerance of 1e-12 are broken toward the
+within a relative tolerance of TIE_TOL = 1e-12 of the optimum c* (routes
+costing at most c* + TIE_TOL * |c*|) are broken toward the
 lexicographically smallest route, so any exact solver with the same rule
-returns the same order.  The solution also reports, for each step s of
-its route, the gap: the least cost of a route that first leaves it at step
-s, minus the optimum (inf where no other node is free).  The least gap is
+returns the same order, and scaling the weights or the distances by any
+positive factor leaves the route unchanged.  The solution also reports,
+for each step s of its route, the gap: the least cost of a route that
+first leaves it at step s, minus the optimum (inf where no other node is
+free).  The least gap is
 the margin, the least cost of any other route minus the optimum, so a tie
-has margin <= TIE_TOL.
+has margin <= TIE_TOL * |c*|.
 
 The tables are layer-major: one contiguous (s, C(M-1, s)) table per subset
 size s, holding g[S, j] only for the last nodes j in S (node 1 alone when S
@@ -242,14 +245,14 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
     c_star = tables[0].item(0, 0)
 
     # Greedy reconstruction: at each step take the smallest next node whose
-    # completion stays within TIE_TOL of the optimum; if accumulated roundoff
-    # leaves none within it, the first node of least completion.  Every free
+    # completion stays within TIE_TOL * |c*| of the optimum; if accumulated
+    # roundoff leaves none within it, the first node of least completion.  Every free
     # node is evaluated, so the least completion not taken at a step is the
     # best route that first leaves there.  free_nodes is ascending, so the
     # visited bits below k, k's row in the next table, number k - i.  The
     # arrival times add the legs left to right from -0.0, the identity of
     # IEEE addition, so they are np.cumsum's bit for bit (core.latency).
-    limit = c_star + TIE_TOL
+    limit = c_star + TIE_TOL * abs(c_star)
     step_margins = []
     Dl = D.tolist()
     free_nodes = list(range(n))
@@ -311,11 +314,16 @@ class _RouteAnchor:
     g_s - r_s exceeds TIE_TOL plus a rounding allowance of
     1e-9 (1 + cost(p, w0) + T ||d||_1), T = sum_j rmax(j), no other route
     can enter the DP's tie band, so the DP would return p again, at cost
-    w @ lat(p): its own expression, so the value agrees bit for bit.  As
+    w @ lat(p): its own expression, so the value agrees bit for bit.  The
+    band is relative, TIE_TOL * c*(w) at w, and c*(w) = cost(p, w) <=
+    cost(p, w0) + T ||d||_1, so the band is at most a thousandth of the
+    allowance's 1e-9 (1 + cost(p, w0) + T ||d||_1), which therefore covers
+    it with room for rounding, and the certificate stays sound.  As
     r_s <= T ||d||_1, every point where the margin min_s g_s exceeds
-    T ||d||_1 plus the same allowance is certified too.  Ties (g_s <= TIE_TOL)
-    never qualify, nor do non-finite weights, which the DP rejects: they
-    make the allowance inf or nan, and each comparison fails on nan.
+    T ||d||_1 plus the same allowance is certified too.  Ties (g_s <=
+    TIE_TOL * c*(w0), below the allowance) never qualify, nor do non-finite
+    weights, which the DP rejects: they make the allowance inf or nan, and
+    each comparison fails on nan.
 
     D and the DP's node cap are checked once, at construction; an
     uncertified route(w) checks w (core.as_weights) and runs the DP's

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,15 @@ from repairroute.sim import SimRouteReport, _rng, _steps
 from repairroute.trp import TIE_TOL, TrpSolution
 
 _BF_MAX_NODES = 10
+
+
+def load_tool(name):
+    """Import tools/<name>.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def random_instance(seed, M, low=1.0, high=10.0, wlow=0.05, whigh=1.0, integer=False):
@@ -76,7 +87,8 @@ def solve_weighted_trp_bruteforce(w, D) -> TrpSolution:
     tails = range(1, M)
     costs = {tail: _walk_cost(tail, w, D) for tail in itertools.permutations(tails)}
     best = min(costs.values())
-    chosen = next(tail for tail, c in costs.items() if c <= best + TIE_TOL)  # lexicographic
+    band = TIE_TOL * abs(best)
+    chosen = next(tail for tail, c in costs.items() if c <= best + band)  # lexicographic
     leave = [math.inf] * (M - 1)
     for tail, c in costs.items():
         if tail != chosen:

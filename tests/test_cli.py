@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import math
@@ -34,7 +33,7 @@ from repairroute.learn import fit_logistic, training_gradient
 from repairroute.opt import MltrpConfig, node_weights, route_string, solve
 from repairroute.trp import naive_route, solve_weighted_trp_dp
 
-from conftest import blobs, random_instance
+from conftest import blobs, load_tool, random_instance
 
 GOLDEN = Path(__file__).parent / "data" / "cli_m2.lp"
 
@@ -106,15 +105,6 @@ def assert_priced(doc, route, lam, nodes, D):
     assert doc["route_string"] == route_string(route)
     assert doc["cost1"] == cost1(route, p, D)
     assert doc["cost2_exact"] == cost2_exact(route, rates, D)
-
-
-def load_tool(name):
-    """Import tools/<name>.py as a module."""
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 class TestLoaders:

@@ -2,20 +2,23 @@ import itertools
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repairroute.core as core_mod
+import repairroute.dataio as dataio_mod
 import repairroute.opt as opt_mod
 import repairroute.trp as trp_mod
 from repairroute.core import LabeledDataset, cost1, latency, standard_trp_cost
 from repairroute.demo import six_node
 import repairroute.learn as learn_mod
-from repairroute.learn import auc, fit_logistic, training_error
+from repairroute.learn import FitResult, auc, fit_logistic, training_error
 from repairroute.opt import (
     MltrpConfig,
     MltrpSolution,
+    SweepRow,
     c1_sweep,
     nelder_mead,
     node_weights,
@@ -33,6 +36,7 @@ from repairroute.trp import TIE_TOL, solve_weighted_trp_dp
 from conftest import (
     blobs,
     legs_nbytes,
+    load_tool,
     random_instance,
     solve_weighted_trp_bruteforce,
     twin_last_node,
@@ -478,7 +482,7 @@ class MarginAnchor:
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
                 return self._route, self._lats
         sol = trp_mod._held_karp(w, self._D)
-        self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
+        self._w0, self._sol, self._cost0, self._margin = w, sol, sol.cost, min(sol.step_margins)
         self._route, self._lats = sol.route, latency(sol.route, self._D)
         return self._route, self._lats
 
@@ -650,6 +654,166 @@ class TestKeptLegs:
         assert (kept.training_error, kept.traversal_cost, kept.combined_objective) == (
             bare.training_error, bare.traversal_cost, bare.combined_objective
         )
+
+
+def nm_mid_instance(seed, i):
+    """An instance shaped like the benchmark's nm_mid solves: 60 training rows
+    in two clusters at +-2.5 in 3 features, 10 nodes whose features lie in
+    [-2, 2] (node 1's are 0) at jittered points of a 4 x 4 grid on a 10 x 10
+    square, C1 = 0.5, C2 = 0.1 and the cost models alternating."""
+    rng = np.random.default_rng([seed, i])
+    data = LabeledDataset(
+        features=np.vstack([rng.normal(2.5, 1.0, (30, 3)), rng.normal(-2.5, 1.0, (30, 3))]),
+        labels=np.repeat([1.0, -1.0], 30),
+    )
+    nodes = np.zeros((10, 3))
+    nodes[1:] = rng.uniform(-2.0, 2.0, (9, 3))
+    cells = rng.choice(16, size=10, replace=False)
+    xy = (np.column_stack([cells % 4, cells // 4]) + rng.random((10, 2))) * 2.5
+    D = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+    return data, nodes, D, MltrpConfig(c2=0.1, c1=0.5, cost_model=("cost1", "cost2")[i % 2])
+
+
+def golden_problems(folder):
+    """The five-node, tied-twin fourteen-node and ten-node plane problems of
+    tools/cli_golden.py, with its C1 = 0.5 and C2 = 0.2, under both cost
+    models."""
+    load_tool("cli_golden").write_inputs(folder)
+    data = dataio_mod.load_labeled_csv(folder / "train.csv")
+    for tag in ("", "14", "10"):
+        nodes = dataio_mod.load_nodes_csv(folder / f"nodes{tag}.csv")
+        D = dataio_mod.load_distances_csv(folder / f"dist{tag}.csv")
+        for model in ("cost1", "cost2"):
+            yield data, nodes, D, MltrpConfig(c2=0.2, c1=0.5, cost_model=model)
+
+
+def record_descents(monkeypatch):
+    """Every fixed-route descent's (start, result) in the order they run."""
+    runs = []
+    real = opt_mod._route_descent
+
+    def spy(lam, *a):
+        runs.append((lam.copy(), real(lam, *a)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(opt_mod, "_route_descent", spy)
+    return runs
+
+
+def without_finish(monkeypatch, data, nodes, D, cfg):
+    """solve("nm") with the fixed-route finish disabled."""
+    with monkeypatch.context() as m:
+        m.setattr(opt_mod, "_NM_FINISH_DIAM", 0.0)
+        return solve("nm", data, nodes, D, cfg)
+
+
+class TestCertifiedFinish:
+    """Nelder-Mead ends with AM's fixed-route descent once its simplex is
+    small and on one route, and keeps the result only where it is certified."""
+
+    @staticmethod
+    def check_against_plain_nm(sol, plain):
+        assert sol.combined_objective <= plain.combined_objective + 1e-12 * abs(
+            plain.combined_objective
+        )
+        assert all(b <= a for a, b in zip(sol.trace, sol.trace[1:]))
+        assert sol.trace[-1] == sol.combined_objective
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_never_above_plain_nm_on_nm_mid_instances(self, seed, monkeypatch):
+        # 16 solves per seed, as one benchmark pass makes; the finish is
+        # accepted on every one of them and saves most evaluations.
+        accepted = 0
+        for i in range(16):
+            data, nodes, D, cfg = nm_mid_instance(seed, i)
+            runs = record_descents(monkeypatch)
+            sol = solve("nm", data, nodes, D, cfg)
+            monkeypatch.undo()
+            plain = without_finish(monkeypatch, data, nodes, D, cfg)
+            self.check_against_plain_nm(sol, plain)
+            assert sol.route == plain.route
+            accepted += bool(runs) and sol.lam is runs[-1][1].lam
+            assert len(sol.trace) < len(plain.trace)
+        assert accepted == 16
+
+    def test_never_above_plain_nm_on_the_golden_problems(self, tmp_path, monkeypatch):
+        # Includes the tied-twin fourteen-node graph, where no DP call is
+        # certified and the finish's route check runs the DP.
+        for data, nodes, D, cfg in golden_problems(tmp_path):
+            runs = record_descents(monkeypatch)
+            sol = solve("nm", data, nodes, D, cfg)
+            monkeypatch.undo()
+            self.check_against_plain_nm(sol, without_finish(monkeypatch, data, nodes, D, cfg))
+            assert runs and all(res.converged for _, res in runs)
+            assert sol.lam is runs[-1][1].lam
+
+    @pytest.mark.parametrize("M", range(6, 10))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_accepted_finish_needs_no_final_dp_call(self, M, model, monkeypatch):
+        # The finish evaluated the objective at the returned lam, so the
+        # anchor certifies the final route there without a DP call.
+        data, nodes, D = opt_instance(40 + M, M=M)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        runs = record_descents(monkeypatch)
+        solved, evals, final, sol = spy_nelder_mead(monkeypatch, data, nodes, D, cfg)
+        assert sol.lam is runs[-1][1].lam
+        assert np.array_equal(evals[-1][0], sol.lam) and evals[-1][1] == sol.trace[-1]
+        assert final == 0
+        assert len(solved) == len(evals) - sum(a is not None for _, _, a in evals)
+
+    @pytest.mark.parametrize("refusal", ["other_route", "above_best", "unconverged"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_refused_finish_leaves_nm_unchanged(self, refusal, model, monkeypatch):
+        # Each landing fails one acceptance condition and passes the others:
+        # on another route with an objective made to read far below the best
+        # vertex's; uphill on the same route; or at the best vertex itself but
+        # unconverged.  NM then goes on exactly as without the finish, and
+        # tries each route at most once.
+        data, nodes, D = opt_instance(7, M=7)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        plain = without_finish(monkeypatch, data, nodes, D, cfg)
+        tried = []
+
+        def fake_descent(fun, grad, x0, hess):
+            g = grad(x0)
+            if refusal == "other_route":
+                end = -3.0 * x0
+            elif refusal == "above_best":
+                end = x0 + 1e-6 * g / np.linalg.norm(g)
+            else:
+                end = x0.copy()
+            tried.append((x0.copy(), end, fun(x0), fun(end)))
+            return FitResult(lam=end, loss=fun(end), grad_norm=0.0, iterations=1,
+                             converged=refusal != "unconverged")
+
+        real_objective = opt_mod._objective
+
+        def objective(lam, *a):
+            val = real_objective(lam, *a)
+            landed = refusal == "other_route" and any(lam is end for _, end, _, _ in tried)
+            return val - 1e6 if landed else val
+
+        monkeypatch.setattr(opt_mod, "minimize_descent", fake_descent)
+        monkeypatch.setattr(opt_mod, "_objective", objective)
+        sol = solve("nm", data, nodes, D, cfg)
+        monkeypatch.undo()
+        assert tried
+        assert sol.lam.tobytes() == plain.lam.tobytes() and sol.trace == plain.trace
+        assert (sol.route, sol.combined_objective) == (plain.route, plain.combined_objective)
+        routes = []
+        for x0, end, f0, f_end in tried:
+            w0, w_end = (node_weights(v, nodes, model) for v in (x0, end))
+            route = solve_weighted_trp_dp(w0, D).route
+            assert route not in routes
+            routes.append(route)
+            same = solve_weighted_trp_dp(w_end, D).route == route
+            if refusal == "other_route":
+                assert not same
+            elif refusal == "above_best":
+                assert same and f_end > f0
+                assert reference_objective(end, data, nodes, D, cfg) > reference_objective(
+                    x0, data, nodes, D, cfg
+                )
 
 
 class TestAlternating:
@@ -861,6 +1025,38 @@ class TestSweep:
         )
         for row in rows:
             assert 0.0 <= row.test_auc <= 1.0
+
+    def test_sequential_sweep_fits_and_routes_once(self, small_blobs, monkeypatch):
+        # Neither the fit nor its route depends on C1, so one solve serves
+        # every row, and the rows are those of solving at each C1.
+        _, nodes, D = opt_instance(6)
+        test_data = blobs(98, per_side=10)
+        cfg, grid = MltrpConfig(c2=0.2), [0.0, 0.25, 1.0, 4.0]
+        old = []
+        for c1 in grid:
+            sol = solve("sequential", small_blobs, nodes, D, replace(cfg, c1=c1))
+            old.append(SweepRow(
+                c1=c1, train_auc=auc(small_blobs.features @ sol.lam, small_blobs.labels),
+                test_auc=auc(test_data.features @ sol.lam, test_data.labels),
+                traversal_cost=sol.traversal_cost, train_loss=sol.training_error,
+                route=sol.route,
+            ))
+        fits, dps = [], []
+        real_fit, real_dp = opt_mod.fit_logistic, trp_mod._held_karp
+
+        def counting_fit(*a):
+            fits.append(1)
+            return real_fit(*a)
+
+        def counting_dp(*a):
+            dps.append(1)
+            return real_dp(*a)
+
+        monkeypatch.setattr(opt_mod, "fit_logistic", counting_fit)
+        monkeypatch.setattr(trp_mod, "_held_karp", counting_dp)
+        rows = c1_sweep(small_blobs, nodes, D, cfg, grid, method="sequential", test_data=test_data)
+        assert (len(fits), len(dps)) == (1, 1)
+        assert rows == old
 
     def test_rejects_bad_grids(self, small_blobs):
         _, nodes, D = opt_instance(4)

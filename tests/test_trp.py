@@ -46,7 +46,7 @@ def loop_dp(w, D, fallbacks=None):
     greedy reconstruction.  Returns (route, cost, gaps), gaps[s - 1] being
     the least completion not taken at step s minus c* (inf where one node is
     free); appends to `fallbacks`, if given, each step at which no
-    completion came within TIE_TOL of c*."""
+    completion came within the DP's band, trp.TIE_TOL * |c*|, of c*."""
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     M = D.shape[0]
@@ -75,7 +75,8 @@ def loop_dp(w, D, fallbacks=None):
     for _ in range(n):
         free = [k for k in range(n) if not mask >> k & 1]
         totals = [acc + D[last, k + 1] * coef[mask] + g[mask | (1 << k), k + 1] for k in free]
-        within = [i for i, total in enumerate(totals) if total <= c_star + TIE_TOL]
+        band = trp_mod.TIE_TOL * abs(c_star)
+        within = [i for i, total in enumerate(totals) if total <= c_star + band]
         if within:
             i = within[0]
         else:
@@ -220,11 +221,11 @@ class TestDp:
     @pytest.mark.parametrize("M", [2, 6, 9, 12])
     def test_matches_per_mask_loop_past_tie_tolerance(self, M, scale, kind, seed, fill_rows,
                                                        monkeypatch):
-        # At these scales the rebuilt route's running sum can miss c* by more
-        # than TIE_TOL, so the reconstruction falls back to the least
-        # completion (M = 6, 9 and 12 reach that branch for some of these
-        # seeds).  Equal weights on integer distances make those completions
-        # tie, which checks that the first of them is taken.
+        # The tie band is relative, so at these scales the rebuilt route's
+        # running sum stays within it as at scale 1, and the walk takes the
+        # same routes as the per-mask loop.  Equal weights on integer
+        # distances make completions tie, which checks that the first of
+        # them is taken.
         use_fill_rows(monkeypatch, fill_rows)
         w, D = random_instance(300 + seed, M, integer=kind == "tied")
         if kind == "tied":
@@ -468,10 +469,13 @@ class TestMargin:
         assert solve_weighted_trp_bruteforce(w, D).step_margins == (math.inf,)
 
     @pytest.mark.parametrize("M", range(3, 9))
-    def test_scaled_distances_take_the_argmin_fallback(self, M):
-        # At D * 1e9 the rebuilt route's running sum misses c* by more than
-        # TIE_TOL on some of these seeds; evaluating every free node must
+    def test_scaled_distances_take_the_argmin_fallback(self, M, monkeypatch):
+        # With no tie band the rebuilt route's running sum misses c* by its
+        # rounding on some of these seeds; evaluating every free node must
         # still take the first least completion, as the per-mask loop does.
+        # (The relative band covers that rounding, so with it no walk here
+        # falls back.)
+        monkeypatch.setattr(trp_mod, "TIE_TOL", 0.0)
         fallbacks = []
         for seed in range(300, 310):
             w, D = random_instance(seed, M)
@@ -481,6 +485,58 @@ class TestMargin:
             ref = solve_weighted_trp_bruteforce(w, D)
             assert abs(min(sol.step_margins) - min(ref.step_margins)) <= 1e-12 * (1.0 + sol.cost)
         assert fallbacks
+
+
+def plane_instance(seed, M, scale):
+    """Euclidean distances between M random points in a 10 x 10 square and
+    weights uniform(0.1, 1) times scale."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 10.0, (M, 2))
+    D = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    return rng.uniform(0.1, 1.0, M) * scale, D
+
+
+def tied_grid_instance(seed, M=6):
+    """L1 distances between M integer grid points and weights in {1, 2, 3}/3,
+    so that many routes tie exactly."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 4, (M, 2)).astype(float)
+    D = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    return rng.integers(1, 4, M) / 3.0, D
+
+
+class TestRelativeTieBand:
+    """The DP's tie band is TIE_TOL * |c*|, so neither the optimum nor the
+    tie rule depends on the scale of the weights or of the distances."""
+
+    @staticmethod
+    def optimum(w, D):
+        return min(cost1(route, w, D) for route in enumerate_routes(D.shape[0]))
+
+    @pytest.mark.parametrize("M", range(5, 9))
+    def test_equal_tiny_weights_get_the_optimum(self, M):
+        for seed in range(3):
+            _, D = random_instance(900 + 10 * M + seed, M)
+            w = np.full(M, 1e-20)
+            best = self.optimum(w, D)
+            assert abs(solve_weighted_trp_dp(w, D).cost - best) <= 1e-12 * best, seed
+
+    def test_tiny_plane_weights_get_the_optimum(self):
+        for seed in range(100):
+            w, D = plane_instance(seed, 6, 1e-13)
+            best = self.optimum(w, D)
+            assert abs(solve_weighted_trp_dp(w, D).cost - best) <= 1e-12 * best, seed
+
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_route_does_not_depend_on_units(self, chunk):
+        # Scaling D or w by s scales every route's cost by s, so the DP must
+        # return the oracle's lexicographically first tied route at every s.
+        for seed in range(60 * chunk, 60 * chunk + 60):
+            w, D = tied_grid_instance(seed)
+            want = solve_weighted_trp_bruteforce(w, D).route
+            for s in 10.0 ** np.arange(-9, 10, 3):
+                assert solve_weighted_trp_dp(w, s * D).route == want, (seed, s, "D")
+                assert solve_weighted_trp_dp(s * w, D).route == want, (seed, s, "w")
 
 
 class TestNaiveRoute:

@@ -4,9 +4,10 @@
 
 Generates small seeded input CSVs under OUT_DIR/inputs, then runs every
 subcommand of ``repairroute.cli.main`` in-process: both cost models, all
-three methods, simulate at one and at four steps per unit, both demos (one
-also under cost2), and the bound with explicit caps, with --train, with a
-vacuous budget and with a void one.  One more cost1 simulate, at 64 steps
+three methods, a C1 sweep over the grid 0, 0.25, 1 under each method,
+simulate at one and at four steps per unit, both demos (one also under
+cost2), and the bound with explicit caps, with --train, with a vacuous
+budget and with a void one.  One more cost1 simulate, at 64 steps
 per unit on the five-node graph with every distance four times as long,
 has a node whose binomial draw has n * min(p, 1 - p) > 30, so numpy's BTPE
 sampler is reached as well as its inversion.  A cost2 simulate at 2**62
@@ -178,6 +179,10 @@ def invocations() -> dict:
     runs["route_blocked_output"] = ["route", *base]  # main makes its route.json a directory
     runs["simultaneous_sweep"] = ["simultaneous", *base, "--c1", "0.5", "--c1-grid", "0,0.25,1",
                                   "--test", "test.csv"]
+    for method in ("sequential", "nm"):
+        runs[f"simultaneous_sweep_{method}"] = ["simultaneous", *base, "--method", method, "--c1",
+                                                "0.5", "--c1-grid", "0,0.25,1", "--test",
+                                                "test.csv"]
     runs["simultaneous_test_without_grid"] = ["simultaneous", *base, "--c1", "0.5", "--test",
                                               "test.csv"]
     runs["simultaneous_sweep_one_class_test"] = ["simultaneous", *base, "--c1", "0.5",
