@@ -65,6 +65,20 @@ def _check_header(header: list[str], path) -> list[str]:
     return names
 
 
+def _numeric_rows(rows, path, first_line: int, width: int, shape: str = "", cells=None):
+    """Yield (line number, numbers) for each of rows in turn, numbered from
+    first_line.  A row without exactly `width` fields is refused ("expected
+    {width} fields{shape}, got k"); otherwise its first `cells` fields (all
+    by default) go through _parse_float.  No rows at all are refused as "no
+    data rows"."""
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    for line_no, row in enumerate(rows, start=first_line):
+        if len(row) != width:
+            raise ValidationError(f"{path}:{line_no}: expected {width} fields{shape}, got {len(row)}")
+        yield line_no, [_parse_float(c, path, line_no) for c in row[:cells]]
+
+
 def load_labeled_csv(path) -> LabeledDataset:
     """Read feature rows with a trailing -1/+1 label column."""
     rows = _read_rows(path)
@@ -74,18 +88,13 @@ def load_labeled_csv(path) -> LabeledDataset:
     if len(names) < 2:
         raise ValidationError(f"{path}:1: need at least one feature column")
     feats, labels = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names):
-            raise ValidationError(
-                f"{path}:{line_no}: expected {len(names)} fields, got {len(row)}"
-            )
-        feats.append([_parse_float(c, path, line_no) for c in row[:-1]])
+    numbered = _numeric_rows(rows[1:], path, 2, len(names), cells=-1)
+    for (line_no, numbers), row in zip(numbered, rows[1:]):
+        feats.append(numbers)
         lab = row[-1].strip()
         if lab not in ("-1", "+1", "1"):
             raise ValidationError(f"{path}:{line_no}: label must be -1 or +1, got {lab!r}")
         labels.append(float(lab))
-    if not feats:
-        raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(features=np.array(feats), labels=np.array(labels))
 
 
@@ -95,29 +104,15 @@ def load_nodes_csv(path) -> np.ndarray:
     names = _check_header(rows[0], path)
     if "label" in names:
         raise ValidationError(f"{path}:1: node files must not carry a label column")
-    feats = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names):
-            raise ValidationError(
-                f"{path}:{line_no}: expected {len(names)} fields, got {len(row)}"
-            )
-        feats.append([_parse_float(c, path, line_no) for c in row])
-    if not feats:
-        raise ValidationError(f"{path}: no data rows")
-    return np.array(feats)
+    return np.array([numbers for _, numbers in _numeric_rows(rows[1:], path, 2, len(names))])
 
 
 def load_distances_csv(path) -> np.ndarray:
     """Read a square travel-cost matrix, no header row."""
     rows = _read_rows(path)
     M = len(rows)
-    mat = []
-    for line_no, row in enumerate(rows, start=1):
-        if len(row) != M:
-            raise ValidationError(
-                f"{path}:{line_no}: expected {M} fields for a {M}x{M} matrix, got {len(row)}"
-            )
-        mat.append([_parse_float(c, path, line_no) for c in row])
+    shape = f" for a {M}x{M} matrix"
+    mat = [numbers for _, numbers in _numeric_rows(rows, path, 1, M, shape)]
     try:
         return as_distance_matrix(np.array(mat))
     except ValueError as exc:

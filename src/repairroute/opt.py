@@ -144,14 +144,25 @@ def _anchored_route(lam, nodes, anchor: _RouteAnchor, cfg: MltrpConfig):
     return route, lats, cost, term
 
 
-def _objective(lam, data: LabeledDataset, nodes, anchor: _RouteAnchor, cfg: MltrpConfig) -> float:
-    # The combined objective with the route re-optimized exactly for lam.
-    return training_error(lam, data, cfg.c2) + _anchored_route(lam, nodes, anchor, cfg)[3]
+def _warn(msg, *args):
+    # A warning on the "repairroute" logger.  logging is imported here, not
+    # at the top: the import adds about 0.45 MiB RSS.
+    import logging
+
+    logging.getLogger("repairroute").warning(msg, *args)
 
 
-def nelder_mead(f, lam0, piece=None, descend=None) -> tuple[np.ndarray, list]:
-    """Downhill simplex minimizing the scalar function f from lam0; returns
-    the best vertex and the best value after each iteration.
+def _objective(lam, data: LabeledDataset, nodes, anchor: _RouteAnchor, cfg: MltrpConfig):
+    # (value, route as a tuple, latencies) of the combined objective with the
+    # route re-optimized exactly for lam.
+    te = training_error(lam, data, cfg.c2)
+    route, lats, _, term = _anchored_route(lam, nodes, anchor, cfg)
+    return te + term, tuple(route), lats
+
+
+def nelder_mead(f, lam0, descend=None) -> tuple[np.ndarray, list]:
+    """Downhill simplex minimizing f from lam0, where f(v) returns (value,
+    piece); returns the best vertex and the best value after each iteration.
 
     The starting simplex sits at lam0 plus one axis perturbation per
     coordinate, scaled by _NM_SCALE * max(1, ||lam0||_inf).  Steps use the
@@ -160,99 +171,93 @@ def nelder_mead(f, lam0, piece=None, descend=None) -> tuple[np.ndarray, list]:
     falls under _NM_DIAM_TOL or _NM_MAX_EVALS evaluations are spent, and the
     latter, with the simplex still wider, is logged as a warning on the
     "repairroute" logger.  A non-finite value raises ValueError naming the
-    vertex.  Vertices of equal value keep their order (the sort is stable).
+    vertex.  The simplex is one list of (value, piece, vertex) records, and
+    records of equal value keep their order (the sort is stable).
 
-    Given piece and descend, as solve gives them, the search may also
-    finish on one smooth piece of f.  piece() names the piece of f's most
-    recent evaluation by a value that compares with == (solve: the exact
-    route there), and descend(lam, p) returns the end of a descent on piece
-    p's smooth extension from lam, or None when it did not converge (solve:
-    the fixed-route damped Newton descent of alternating_minimization).
-    After each sort, once every vertex lies on one piece, the diameter is
-    below _NM_FINISH_DIAM * max(1, ||lam_best||_inf) and that piece has not
-    been tried, the search descends from the best vertex and evaluates f at
-    the end.  It stops there, with that value last in the trace, only if
-    the descent converged, the end lies on the same piece, and its value is
-    not above the best vertex's; otherwise the piece is marked tried and the
-    simplex goes on as if nothing happened.
+    The piece names the smooth piece of f that the evaluation lay on by a
+    value that compares with == (solve: the exact route there; None where f
+    has one piece).  Given descend, as solve gives it, the search may also
+    finish on one piece: descend(lam, p) returns the end of a descent on
+    piece p's smooth extension from lam, or None when it did not converge
+    (solve: the fixed-route damped Newton descent of
+    alternating_minimization).  After each sort, once every vertex lies on
+    one piece, the diameter is below _NM_FINISH_DIAM * max(1,
+    ||lam_best||_inf) and that piece has not been tried, the search descends
+    from the best vertex and evaluates f at the end.  It stops there, with
+    that value last in the trace, only if the descent converged, the end
+    lies on the same piece, and its value is not above the best vertex's;
+    otherwise the piece is marked tried and the simplex goes on as if
+    nothing happened.
     """
     lam0 = np.asarray(lam0, dtype=float).ravel()
     d = lam0.shape[0]
-    where = piece or (lambda: None)
 
-    def value(v):
-        val = f(v)
+    def record(v):
+        val, piece = f(v)
         if not math.isfinite(val):
             raise ValueError(f"non-finite objective at simplex vertex {v.tolist()}")
-        return val, where()
+        return val, piece, v
 
     scale = _NM_SCALE * max(1.0, float(np.abs(lam0).max()))
-    verts = [lam0.copy()]
+    starts = [lam0.copy()]
     for j in range(d):
         v = lam0.copy()
         v[j] += scale
-        verts.append(v)
-    fvals, pieces = map(list, zip(*map(value, verts)))
+        starts.append(v)
+    simplex = [record(v) for v in starts]
     evals = d + 1
     trace, tried = [], []
     while True:
-        idx = sorted(range(d + 1), key=fvals.__getitem__)
-        verts = [verts[i] for i in idx]
-        fvals = [fvals[i] for i in idx]
-        pieces = [pieces[i] for i in idx]
-        trace.append(fvals[0])
-        simplex = np.array(verts)
-        diam = float(np.abs(simplex[1:] - simplex[0]).max())
+        simplex.sort(key=lambda r: r[0])
+        best_val, best_piece, best = simplex[0]
+        trace.append(best_val)
+        verts = np.array([v for _, _, v in simplex])
+        diam = float(np.abs(verts[1:] - verts[0]).max())
         if diam < _NM_DIAM_TOL or evals >= _NM_MAX_EVALS:
             break
         if (
             descend is not None
-            and pieces.count(pieces[0]) == d + 1
-            and diam < _NM_FINISH_DIAM * max(1.0, float(np.abs(simplex[0]).max()))
-            and pieces[0] not in tried
+            and all(p == best_piece for _, p, _ in simplex)
+            and diam < _NM_FINISH_DIAM * max(1.0, float(np.abs(best).max()))
+            and best_piece not in tried
         ):
-            tried.append(pieces[0])
-            end = descend(verts[0], pieces[0])
+            tried.append(best_piece)
+            end = descend(best, best_piece)
             if end is not None:
-                fe, pe = value(end)
+                fe, pe, _ = record(end)
                 evals += 1
-                if pe == pieces[0] and fe <= fvals[0]:
+                if pe == best_piece and fe <= best_val:
                     trace.append(fe)
                     return end, trace
-        centroid = np.add.reduce(simplex[:-1]) / d  # np.mean's arithmetic, without its wrapper
+        centroid = np.add.reduce(verts[:-1]) / d  # np.mean's arithmetic, without its wrapper
         worst = verts[-1]
-        xr = centroid + _NM_REFLECT * (centroid - worst)
-        fr, pr = value(xr)
+        reflected = record(centroid + _NM_REFLECT * (centroid - worst))
         evals += 1
-        if fr < fvals[0]:
-            xe = centroid + _NM_EXPAND * (centroid - worst)
-            fe, pe = value(xe)
+        if reflected[0] < best_val:
+            expanded = record(centroid + _NM_EXPAND * (centroid - worst))
             evals += 1
-            verts[-1], fvals[-1], pieces[-1] = (xe, fe, pe) if fe < fr else (xr, fr, pr)
-        elif fr < fvals[-2]:
-            verts[-1], fvals[-1], pieces[-1] = xr, fr, pr
+            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < simplex[-2][0]:
+            simplex[-1] = reflected
         else:
             # Contract on the reflected side when the reflection beat the
             # worst vertex, else on the worst vertex's side; shrink if that fails.
-            outside = fr < fvals[-1]
-            xc = centroid + (_NM_CONTRACT if outside else -_NM_CONTRACT) * (centroid - worst)
-            fc, pc = value(xc)
+            outside = reflected[0] < simplex[-1][0]
+            contracted = record(
+                centroid + (_NM_CONTRACT if outside else -_NM_CONTRACT) * (centroid - worst)
+            )
             evals += 1
-            if (fc <= fr) if outside else (fc < fvals[-1]):
-                verts[-1], fvals[-1], pieces[-1] = xc, fc, pc
+            if (contracted[0] <= reflected[0]) if outside else (contracted[0] < simplex[-1][0]):
+                simplex[-1] = contracted
             else:
-                for i in range(1, d + 1):
-                    verts[i] = verts[0] + _NM_SHRINK * (verts[i] - verts[0])
-                    fvals[i], pieces[i] = value(verts[i])
+                simplex[1:] = [record(best + _NM_SHRINK * (v - best)) for _, _, v in simplex[1:]]
                 evals += d
     if diam >= _NM_DIAM_TOL:
-        import logging  # here, not at the top: the import adds about 0.45 MiB RSS
-
-        logging.getLogger("repairroute").warning(
+        _warn(
             "Nelder-Mead stopped after %d evaluations (budget %d) with simplex diameter %.3g",
             evals, _NM_MAX_EVALS, diam,
         )
-    return verts[0], trace
+    return simplex[0][2], trace
 
 
 def _fixed_route_objective(lam, lats, data, nodes, cfg: MltrpConfig) -> float:
@@ -297,22 +302,25 @@ def alternating_minimization(
     half-steps can only lower the objective, up to 16 eps |f| rounding in the
     descent's last steps, so the recorded trace is non-increasing to that
     precision.  A descent that stops unconverged is logged as a warning on
-    the "repairroute" logger.  The loop stops early once the route repeats:
-    the following lam step would start at its own minimizer and move
-    nowhere; otherwise _AM_ROUNDS rounds run.  lam is a float vector and
-    nodes a 2-D float array of its width.
+    the "repairroute" logger.  The loop stops once the route repeats: the
+    following lam step would start at its own minimizer and move nowhere.
+    After _AM_ROUNDS rounds it takes the route at the final lam and stops
+    there too; if that route is new, the cap stopped AM early, and that is
+    logged as a warning as well.  lam is a float vector and nodes a 2-D
+    float array of its width.
     """
     prev_route = None
     trace = []
-    for rnd in range(1, _AM_ROUNDS + 1):
+    for rnd in range(1, _AM_ROUNDS + 2):
         route, lats, _, _ = _anchored_route(lam, nodes, anchor, cfg)
         if route == prev_route:
             break
+        if rnd > _AM_ROUNDS:
+            _warn("AM stopped at its cap of %d rounds before the route repeated", _AM_ROUNDS)
+            break
         res = _route_descent(lam, lats, data, nodes, cfg)
         if not res.converged:
-            import logging  # here, not at the top: the import adds about 0.45 MiB RSS
-
-            logging.getLogger("repairroute").warning(
+            _warn(
                 "AM round %d: fixed-route descent stopped unconverged after %d iterations, "
                 "|grad| = %.3g",
                 rnd, res.iterations, res.grad_norm,
@@ -329,9 +337,10 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
 
     lam starts at lam0, or at the plain logistic fit when lam0 is omitted;
     sequential always takes the fit (the C1 = 0 optimum) and stops there.
-    nm runs nelder_mead on _objective, with the exact route of each
-    evaluation as its piece and _route_descent as its fixed-route finish,
-    and am runs alternating_minimization, both from that start.  Every route, the final
+    nm runs nelder_mead on _objective, with the exact route that each
+    evaluation returns as its piece and _route_descent on that route's
+    latencies, from the same evaluation, as its fixed-route finish; am runs
+    alternating_minimization; both start there.  Every route, the final
     one included, comes from one _RouteAnchor on D, which skips the DP where
     its certificate shows the DP would return the anchor's route again, so
     values, trace and result are those of re-solving every time, bit for
@@ -351,19 +360,16 @@ def solve(method: str, data: LabeledDataset, nodes, D, cfg: MltrpConfig, lam0=No
     if method == "nm":
         lats_of = {}  # route -> its latencies, for every route NM has met
 
-        def route_now():
-            # The anchor's most recent answer is the route of its latest DP call.
-            route = tuple(anchor._sol.route)
-            lats_of[route] = anchor._sol.latencies
-            return route
+        def evaluate(v):
+            val, route, lats = _objective(v, data, nodes, anchor, cfg)
+            lats_of[route] = lats
+            return val, route
 
         def descend(v, route):
             res = _route_descent(v, lats_of[route], data, nodes, cfg)
             return res.lam if res.converged else None
 
-        lam, trace = nelder_mead(
-            lambda v: _objective(v, data, nodes, anchor, cfg), lam, route_now, descend
-        )
+        lam, trace = nelder_mead(evaluate, lam, descend)
     elif method == "am":
         lam, trace = alternating_minimization(lam, data, nodes, anchor, cfg)
     te = training_error(lam, data, cfg.c2)

@@ -246,12 +246,15 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
 
     # Greedy reconstruction: at each step take the smallest next node whose
     # completion stays within TIE_TOL * |c*| of the optimum; if accumulated
-    # roundoff leaves none within it, the first node of least completion.  Every free
-    # node is evaluated, so the least completion not taken at a step is the
-    # best route that first leaves there.  free_nodes is ascending, so the
-    # visited bits below k, k's row in the next table, number k - i.  The
-    # arrival times add the legs left to right from -0.0, the identity of
-    # IEEE addition, so they are np.cumsum's bit for bit (core.latency).
+    # roundoff leaves none within it, the first node of least completion.
+    # That guard serves near-ties at the band's edge: a route within an ulp
+    # of the limit may be taken at one step and its running sum land past
+    # the limit at a later one.  Every free node is evaluated, so the least
+    # completion not taken at a step is the best route that first leaves
+    # there.  free_nodes is ascending, so the visited bits below k, k's row
+    # in the next table, number k - i.  The arrival times add the legs left
+    # to right from -0.0, the identity of IEEE addition, so they are
+    # np.cumsum's bit for bit (core.latency).
     limit = c_star + TIE_TOL * abs(c_star)
     step_margins = []
     Dl = D.tolist()

@@ -71,8 +71,8 @@ def reference_objective(lam, data, nodes, D, cfg):
 
 
 def fresh_objective(lam, data, nodes, D, cfg):
-    """opt._objective on a new route anchor, so its DP runs."""
-    return _objective(lam, data, nodes, opt_mod._RouteAnchor(D), cfg)
+    """opt._objective's value on a new route anchor, so its DP runs."""
+    return _objective(lam, data, nodes, opt_mod._RouteAnchor(D), cfg)[0]
 
 
 def am_check_instance(run):
@@ -301,22 +301,25 @@ class TestNelderMeadMinimizer:
         c = rng.normal(scale=2.0, size=d)
         calls = []
 
-        def f(v):
+        def q(v):
             calls.append(1)
             return float((v - c) @ A @ (v - c)) + 3.0
+
+        def f(v):
+            return q(v), None  # one smooth piece
 
         with caplog.at_level(logging.DEBUG, logger="repairroute"):
             lam, trace = nelder_mead(f, np.zeros(d))
         assert np.abs(lam - c).max() < 1e-6
         assert all(b <= a for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == f(lam)
+        assert trace[-1] == q(lam)
         assert len(calls) < opt_mod._NM_MAX_EVALS
         assert not caplog.records
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_names_the_vertex(self, bad):
         with pytest.raises(ValueError, match=r"non-finite objective at simplex vertex \[1\.0, 2\.0\]"):
-            nelder_mead(lambda v: bad, [1.0, 2.0])
+            nelder_mead(lambda v: (bad, None), [1.0, 2.0])
 
 
 class TestC1Overflow:
@@ -381,9 +384,9 @@ def spy_nelder_mead(monkeypatch, data, nodes, D, cfg):
 
     def spy_eval(lam, *a, **k):
         before = len(solved)
-        val = real_eval(lam, *a, **k)
-        evals.append((lam.copy(), val, solved[-1] if len(solved) == before else None))
-        return val
+        out = real_eval(lam, *a, **k)
+        evals.append((lam.copy(), out[0], solved[-1] if len(solved) == before else None))
+        return out
 
     def spy_nm(*a, **k):
         out = real_nm(*a, **k)
@@ -482,7 +485,7 @@ class MarginAnchor:
             if self._margin - r > TIE_TOL + 1e-9 * (1.0 + self._cost0 + r):
                 return self._route, self._lats
         sol = trp_mod._held_karp(w, self._D)
-        self._w0, self._sol, self._cost0, self._margin = w, sol, sol.cost, min(sol.step_margins)
+        self._w0, self._cost0, self._margin = w, sol.cost, min(sol.step_margins)
         self._route, self._lats = sol.route, latency(sol.route, self._D)
         return self._route, self._lats
 
@@ -579,6 +582,26 @@ class TestOneRouteSource:
         monkeypatch.undo()
         redo = solve_weighted_trp_dp(node_weights(sol.lam, nodes, model), D)
         assert (sol.route, sol.traversal_cost) == (redo.route, redo.cost)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_nm_needs_nothing_but_the_anchors_route(self, model, monkeypatch):
+        # Each evaluation hands NM its own route and latencies, so an anchor
+        # that offers route(w) alone gives the same solve, bit for bit.
+        class RouteOnly:
+            __slots__ = ("route",)
+
+            def __init__(self, D):
+                self.route = trp_mod._RouteAnchor(D).route
+
+        data, nodes, D = opt_instance(4, M=7)
+        cfg = MltrpConfig(c2=0.2, c1=0.8, cost_model=model)
+        plain = solve("nm", data, nodes, D, cfg)
+        monkeypatch.setattr(opt_mod, "_RouteAnchor", RouteOnly)
+        sol = solve("nm", data, nodes, D, cfg)
+        assert sol.lam.tobytes() == plain.lam.tobytes()
+        assert (sol.trace, sol.route, sol.combined_objective) == (
+            plain.trace, plain.route, plain.combined_objective
+        )
 
 
 class TestKeptLegs:
@@ -789,9 +812,9 @@ class TestCertifiedFinish:
         real_objective = opt_mod._objective
 
         def objective(lam, *a):
-            val = real_objective(lam, *a)
+            val, route, lats = real_objective(lam, *a)
             landed = refusal == "other_route" and any(lam is end for _, end, _, _ in tried)
-            return val - 1e6 if landed else val
+            return (val - 1e6 if landed else val), route, lats
 
         monkeypatch.setattr(opt_mod, "minimize_descent", fake_descent)
         monkeypatch.setattr(opt_mod, "_objective", objective)
@@ -895,6 +918,25 @@ class TestAlternating:
         with caplog.at_level(logging.WARNING, logger="repairroute"):
             solve("am", small_blobs, nodes, D, MltrpConfig(c2=0.2, c1=1.0))
         assert not caplog.records
+
+    @pytest.mark.parametrize("seed, model", [(1, "cost2"), (11, "cost1")])
+    def test_round_cap_is_logged_only_when_it_stops_am(self, seed, model, caplog, monkeypatch):
+        # On these instances the route at the fit's lam changes after one
+        # round, and AM needs two rounds to see it repeat.
+        data, nodes, D = opt_instance(seed, M=6)
+        cfg = MltrpConfig(c2=0.15, c1=1.2, cost_model=model)
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            full = solve("am", data, nodes, D, cfg)
+        assert len(full.trace) == 2
+        assert not caplog.records
+        monkeypatch.setattr(opt_mod, "_AM_ROUNDS", 1)
+        with caplog.at_level(logging.WARNING, logger="repairroute"):
+            capped = solve("am", data, nodes, D, cfg)
+        assert capped.route != solve("sequential", data, nodes, D, cfg).route
+        records = [r for r in caplog.records if r.name == "repairroute"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].getMessage() == "AM stopped at its cap of 1 rounds before the route repeated"
 
     def test_early_stop_on_route_repeat(self, monkeypatch, small_blobs):
         # C1 = 0 freezes lam after round one, so the route repeats at round

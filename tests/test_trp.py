@@ -486,6 +486,49 @@ class TestMargin:
             assert abs(min(sol.step_margins) - min(ref.step_margins)) <= 1e-12 * (1.0 + sol.cost)
         assert fallbacks
 
+    @pytest.mark.parametrize("seed", [148, 228, 49, 53, 14, 26, 43, 75])
+    def test_band_edge_near_ties_take_the_argmin_fallback(self, seed):
+        # With the shipped band: a route within an ulp of c* + TIE_TOL * |c*|
+        # is taken at one step, and the walk's later running sums put every
+        # completion past the limit.  These seeds (M = 4, 5, 6, 7, two each)
+        # are among the 61 of seeds 0-399 whose switch point falls back.
+        fallbacks = []
+        for w, D in band_edge_instances(seed):
+            sol = solve_weighted_trp_dp(w, D)
+            assert (sol.route, sol.cost, sol.step_margins) == loop_dp(w, D, fallbacks)
+        assert fallbacks
+
+
+def band_edge_instances(seed):
+    """Euclidean distances between M = 4 + seed % 4 random points in a
+    10 x 10 square, weights uniform(0.1, 1), and node j = seed % M's weight
+    bisected to the two adjacent floats in [0, 2] across its first change of
+    the DP's route: one weight vector each side, where the two routes' costs
+    sit at the edge of the tie band.  Empty where the route never changes."""
+    rng = np.random.default_rng([7, seed])
+    M = 4 + seed % 4
+    xy = rng.uniform(0.0, 10.0, (M, 2))
+    D = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    w = rng.uniform(0.1, 1.0, M)
+    j = seed % M
+
+    def at(x):
+        v = w.copy()
+        v[j] = x
+        return v
+
+    grid = np.linspace(0.0, 2.0, 17)
+    routes = [solve_weighted_trp_dp(at(x), D).route for x in grid]
+    for lo, hi, first, other in zip(grid, grid[1:], routes, routes[1:]):
+        if first != other:
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if solve_weighted_trp_dp(at(mid), D).route == first:
+                    lo = mid
+                else:
+                    hi = mid
+            return [(at(lo), D), (at(hi), D)]
+    return []
+
 
 def plane_instance(seed, M, scale):
     """Euclidean distances between M random points in a 10 x 10 square and
