@@ -5,7 +5,6 @@ from .bound import (
     BoundReport,
     generalization_bound,
     halfspace_ball_fraction,
-    reg_inc_beta,
     shortest_distances,
 )
 from .core import (

@@ -6,8 +6,8 @@ ball, for node and training features bounded in norm by M2.  The bound has
 the familiar covering-number shape but with an extra geometric factor alpha:
 the fraction of the coefficient ball that survives a single linear constraint
 induced by the routing weights.  alpha is the volume fraction of a ball cut
-by a hyperplane, an incomplete-beta quantity computed here from scratch with
-a continued fraction.
+by a hyperplane, an incomplete-beta quantity that for these arguments is a
+finite sum.
 """
 
 import math
@@ -17,6 +17,13 @@ import numpy as np
 
 from .core import as_distance_matrix, sigmoid
 from .trp import solve_weighted_trp_dp
+
+
+def check_cap(norm: float, cap: float, cap_name: str, what: str) -> None:
+    """Raise ValueError if `norm` exceeds `cap` by more than 1e-12 relative
+    and absolute slack; `cap_name` and `what` name the cap and the norm."""
+    if norm > cap * (1 + 1e-12) + 1e-12:
+        raise ValueError(f"{what} norm {norm:.6g} exceeds the {cap_name} cap {cap:.6g}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,9 @@ class BoundInputs:
         object.__setattr__(self, "D", D)
 
     def check_norms(self, rows, what: str) -> None:
-        """Raise ValueError if a row of `rows` has a norm above M2, with 1e-12
-        relative and absolute slack; `what` names the rows in the message."""
-        top = float(np.linalg.norm(rows, axis=1).max())
-        if top > self.M2 * (1 + 1e-12) + 1e-12:
-            raise ValueError(f"{what} feature norm {top:.6g} exceeds the M2 cap {self.M2:.6g}")
+        """Raise ValueError if a row of `rows` has a norm above M2 (check_cap);
+        `what` names the rows in the message."""
+        check_cap(float(np.linalg.norm(rows, axis=1).max()), self.M2, "M2", f"{what} feature")
 
     @property
     def d(self) -> int:
@@ -90,80 +95,37 @@ def shortest_distances(D) -> np.ndarray:
     return dist
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    EPS = 1e-15
-    FPMIN = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < FPMIN:
-        d = FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 301):
-        m2 = 2 * m
-        # The even and the odd coefficient of step m, each one Lentz update.
-        for aa in (
-            m * (b - m) * x / ((qam + m2) * (a + m2)),
-            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
-        ):
-            d = 1.0 + aa * d
-            if abs(d) < FPMIN:
-                d = FPMIN
-            c = 1.0 + aa / c
-            if abs(c) < FPMIN:
-                c = FPMIN
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), absolute error below 1e-10.
-
-    Continued-fraction evaluation with the usual symmetry switch at
-    x > (a + 1) / (a + b + 2) for fast convergence on both flanks.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError("a and b must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must be in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def halfspace_ball_fraction(z: float, R: float, d: int) -> float:
     """Fraction of a radius-R ball in R^d on the center side of a hyperplane at distance z.
 
-    Equals 1 - (cap volume fraction) = 1 - I_{1 - z^2/R^2}((d+1)/2, 1/2) / 2;
-    one half at z = 0, one when the plane clears the ball.
+    Equals 1 - I_x((d+1)/2, 1/2) / 2 with t = z/R and x = 1 - t^2: one half
+    at z = 0, one when the plane clears the ball.  With b = 1/2 and a
+    half-integer a the incomplete beta is a finite sum: it starts from
+    I_x(1, 1/2) = 1 - t (odd d) or I_x(1/2, 1/2) = 1 - (2/pi) asin t (even
+    d), and each step I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b))
+    (DLMF 8.17) subtracts a term x (a + 1/2) / (a + 1) times the one before.
+    t enters as itself, never as the rounded 1 - x, so a plane near the
+    center keeps its digits; the absolute error stays near 1e-13.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    if not (d >= 1 and d % 1 == 0):
+        raise ValueError("dimension must be an integer >= 1")
     if not R > 0:
         raise ValueError("radius must be positive")
-    if z < 0:
-        raise ValueError("distance must be nonnegative")
+    if not z >= 0:
+        raise ValueError("distance must be a nonnegative number")
     if z >= R:
         return 1.0
-    x = 1.0 - (z / R) ** 2
-    return 1.0 - 0.5 * reg_inc_beta(x, (d + 1) / 2.0, 0.5)
+    t = z / R
+    x = 1.0 - t * t
+    if d % 2:
+        a, frac, term = 1.0, 1.0 - t, 0.5 * x * t
+    else:
+        a, frac, term = 0.5, 1.0 - 2.0 / math.pi * math.asin(t), 2.0 / math.pi * math.sqrt(x) * t
+    while a < (d + 1) / 2 and term != 0.0:
+        frac -= term
+        term *= x * (a + 0.5) / (a + 1.0)
+        a += 1.0
+    return 1.0 - 0.5 * frac
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .bound import BoundInputs, generalization_bound
+from .bound import BoundInputs, check_cap, generalization_bound
 from .core import _cost2_exact, latency, standard_trp_cost
 from .dataio import ValidationError
 from .demo import INSTANCES
@@ -270,11 +270,10 @@ def cmd_bound(args) -> dict:
             raise ValidationError("--c2 is required when --train is used")
         fit = fit_logistic(data, args.c2)
         norm = float(np.linalg.norm(fit.lam))
-        # The bound holds only for coefficients within M1 (slack as in check_norms).
+        # The bound holds only for coefficients within M1.
         if m1 is None:
             m1 = norm
-        elif norm > m1 * (1 + 1e-12) + 1e-12:
-            raise ValidationError(f"fitted coefficient norm {norm:.6g} exceeds the M1 cap {m1:.6g}")
+        check_cap(norm, m1, "M1", "fitted coefficient")
         m = data.m
         rows = np.vstack([nodes, data.features])
     if m1 is None:

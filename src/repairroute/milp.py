@@ -55,7 +55,10 @@ def flow_caps(w) -> np.ndarray:
 
 
 def build_milp(w, D) -> MilpInstance:
-    """Assemble the flow model's rows in a fixed, deterministic order."""
+    """Assemble the flow model's rows in a fixed, deterministic order.
+
+    The weight total is every cap out of node 1 and node 1's flow
+    right-hand side, so weights whose total overflows are refused."""
     D = as_distance_matrix(D)
     w = as_weights(w, D.shape[0])
     M = D.shape[0]
@@ -65,6 +68,10 @@ def build_milp(w, D) -> MilpInstance:
             f"node {zero[0] + 2} has weight 0 (its score underflowed); the flow model "
             "needs a positive weight on every node but node 1"
         )
+    with np.errstate(over="ignore"):
+        wtot = float(w.sum())
+    if not np.isfinite(wtot):
+        raise ValueError(f"node weights sum past the largest float (the largest is {w.max():.6g})")
     r = flow_caps(w)
     Z = np.arange(M * M).reshape(M, M)
     Y = Z + M * M
@@ -82,7 +89,7 @@ def build_milp(w, D) -> MilpInstance:
     lengths = [np.full(c.shape[0], c.shape[1]) for c, _ in fixed] + [keep.sum(axis=1)]
     vals = [np.broadcast_to(v, c.shape).ravel() for c, v in fixed] + [link_vals[keep]]
     flow_rhs = w.copy()
-    flow_rhs[0] = float(w[0]) - float(w.sum())
+    flow_rhs[0] = float(w[0]) - wtot
     return MilpInstance(
         M=M,
         D=D,

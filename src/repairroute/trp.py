@@ -168,6 +168,9 @@ def solve_weighted_trp_dp(w, D) -> TrpSolution:
     nodes, 38 MiB at 20), plus one step's temporaries.  The index is cached
     for the most recent M (int32 sets, pos and nxt, uint16 member rows,
     uint8 free columns: 1.9 MiB at 16 nodes and 37 MiB at 20).
+
+    Finite weights and distances can still make a cost pass the largest
+    float; ValueError names the overflow when c* is not finite.
     """
     D = _dp_matrix(D)
     return _held_karp(as_weights(w, D.shape[0]), D)
@@ -243,6 +246,8 @@ def _held_karp(w, D, legs=None) -> TrpSolution:
             np.minimum.reduce(cand, axis=0, out=t[:, cut])
         tables[s] = t
     c_star = tables[0].item(0, 0)
+    if not math.isfinite(c_star):
+        raise ValueError(f"the route cost overflows to {c_star!r} (the weights sum to {wtot:.6g})")
 
     # Greedy reconstruction: at each step take the smallest next node whose
     # completion stays within TIE_TOL * |c*| of the optimum; if accumulated

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
 
 import repairroute.bound as bound_mod
 from repairroute.bound import (
@@ -12,7 +10,6 @@ from repairroute.bound import (
     BoundReport,
     generalization_bound,
     halfspace_ball_fraction,
-    reg_inc_beta,
     shortest_distances,
 )
 from repairroute.core import sigmoid
@@ -127,57 +124,19 @@ class TestShortestDistances:
         assert shortest_distances(D)[0] == 19.0
 
 
-class TestRegIncBeta:
-    def test_uniform_case(self):
-        assert reg_inc_beta(0.0, 1.0, 1.0) == 0.0
-        assert reg_inc_beta(0.3, 1.0, 1.0) == pytest.approx(0.3, abs=1e-12)
-        assert reg_inc_beta(1.0, 1.0, 1.0) == 1.0
-
-    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
-    def test_symmetric_midpoint(self, a):
-        assert reg_inc_beta(0.5, a, a) == pytest.approx(0.5, abs=1e-12)
-
-    def test_quadrature_oracle(self):
-        a, b, x = 2.0, 0.5, 0.7
-        integral, err = scipy.integrate.quad(
-            lambda t: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, x
-        )
-        norm = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        assert err < 1e-10
-        assert reg_inc_beta(x, a, b) == pytest.approx(integral / norm, abs=1e-9)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_scipy_grid(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            a = float(rng.uniform(0.2, 8.0))
-            b = float(rng.uniform(0.2, 8.0))
-            x = float(rng.uniform(0.0, 1.0))
-            assert reg_inc_beta(x, a, b) == pytest.approx(
-                float(scipy.special.betainc(a, b, x)), abs=1e-10
-            )
-
-    def test_reflection_identity(self):
-        for a, b, x in [(2.0, 3.5, 0.2), (0.7, 1.3, 0.85), (4.0, 0.5, 0.5)]:
-            assert reg_inc_beta(x, a, b) == pytest.approx(
-                1.0 - reg_inc_beta(1.0 - x, b, a), abs=1e-12
-            )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, 1.0, -2.0)
-
-
 class TestHalfspaceFraction:
-    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("d", range(1, 201))
     def test_plane_through_center(self, d):
         assert halfspace_ball_fraction(0.0, 1.0, d) == 0.5
+
+    @pytest.mark.parametrize("d", [*range(1, 13), 25, 100, 1000])
+    def test_matches_mpmath(self, d):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for ratio in (0.0, 1e-12, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999):
+            x = 1 - mp.mpf(ratio) ** 2
+            want = 1 - mp.betainc(mp.mpf(d + 1) / 2, mp.mpf(1) / 2, 0, x, regularized=True) / 2
+            assert abs(halfspace_ball_fraction(ratio * 3.0, 3.0, d) - want) <= 1e-13, ratio
 
     def test_one_dimensional_cap_is_linear(self):
         assert halfspace_ball_fraction(0.5, 1.0, 1) == pytest.approx(0.75, abs=1e-12)
@@ -215,6 +174,11 @@ class TestHalfspaceFraction:
             halfspace_ball_fraction(0.5, 0.0, 2)
         with pytest.raises(ValueError):
             halfspace_ball_fraction(-0.5, 1.0, 2)
+        with pytest.raises(ValueError, match="distance"):
+            halfspace_ball_fraction(math.nan, 1.0, 3)
+        for d in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dimension"):
+                halfspace_ball_fraction(0.5, 1.0, d)
 
 
 class TestConstraintVector:

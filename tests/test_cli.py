@@ -607,6 +607,25 @@ class TestExportMilp:
         assert not lp.exists() and not out.exists()
 
 
+class TestWeightOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["export-milp", "route"])
+    def test_exits_two_and_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        # Nodes 2-4 have features (0, 3e307, 0), so each cost2 weight is
+        # about 6.4e307 and their total passes the largest float: the MILP
+        # refuses the total, the DP the route cost it makes.
+        message = {"export-milp": "node weights sum past the largest float",
+                   "route": "route cost overflows"}[command]
+        load_tool("cli_golden").write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--train", "train.csv", "--nodes", "nodes_weight_overflow.csv",
+                     "--distances", "dist.csv", "--c2", "0.2", "--cost-model", "cost2",
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDemo:
     def test_six_node_routes_differ_and_cost_drops(self, tmp_path):
         assert main(["demo", "--which", "six_node", "--out-dir", str(tmp_path)]) == 0
@@ -1309,6 +1328,20 @@ class TestGoldenTool:
         assert "not a new or empty directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["route.json", "stale"]
         assert (tmp_path / "stale" / "route.json").read_text() == "old\n"
+
+    def test_two_processes_write_identical_trees(self, tmp_path):
+        # Every golden invocation, run end to end in two interpreters with
+        # different string hashing, writes the same bytes.
+        tool = Path(__file__).resolve().parent.parent / "tools" / "cli_golden.py"
+        trees = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            subprocess.run([sys.executable, str(tool), str(out)], env=env, check=True)
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        assert len(trees[0]) > 40
+        assert trees[0] == trees[1]
 
 
 class TestCodeLinesTool:

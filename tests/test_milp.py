@@ -129,6 +129,13 @@ class TestBuild:
             assert inst.rhs[r] == pytest.approx(ref_rhs, abs=1e-12)
             assert row == pytest.approx(ref_row, abs=1e-12), name
 
+    def test_rejects_an_overflowing_weight_total(self):
+        # Each weight is finite, but their total, every flow cap and node 1's
+        # flow right-hand side would be inf.
+        _, D = random_instance(2, 4)
+        with pytest.raises(ValueError, match="node weights sum past the largest float"):
+            build_milp([1.0, 1e308, 1e308, 1.0], D)
+
 
 class TestRouteToFlow:
     def test_unit_three_example(self):

@@ -366,6 +366,23 @@ class TestDp:
         with pytest.raises(ValueError):
             solve_weighted_trp_dp([-0.1, 1.0], D)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["weights", "distances"])
+    def test_rejects_an_overflowing_route_cost(self, scale):
+        # Finite weights and distances whose sums or products pass the
+        # largest float: the weight total of [1, 1e308, 1e308, 1] is inf, and
+        # at unit weights the latencies of 1e308-long legs add up past it.
+        D = np.ones((4, 4)) - np.eye(4)
+        w = np.ones(4)
+        if scale == "weights":
+            w[1:3] = 1e308
+        else:
+            D *= 1e308
+        with pytest.raises(ValueError, match="route cost overflows"):
+            solve_weighted_trp_dp(w, D)
+        with pytest.raises(ValueError, match="route cost overflows"):
+            trp_mod._RouteAnchor(D).route(w)
+
 
 class TestKeptLegs:
     @pytest.mark.parametrize("fill_rows", [trp_mod._FILL_ROWS, 3])

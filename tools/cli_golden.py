@@ -18,15 +18,17 @@ standard JSON has no number: cost1 simulate on a copy of the five nodes
 whose failure probabilities are all about 1e-20, so no trial fails, the
 standard error is 0 and the z score is -inf, and the bound on a copy of the
 five nodes with all-zero features, whose constraint vector is 0, so the
-plane distance c_norm_inv and z_prime are inf.  Thirteen runs are refused
+plane distance c_norm_inv and z_prime are inf.  Fourteen runs are refused
 with exit code 2: route into a folder whose route.json is already a
 directory (the refusal names that path, relative to OUT_DIR/inputs, and
 the run must leave no model.json or temp file beside it), simulate at 10**400 steps per unit (above 2**63 - 1),
 export-milp on a copy of the five nodes where one node's score is so low
 that its weight underflows to 0 (a zero-weight node would
-let the flow model close a subtour), cost1 simulate on the five-node
-graph with every distance 1e19 times as long, whose step counts exceed
-the binomial draw's 2**63 - 1, cost1 simulate on a copy of the five nodes
+let the flow model close a subtour), cost2 export-milp on a copy of the
+five nodes where nodes 2-4 have features (0, 3e307, 0), so each of their
+weights is about 6.4e307 and the weight total overflows, cost1 simulate
+on the five-node graph with every distance 1e19 times as long, whose
+step counts exceed the binomial draw's 2**63 - 1, cost1 simulate on a copy of the five nodes
 where one node's features are 1.7e308, so its score overflows, the bound
 with --train and an --m2 of 2, above every node's feature norm but below
 the largest training row's (the bound holds only for training rows within
@@ -89,8 +91,9 @@ def write_inputs(folder: Path) -> None:
     The five-node graph also has copies with four and 1e19 times its
     distances, and copies of its nodes whose third node has a first
     feature of -1000, whose second node has 1.7e308 for both features,
-    whose every node has -13 for both features, or whose every feature is
-    0; the test set has a copy of its positive rows alone."""
+    whose nodes 2-4 have features (0, 3e307, 0), whose every node has -13
+    for both features, or whose every feature is 0; the test set has a copy
+    of its positive rows alone."""
     rng = np.random.default_rng(20110526)
     folder.mkdir(parents=True, exist_ok=True)
     d, M = 2, 5
@@ -113,6 +116,9 @@ def write_inputs(folder: Path) -> None:
     overflow = nodes.copy()
     overflow[1, :d] = 1.7e308
     (folder / "nodes_overflow.csv").write_text(header + _csv(overflow))
+    heavy = nodes.copy()
+    heavy[1:4] = [0.0, 3e307, 0.0]
+    (folder / "nodes_weight_overflow.csv").write_text(header + _csv(heavy))
     low_risk = nodes.copy()
     low_risk[:, :d] = -13.0
     (folder / "nodes_low_risk.csv").write_text(header + _csv(low_risk))
@@ -159,6 +165,10 @@ def invocations() -> dict:
     runs["export_milp_zero_weight"] = ["export-milp", "--train", "train.csv", "--nodes",
                                        "nodes_underflow.csv", "--distances", "dist.csv", "--c2",
                                        "0.2"]
+    runs["export_milp_weight_overflow_cost2"] = ["export-milp", "--train", "train.csv",
+                                                 "--nodes", "nodes_weight_overflow.csv",
+                                                 "--distances", "dist.csv", "--c2", "0.2",
+                                                 "--cost-model", "cost2"]
     runs["simulate_overflow_cost1"] = ["simulate", "--train", "train.csv", "--nodes", "nodes.csv",
                                        "--distances", "dist_huge.csv", "--c2", "0.2",
                                        "--cost-model", "cost1", "--trials", "2000", "--seed", "3"]
